@@ -243,6 +243,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "terms_used": result.terms_used,
         "tail_estimate": result.tail_estimate,
         "status": result.status.value,
+        "error_estimate": result.error_estimate,
     }
     code = EXIT_OK if result.status != SummationStatus.MAX_TERMS_REACHED else EXIT_NOT_APPLICABLE
     if args.format == "json":

@@ -10,10 +10,16 @@ The summation kernel runs the term recurrence
 
 in numpy blocks with compensated (Neumaier) accumulation across blocks and
 pairwise summation inside them.  For non-terminating series with p = q + 1 the
-terms decay like n^(-1-s), where s is the convergence margin; the returned
-value adds the Euler-Maclaurin estimate of the omitted tail, which pushes the
-truncation error from O(|t_N| * N / s) down to O(|t_N| / N).  Without that
+terms decay like n^(-1-s), where s is the convergence margin; the corrected
+value V(N) adds the Euler-Maclaurin estimate of the omitted tail, which pushes
+the truncation error from O(|t_N| * N / s) down to O(N^-(2+s)).  Without that
 correction a margin-1/2 series would need ~1e19 terms to reach ten digits.
+
+Because that remainder order is known, comparing V at two block ends gives a
+Richardson estimate of the error of V(N).  The kernel stops once that estimate
+meets the tolerance and returns the extrapolated value, so a margin-1/2 series
+at rel_tol 1e-12 takes ~1.5e4 terms rather than running into the 1e7 budget.
+``SummationResult.error_estimate`` reports that estimate.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ _BLOCK_MAX = 65536
 # near 1 early on and fake convergence when the margin is small.
 _MIN_STOP_INDEX = 20
 _CONSECUTIVE_SMALL = 3
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -107,10 +115,18 @@ class SummationStatus(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SummationResult:
+    """Outcome of :func:`sum_series`.
+
+    ``tail_estimate`` is the integral-comparison bound on the omitted tail
+    before any correction; ``error_estimate`` is the likely error of
+    ``value`` itself (see :func:`sum_series`).
+    """
+
     value: float
     terms_used: int
     tail_estimate: float
     status: SummationStatus
+    error_estimate: float
 
 
 def convergence_margin(spec: SeriesSpec) -> float:
@@ -158,11 +174,39 @@ def sum_series(
 ) -> SummationResult:
     """Sum the series directly, term by term.
 
-    Stops when the series terminates, when |t_n| <= rel_tol * |partial sum|
-    for three consecutive indices n >= 20, or at ``max_terms``.  For
-    non-terminating p = q + 1 series the returned value includes the
-    asymptotic tail estimate of the omitted terms; ``tail_estimate`` reports
-    the conservative integral-comparison bound |t_N| (N+1) / s on that tail.
+    Stops in one of four ways:
+
+    * the series terminates (status ``Terminated``);
+    * |t_n| <= rel_tol * |partial sum| for three consecutive indices n from
+      the stop index on (status ``Converged``);
+    * for a non-terminating p = q + 1 series, at a block end N where
+      err(N) <= rel_tol * |V(N)|, with err(N) defined below (status
+      ``Converged``);
+    * at ``max_terms`` (status ``MaxTermsReached``).
+
+    The stop index is 20, raised to 4 |c1| for p = q + 1 series, whose terms
+    go like t_n ~ K n^(-1-s) (1 + c1/n): the tail model needs 1 + c1/n to be
+    near 1, and the tail correction is applied only from the stop index on.
+
+    For non-terminating p = q + 1 series, V(N) is the partial sum up to t_N
+    plus the Euler-Maclaurin estimate of the omitted tail.  Its remaining
+    error is O(N^-(2+s)), so with the latest earlier block end N_ref <= N/2
+
+        err(N) = |d| + N u |tail correction|,
+        d      = (V(N) - V(N_ref)) / ((N/N_ref)^(2+s) - 1),
+
+    where u is the unit roundoff and the second part bounds the rounding that
+    t_N, a product of N ratios, passes on to the correction.  Whenever such
+    an N_ref exists for the last summed index N, whichever rule stopped the
+    sum, ``value`` is the Richardson extrapolation V(N) + d and
+    ``error_estimate`` is err(N), an estimate of the error of V(N) that the
+    extrapolation improves on.
+
+    Otherwise ``value`` is V(N) (the partial sum alone when the tail model
+    does not hold yet, or for p <= q) and ``error_estimate`` falls back to
+    ``tail_estimate``: the integral-comparison bound |t_N| (N+1) / s on the
+    whole omitted tail for p = q + 1 series, and |t_N| for the rest.  For a
+    terminated series both are 0.
 
     Raises DivergenceError for a non-terminating p = q + 1 series whose
     convergence margin is not positive.
@@ -185,12 +229,21 @@ def sum_series(
     uppers = np.asarray(spec.numerators, dtype=np.float64)
     lowers = np.asarray(spec.denominators + (1.0,), dtype=np.float64)
 
+    tail_series = k_term is None and saturated
+    c1 = _term_shape_coefficient(spec)
+    stop_index = _MIN_STOP_INDEX
+    if tail_series:
+        stop_index = max(stop_index, math.ceil(4.0 * abs(c1)))
+    lowest = min(spec.numerators + spec.denominators, default=math.inf)
+
     total, comp = 1.0, 0.0  # t_0
     t_last = 1.0
     count = 1
     carry = np.array([False, False])
     block = _BLOCK_START
     converged = False
+    ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends
+    n_last, value, error = 0, 1.0, None
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
@@ -210,8 +263,8 @@ def sum_series(
             if k_term is None:
                 partials = (total + comp) + np.cumsum(terms)
                 small = np.abs(terms) <= rel_tol * np.abs(partials)
-                if count < _MIN_STOP_INDEX:
-                    small[: _MIN_STOP_INDEX - count] = False
+                if count < stop_index:
+                    small[: stop_index - count] = False
                 ext = np.concatenate((carry, small))
                 run = ext[:-2] & ext[1:-1] & ext[2:]
                 hits = np.flatnonzero(run)
@@ -223,24 +276,34 @@ def sum_series(
             total, comp = _accumulate(total, comp, float(np.sum(terms)))
             t_last = float(terms[-1])
             count += len(terms)
+            n_last = count - 1
+            value, error = total + comp, None
+            if tail_series and n_last >= stop_index and n_last + lowest > 1.0:
+                # The reference is at most N/2, so the divisor is at least
+                # 2^(2+s) - 1 > 3 and does not amplify rounding in V.  t_N
+                # comes from N rounded products, so the correction scaled
+                # from it carries a relative rounding error of up to ~N u.
+                correction = _tail_correction(t_last, n_last, margin, c1)
+                value += correction
+                ref = next((e for e in reversed(ends) if 2 * e[0] <= n_last), None)
+                ends.append((n_last, value))
+                if ref is not None:
+                    delta = (value - ref[1]) / ((n_last / ref[0]) ** (2.0 + margin) - 1.0)
+                    error = abs(delta) + n_last * _UNIT_ROUNDOFF * abs(correction)
+                    converged = converged or error <= rel_tol * abs(value)
+                    value += delta
             if converged:
                 break
 
-    value = total + comp
-    n_last = count - 1
     if k_term is not None and count == k_term + 1:
-        return SummationResult(value, count, 0.0, SummationStatus.TERMINATED)
+        return SummationResult(value, count, 0.0, SummationStatus.TERMINATED, 0.0)
 
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
-    if saturated and margin > 0.0 and k_term is None and n_last >= _MIN_STOP_INDEX:
-        all_params = spec.numerators + spec.denominators
-        if not all_params or n_last + min(all_params) > 1.0:
-            c1 = _term_shape_coefficient(spec)
-            value += _tail_correction(t_last, n_last, margin, c1)
+    if tail_series and n_last >= _MIN_STOP_INDEX:
         tail = abs(t_last) * (n_last + 1) / margin
     else:
         tail = abs(t_last)
-    return SummationResult(value, count, tail, status)
+    return SummationResult(value, count, tail, status, tail if error is None else error)
 
 
 def ramanujan_mu_terms(b: float, mu: float) -> SeriesSpec:

@@ -457,6 +457,7 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
             "terms_used": report.summation.terms_used,
             "tail_estimate": report.summation.tail_estimate,
             "status": report.summation.status.value,
+            "error_estimate": report.summation.error_estimate,
         }
     return {
         "identity": report.case.identity.value,
@@ -486,6 +487,7 @@ def report_from_dict(data: Mapping[str, Any]) -> VerificationReport:
             terms_used=int(raw["terms_used"]),
             tail_estimate=float(raw["tail_estimate"]),
             status=SummationStatus(raw["status"]),
+            error_estimate=float(raw["error_estimate"]),
         )
     return VerificationReport(
         case=case,

@@ -5,12 +5,9 @@ pytest -s and in failure reports) and then asserts the criterion at its
 stated tolerance.  Reference decimals are frozen from the 50-digit oracle
 (scripts/gen_reference_values.py), never copied from prose.
 
-Criterion 8's branch-continuity bound is mathematically unattainable: the two
-inputs are different sums whose true values differ by ~(delta/2) * value *
-(2 + b g''(b)/g'(b)) with delta = 1e-7, which is 2.4e-9 / 1.1e-8 / 1.9e-8 of
-the value at b = 0.25 / 1 / 3 - above the demanded 1e-9 for every b.  The
-test asserts the bound as stated and is marked strict-xfail; see
-notes/decisions.md for the full analysis.
+Criterion 8's branch-continuity bound is mathematically unattainable.  The
+test asserts the bound as stated and is marked strict-xfail; the docstring
+of test_criterion_8_branch_continuity_bound has the full analysis.
 """
 
 import math
@@ -201,9 +198,16 @@ def test_criterion_8_digamma_branch():
     strict=True,
     reason="unattainable as stated: the two inputs are genuinely different "
     "sums, |S(b, b(1+1e-7)) - S(b, b)| ~ 2.4e-9..1.9e-8 of the value "
-    "(50-digit arithmetic); see notes/decisions.md",
+    "(50-digit arithmetic); see this test's docstring",
 )
 def test_criterion_8_branch_continuity_bound():
+    """|S(b, b(1+delta)) - S(b, b)| <= 1e-9 |S(b, b)| at delta = 1e-7.
+
+    Unattainable: the two inputs are different sums whose true values differ
+    by ~(delta/2) * value * (2 + b g''(b)/g'(b)), which is 2.4e-9 / 1.1e-8 /
+    1.9e-8 of the value at b = 0.25 / 1 / 3 (50-digit arithmetic), above the
+    demanded 1e-9 for every b.
+    """
     ok = True
     for b in (0.25, 1.0, 3.0):
         near = theorems.ratio_sum_extension(b, b * (1.0 + 1e-7))

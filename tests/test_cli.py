@@ -59,6 +59,12 @@ class TestEval:
         assert code == 2
         assert "MaxTermsReached" in out
 
+    def test_default_tolerance_budget_exits_2(self, capsys):
+        # one block of 999 terms leaves no block end to extrapolate from
+        code, out, _ = run(capsys, "eval", "0.5,0.25;1.25", "--max-terms", "1000", "--format", "csv")
+        assert code == 2
+        assert out.strip().endswith("MaxTermsReached")
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "eval", "-3,2;5", "--format", "csv")
         assert code == 0
@@ -72,6 +78,7 @@ class TestEval:
         doc = json.loads(out)
         assert doc["command"] == "eval"
         assert doc["results"][0]["status"] == "Converged"
+        assert 0.0 < doc["results"][0]["error_estimate"] <= 1e-10 * doc["results"][0]["value"]
         assert doc["inputs"]["numerators"] == [0.5, 0.25]
 
 

@@ -14,6 +14,7 @@ from hypersum.series import (
     ramanujan_mu_terms,
     sum_series,
 )
+from hypersum.theorems import gauss_2f1
 
 from oracles import (
     random_terminating_spec,
@@ -62,6 +63,7 @@ class TestTermination:
         assert result.status is SummationStatus.TERMINATED
         assert result.terms_used == 4
         assert result.tail_estimate == 0.0
+        assert result.error_estimate == 0.0
         assert result.value == pytest.approx(2.0 / 7.0, rel=1e-15)
 
     @pytest.mark.parametrize("k", [0, 1, 5, 8])
@@ -122,6 +124,51 @@ class TestConvergence:
         assert result.status is SummationStatus.MAX_TERMS_REACHED
         assert result.terms_used == 5000
         assert result.tail_estimate > 0.0
+
+
+class TestRichardsonStop:
+    def test_extrapolated_value_beats_the_tolerance(self):
+        # The stop rule fires at err(N) <= 1e-10; the returned extrapolation
+        # is far better than V(N) itself (~10.5 digits here).
+        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-10)
+        assert result.status is SummationStatus.CONVERGED
+        assert result.terms_used <= 10_000
+        actual = abs(result.value - RAMANUJAN_INVERSE)
+        assert actual <= 1e-13 * RAMANUJAN_INVERSE
+        assert actual <= result.error_estimate <= 1e-10 * result.value
+
+    def test_error_estimate_is_far_below_tail_bound(self):
+        result = sum_series(SeriesSpec((0.5, 0.5), (2.0,)), rel_tol=1e-12)
+        assert result.error_estimate <= 1e-12 * result.value
+        assert result.tail_estimate > 1e3 * result.error_estimate
+        assert abs(result.value - FOUR_OVER_PI) <= result.error_estimate
+
+    @pytest.mark.parametrize("max_terms", [15_362, 31_746])
+    def test_budget_just_past_a_block_end_is_not_converged(self, max_terms):
+        # Block ends fall at N = 1024, 3072, 7168, 15360, 31744, ...  These
+        # budgets end on a block of one term.  Against the block end just
+        # before it, V(N) moves by less than its rounding, so err(N) would
+        # read ~3e-15 while the error is ~1e-13 to 6e-13.
+        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-13, max_terms=max_terms)
+        assert result.status is SummationStatus.MAX_TERMS_REACHED
+        assert abs(result.value - RAMANUJAN_INVERSE) <= result.error_estimate
+
+    def test_error_estimate_covers_rounding_of_last_term(self):
+        # At margin 0.05, t_N after ~2e5 rounded products is off by enough
+        # that the error (~8e-13) exceeds the Richardson part (~2e-13).
+        spec = SeriesSpec((0.5, 0.45), (1.0,))
+        result = sum_series(spec, rel_tol=1e-13, max_terms=195_586)
+        assert result.status is SummationStatus.MAX_TERMS_REACHED
+        assert abs(result.value - gauss_2f1(0.5, 0.45, 1.0)) <= result.error_estimate
+
+    def test_stop_index_follows_the_shape_coefficient(self):
+        # t_n ~ K n^(-1-s) (1 + c1/n) with c1 = -59.01: before n = 4|c1| the
+        # (1 + c1/n) factor is no model of the terms, and near n = 59 the
+        # tail correction would divide by ~0.
+        spec = SeriesSpec((0.5, 0.5, 4.47, 4.77), (12.0, 3.47, 3.77))
+        result = sum_series(spec, rel_tol=1e-12)
+        assert result.status is SummationStatus.CONVERGED
+        assert result.terms_used >= 4 * 59.01
 
 
 class TestDivergenceGate:

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from hypersum.errors import ConfigError, DegenerateError, PreconditionError
+from hypersum.series import SummationStatus
 from hypersum.theorems import ShiftedPair, s_p
 from hypersum.verify import (
     IdentityCase,
@@ -17,6 +18,9 @@ from hypersum.verify import (
     sweep,
     verify_identity,
 )
+
+# 50-digit reference, regenerate with scripts/gen_reference_values.py
+RAMANUJAN_INVERSE = 1.3110287771460598  # 2F1(1/2, 1/4; 5/4; 1)
 
 
 class TestIdentityCase:
@@ -66,6 +70,13 @@ class TestVerifyIdentity:
         assert r1.passed is True
         assert r1.rhs == pytest.approx(s_p(3) + (1.5 - 4) * s_p(4), rel=1e-15)
 
+    @pytest.mark.parametrize("f1,f2", [(3.47, 3.77), (4.2093, 3.159)])
+    def test_eq28_stop_waits_for_tail_model(self, f1, f2):
+        # c1 ~ -59 puts 1 + c1/n ~ 0 at n = 59, where the kernel used to stop
+        report = verify_identity(IdentityCase(IdentityId.EQ_2_8, {"p": 11, "f1": f1, "f2": f2}))
+        assert report.passed is True
+        assert report.rel_err <= 1e-13
+
     def test_report_invariant_passed_iff_rel_err_small(self):
         report = verify_identity(IdentityCase(IdentityId.EQ_2_8, {"p": 4, "f1": 0.3, "f2": 2.2}))
         assert report.passed == (report.rel_err <= report.case.rel_tol)
@@ -91,6 +102,20 @@ class TestCatalog:
         for case in builtin_catalog():
             report = verify_identity(case)
             assert report.passed is True, (case.identity, report.rel_err)
+
+    @pytest.mark.parametrize(
+        "identity,constant",
+        [(IdentityId.EQ_1_3, RAMANUJAN_INVERSE), (IdentityId.EQ_1_6, math.pi / 2.0)],
+    )
+    def test_margin_half_sums_converge(self, identity, constant):
+        by_id = {case.identity: case for case in builtin_catalog()}
+        report = verify_identity(by_id[identity])
+        summation = report.summation
+        assert summation.status is SummationStatus.CONVERGED
+        assert summation.terms_used <= 100_000
+        actual = abs(report.lhs - constant)
+        assert actual <= 1e-13 * constant
+        assert actual <= abs(report.lhs / summation.value) * summation.error_estimate
 
     def test_eq_2_5_expects_four_over_pi(self):
         by_id = {case.identity: case for case in builtin_catalog()}
@@ -159,7 +184,8 @@ class TestSweep:
         assert as_json == again
 
     def test_boundary_margin_slow_convergence(self):
-        # c - a - b = m + 0.05: barely applicable, needs the full term budget
+        # c - a - b = m + 0.05: barely applicable; the Richardson stop on the
+        # tail-corrected value still converges well inside the term budget
         pairs = (ShiftedPair(1.3, 1),)
         reports = sweep(
             IdentityId.EQ_2_2,
@@ -168,13 +194,27 @@ class TestSweep:
         )
         (report,) = reports
         assert report.passed is True
-        assert report.summation.terms_used >= 1_000_000
+        assert report.summation.status is SummationStatus.CONVERGED
+        assert report.summation.terms_used <= 100_000
+
+    @pytest.mark.parametrize("offset", [0.4, 0.2, 0.1, 0.05])
+    def test_boundary_error_estimate_bounds_actual_error(self, offset):
+        pairs = (ShiftedPair(1.3, 1),)
+        (report,) = sweep(
+            IdentityId.EQ_2_2,
+            {"a": [0.4], "b": [0.3], "c": [0.4 + 0.3 + 1.0 + offset], "pairs": [pairs]},
+            rel_tol=1e-8,
+        )
+        summation = report.summation
+        scale = report.lhs / summation.value
+        assert report.abs_err <= abs(scale) * summation.error_estimate
 
 
 class TestReportSerialization:
     def test_round_trip_plain(self):
         report = verify_identity(IdentityCase(IdentityId.EQ_2_7, {"p": 3, "f": 0.7}))
         data = json.loads(json.dumps(report_to_dict(report)))
+        assert data["summation"]["error_estimate"] == report.summation.error_estimate
         assert report_from_dict(data) == report
 
     def test_round_trip_pairs_and_na(self):
