@@ -118,8 +118,10 @@ class SummationResult:
     """Outcome of :func:`sum_series`.
 
     ``tail_estimate`` is the integral-comparison bound on the omitted tail
-    before any correction; ``error_estimate`` is the likely error of
-    ``value`` itself (see :func:`sum_series`).
+    before any correction.  ``error_estimate`` estimates the error of the
+    value before extrapolation: the tail-corrected value V(N), or the partial
+    sum where no correction applies.  Where ``value`` is the extrapolation of
+    V, it overstates the error of ``value`` (see :func:`sum_series`).
     """
 
     value: float
@@ -157,6 +159,13 @@ def _tail_correction(t_last: float, n_last: int, s: float, c1: float) -> float:
     return base * (zeta_head + c1 * zeta_next)
 
 
+def _early_tail_bound(t_abs, n, model_index: int, s: float):
+    # Tail after t_n for n below the model index M: at most M - n terms past
+    # their peak, each no larger than |t_n|, then the tail from M on, which
+    # the model puts at |t_M| (M+1) / s / (1 + c1/M) with 1 / (1 + c1/M) <= 4/3.
+    return t_abs * ((model_index - n) + 4.0 * (model_index + 1.0) / (3.0 * s))
+
+
 def _accumulate(total: float, comp: float, x: float) -> tuple[float, float]:
     # Neumaier two-sum update.
     y = total + x
@@ -177,16 +186,25 @@ def sum_series(
     Stops in one of four ways:
 
     * the series terminates (status ``Terminated``);
-    * |t_n| <= rel_tol * |partial sum| for three consecutive indices n from
-      the stop index on (status ``Converged``);
+    * |t_n| <= rel_tol * |partial sum| for three consecutive indices n >= 20
+      (status ``Converged``);
     * for a non-terminating p = q + 1 series, at a block end N where
       err(N) <= rel_tol * |V(N)|, with err(N) defined below (status
       ``Converged``);
     * at ``max_terms`` (status ``MaxTermsReached``).
 
-    The stop index is 20, raised to 4 |c1| for p = q + 1 series, whose terms
-    go like t_n ~ K n^(-1-s) (1 + c1/n): the tail model needs 1 + c1/n to be
-    near 1, and the tail correction is applied only from the stop index on.
+    The terms of a non-terminating p = q + 1 series go like
+    t_n ~ K n^(-1-s) (1 + c1/n).  That tail model needs 1 + c1/n to be near 1,
+    so the tail correction and the check on err(N) wait for the model index
+    M = max(20, 4 |c1|).  In a block that reaches M the term test waits for
+    M, as those terms are computed anyway.  In a block that ends before M it
+    stops only where the bound
+
+        B(n) = |t_n| ((M - n) + 4 (M+1) / (3 s))
+
+    on the uncorrected tail also meets rel_tol * |partial sum|; B counts the
+    M - n terms up to M at |t_n| each and the model's tail from M on.
+    ``value`` is then the partial sum alone and ``error_estimate`` is B(N).
 
     For non-terminating p = q + 1 series, V(N) is the partial sum up to t_N
     plus the Euler-Maclaurin estimate of the omitted tail.  Its remaining
@@ -202,11 +220,11 @@ def sum_series(
     ``error_estimate`` is err(N), an estimate of the error of V(N) that the
     extrapolation improves on.
 
-    Otherwise ``value`` is V(N) (the partial sum alone when the tail model
-    does not hold yet, or for p <= q) and ``error_estimate`` falls back to
-    ``tail_estimate``: the integral-comparison bound |t_N| (N+1) / s on the
-    whole omitted tail for p = q + 1 series, and |t_N| for the rest.  For a
-    terminated series both are 0.
+    In the remaining cases ``value`` is V(N), or the partial sum alone for
+    p <= q, and ``error_estimate`` falls back to ``tail_estimate``: the
+    integral-comparison bound |t_N| (N+1) / s on the whole omitted tail for
+    p = q + 1 series, and |t_N| for the rest.  For a terminated series both
+    are 0.
 
     Raises DivergenceError for a non-terminating p = q + 1 series whose
     convergence margin is not positive.
@@ -231,9 +249,8 @@ def sum_series(
 
     tail_series = k_term is None and saturated
     c1 = _term_shape_coefficient(spec)
-    stop_index = _MIN_STOP_INDEX
-    if tail_series:
-        stop_index = max(stop_index, math.ceil(4.0 * abs(c1)))
+    # Index from which the tail model t_n ~ K n^(-1-s) (1 + c1/n) is used.
+    model_index = max(_MIN_STOP_INDEX, math.ceil(4.0 * abs(c1))) if tail_series else 0
     lowest = min(spec.numerators + spec.denominators, default=math.inf)
 
     total, comp = 1.0, 0.0  # t_0
@@ -263,8 +280,19 @@ def sum_series(
             if k_term is None:
                 partials = (total + comp) + np.cumsum(terms)
                 small = np.abs(terms) <= rel_tol * np.abs(partials)
-                if count < stop_index:
-                    small[: stop_index - count] = False
+                if count < _MIN_STOP_INDEX:
+                    small[: _MIN_STOP_INDEX - count] = False
+                ahead = model_index - count  # position of t_M in this block
+                if 0 < ahead < width:
+                    # The block reaches the model index, so the stop waits
+                    # for it and gets the tail correction at no extra cost.
+                    small[:ahead] = False
+                elif ahead >= width:
+                    # No tail correction is applied below the model index, so
+                    # a stop there must also bound the uncorrected tail.
+                    n = count + np.arange(width)
+                    bound = _early_tail_bound(np.abs(terms), n, model_index, margin)
+                    small &= bound <= rel_tol * np.abs(partials)
                 ext = np.concatenate((carry, small))
                 run = ext[:-2] & ext[1:-1] & ext[2:]
                 hits = np.flatnonzero(run)
@@ -278,7 +306,7 @@ def sum_series(
             count += len(terms)
             n_last = count - 1
             value, error = total + comp, None
-            if tail_series and n_last >= stop_index and n_last + lowest > 1.0:
+            if tail_series and n_last >= model_index and n_last + lowest > 1.0:
                 # The reference is at most N/2, so the divisor is at least
                 # 2^(2+s) - 1 > 3 and does not amplify rounding in V.  t_N
                 # comes from N rounded products, so the correction scaled
@@ -303,7 +331,12 @@ def sum_series(
         tail = abs(t_last) * (n_last + 1) / margin
     else:
         tail = abs(t_last)
-    return SummationResult(value, count, tail, status, tail if error is None else error)
+    if error is None:
+        if n_last < model_index:
+            error = _early_tail_bound(abs(t_last), n_last, model_index, margin)
+        else:
+            error = tail
+    return SummationResult(value, count, tail, status, error)
 
 
 def ramanujan_mu_terms(b: float, mu: float) -> SeriesSpec:

@@ -487,7 +487,7 @@ def report_from_dict(data: Mapping[str, Any]) -> VerificationReport:
             terms_used=int(raw["terms_used"]),
             tail_estimate=float(raw["tail_estimate"]),
             status=SummationStatus(raw["status"]),
-            error_estimate=float(raw["error_estimate"]),
+            error_estimate=float(raw.get("error_estimate", raw["tail_estimate"])),
         )
     return VerificationReport(
         case=case,

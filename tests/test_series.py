@@ -161,14 +161,37 @@ class TestRichardsonStop:
         assert result.status is SummationStatus.MAX_TERMS_REACHED
         assert abs(result.value - gauss_2f1(0.5, 0.45, 1.0)) <= result.error_estimate
 
-    def test_stop_index_follows_the_shape_coefficient(self):
-        # t_n ~ K n^(-1-s) (1 + c1/n) with c1 = -59.01: before n = 4|c1| the
-        # (1 + c1/n) factor is no model of the terms, and near n = 59 the
-        # tail correction would divide by ~0.
-        spec = SeriesSpec((0.5, 0.5, 4.47, 4.77), (12.0, 3.47, 3.77))
-        result = sum_series(spec, rel_tol=1e-12)
+    @pytest.mark.parametrize("c", [171, 1001, 5000])
+    def test_large_lower_parameter_stops_on_the_term_test(self, c):
+        # c1 ~ -c^2/2 puts 4|c1| past the first block, and at c = 5000 past
+        # the whole budget, but the terms fall like n!/(c)_n and the bound on
+        # the uncorrected tail meets the tolerance after ~20 terms.
+        result = sum_series(SeriesSpec((0.5, 0.5), (float(c),)), rel_tol=1e-12)
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used >= 4 * 59.01
+        assert result.terms_used <= 100
+        assert result.value == pytest.approx(_gauss_half_half(c), rel=1e-14)
+
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+    @pytest.mark.parametrize("a,b,c", [(11, 12, 32), (6, 7, 20)])
+    def test_stop_before_tail_model_bounds_the_tail(self, a, b, c, rel_tol):
+        # c1 = -375 and -154: the term test can fire between |c1| and 4|c1|,
+        # where the terms fall slower than n^(-1-s) and |t_n| (n+1) / s
+        # understates the uncorrected tail.
+        f = math.factorial
+        exact = f(c - 1) * f(c - a - b - 1) / (f(c - a - 1) * f(c - b - 1))
+        result = sum_series(SeriesSpec((a, b), (c,)), rel_tol=rel_tol)
+        assert result.status is SummationStatus.CONVERGED
+        error = abs(result.value - exact)
+        assert error <= rel_tol * exact
+        assert error <= result.error_estimate
+
+
+def _gauss_half_half(c: int) -> float:
+    # 2F1(1/2, 1/2; c; 1) = G(c) G(c-1) / G(c-1/2)^2 for integer c, exact up
+    # to one rounding of the integer quotient and the division by pi.
+    f = math.factorial
+    num = f(c - 1) ** 3 * f(c - 2) * 16 ** (c - 1)
+    return num / f(2 * c - 2) ** 2 / math.pi
 
 
 class TestDivergenceGate:

@@ -71,11 +71,19 @@ class TestVerifyIdentity:
         assert r1.rhs == pytest.approx(s_p(3) + (1.5 - 4) * s_p(4), rel=1e-15)
 
     @pytest.mark.parametrize("f1,f2", [(3.47, 3.77), (4.2093, 3.159)])
-    def test_eq28_stop_waits_for_tail_model(self, f1, f2):
+    def test_eq28_no_stop_where_tail_model_breaks(self, f1, f2):
         # c1 ~ -59 puts 1 + c1/n ~ 0 at n = 59, where the kernel used to stop
+        # and divide the tail correction by it (rel_err ~3e-9)
         report = verify_identity(IdentityCase(IdentityId.EQ_2_8, {"p": 11, "f1": f1, "f2": f2}))
         assert report.passed is True
         assert report.rel_err <= 1e-13
+
+    def test_eq_2_5_large_p_stops_early(self):
+        # c1 ~ -14,500 here; the term test must not wait for 4|c1| terms
+        report = verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 170}))
+        assert report.passed is True
+        assert report.summation.status is SummationStatus.CONVERGED
+        assert report.summation.terms_used <= 100
 
     def test_report_invariant_passed_iff_rel_err_small(self):
         report = verify_identity(IdentityCase(IdentityId.EQ_2_8, {"p": 4, "f1": 0.3, "f2": 2.2}))
@@ -216,6 +224,14 @@ class TestReportSerialization:
         data = json.loads(json.dumps(report_to_dict(report)))
         assert data["summation"]["error_estimate"] == report.summation.error_estimate
         assert report_from_dict(data) == report
+
+    def test_report_without_error_estimate_loads(self):
+        # reports written before error_estimate existed
+        report = verify_identity(IdentityCase(IdentityId.EQ_2_7, {"p": 3, "f": 0.7}))
+        data = json.loads(json.dumps(report_to_dict(report)))
+        del data["summation"]["error_estimate"]
+        loaded = report_from_dict(data).summation
+        assert loaded.error_estimate == loaded.tail_estimate == report.summation.tail_estimate
 
     def test_round_trip_pairs_and_na(self):
         reports = sweep(
