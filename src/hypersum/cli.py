@@ -9,8 +9,8 @@ Usage:
 Global flags: --format human|json|csv, --rel-tol (default 1e-10),
 --max-terms (default 10000000), --seed (default 0).
 
-Exit codes: 0 success, 1 usage/config error, 2 not-applicable or divergent,
-3 verification failure.
+Exit codes: 0 success, 1 usage/config error, 2 not-applicable, divergent
+or out of binary64 range (RangeError), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -26,13 +26,11 @@ from collections.abc import Sequence
 from typing import Any
 
 from .errors import (
+    NA_ERRORS,
     ConfigError,
-    DegenerateError,
     DivergenceError,
     DomainError,
     NondegenerateError,
-    PoleError,
-    PreconditionError,
 )
 from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationStatus, sum_series
 from . import theorems
@@ -51,15 +49,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_FAILURE = 3
-
-_NA_ERRORS = (
-    PreconditionError,
-    DegenerateError,
-    DivergenceError,
-    DomainError,
-    NondegenerateError,
-    PoleError,
-)
 
 _PARAM_FLAGS = ("a", "b", "c", "f", "f1", "f2", "mu", "p", "m", "pairs")
 _INT_PARAMS = frozenset({"p", "m"})
@@ -288,7 +277,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     case = IdentityCase(identity, params, rel_tol=args.rel_tol)
     try:
         report = verify_identity(case, max_terms=args.max_terms)
-    except _NA_ERRORS as err:
+    except NA_ERRORS as err:
         if args.format == "json":
             _emit([json.dumps({
                 "command": "verify",

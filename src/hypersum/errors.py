@@ -35,3 +35,20 @@ class DegenerateError(HypersumError):
 
 class ConfigError(HypersumError, ValueError):
     """Malformed grid, identity id, or command-line configuration."""
+
+
+class RangeError(HypersumError, OverflowError):
+    """A result or an intermediate value exceeds the binary64 range."""
+
+
+# Errors that mark a point as outside what an identity or series can
+# evaluate: a sweep records them as n/a rows and the CLI exits 2 on them.
+NA_ERRORS = (
+    PreconditionError,
+    DegenerateError,
+    DivergenceError,
+    DomainError,
+    NondegenerateError,
+    PoleError,
+    RangeError,
+)

@@ -29,9 +29,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-import numpy as np
-
-from .errors import DivergenceError, DomainError, NondegenerateError
+from .errors import DivergenceError, DomainError, NondegenerateError, RangeError
 
 __all__ = [
     "SeriesSpec",
@@ -229,6 +227,10 @@ def sum_series(
     Raises DivergenceError for a non-terminating p = q + 1 series whose
     convergence margin is not positive.
     """
+    # Imported here so that callers which never sum, such as CLI calls that
+    # end in a usage error or an n/a, do not pay numpy's import time.
+    import numpy as np
+
     if not (rel_tol > 0.0):
         raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
     if max_terms < 1:
@@ -275,7 +277,7 @@ def sum_series(
                 den *= b + idx
             terms = t_last * np.cumprod(num / den)
             if not np.isfinite(terms[-1]):
-                raise OverflowError("series terms exceed binary64 range")
+                raise RangeError("series terms exceed binary64 range")
 
             if k_term is None:
                 partials = (total + comp) + np.cumsum(terms)

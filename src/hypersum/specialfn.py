@@ -7,15 +7,17 @@ arguments below 1/2.  The digamma function uses upward recurrence to x >= 10
 followed by the Bernoulli asymptotic series.
 
 Poles raise :class:`~hypersum.errors.PoleError`; results that exceed the
-binary64 range raise the builtin :class:`OverflowError`.  NaN never escapes.
+binary64 range raise :class:`~hypersum.errors.RangeError`, a subclass of the
+builtin :class:`OverflowError`.  NaN never escapes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, RangeError
 
 __all__ = [
     "gamma",
@@ -65,6 +67,7 @@ _LANCZOS_DEN = (
 
 # exp overflows past ~709.78; pow(t, w) is split once w*log(t) exceeds this.
 _EXP_SPLIT = 690.0
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -119,29 +122,35 @@ def gamma(x: float) -> float:
     Uses the Lanczos form directly for x >= 1/2 and the reflection formula
     Gamma(x) Gamma(1-x) = pi / sin(pi x) below.
 
-    Raises PoleError at 0, -1, -2, ... and OverflowError once |Gamma(x)|
-    leaves the binary64 range (x > 171.62).
+    Raises PoleError at 0, -1, -2, ... and RangeError once |Gamma(x)|
+    leaves the binary64 range (x > 171.62, or 0 < |x| < ~5.6e-309).
     """
     x = _check_real("gamma", x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x!r}")
+    if x < -170.0:
+        # |Gamma| underflows long before this; go through log space so the
+        # reflection never manufactures a spurious overflow.
+        sign, lg = _signed_log_gamma(x)
+        return sign * math.exp(lg)
     if x < 0.5:
-        if x < -170.0:
-            # |Gamma| underflows long before this; go through log space so the
-            # reflection never manufactures a spurious overflow.
-            sign, lg = _signed_log_gamma(x)
-            return sign * math.exp(lg)
-        return math.pi / (_sinpi(x) * gamma(1.0 - x))
-    t = x + (_LANCZOS_G - 0.5)
-    w = x - 0.5
-    lanczos = _lanczos_sum(x)
-    if w * math.log(t) > _EXP_SPLIT:
-        half = math.pow(t, 0.5 * w)
-        value = half * math.exp(-t) * half * lanczos
+        value = math.pi / (_sinpi(x) * gamma(1.0 - x))
     else:
-        value = math.pow(t, w) * math.exp(-t) * lanczos
+        t = x + (_LANCZOS_G - 0.5)
+        w = x - 0.5
+        log_pow = w * math.log(t)
+        # The Lanczos factor exceeds 1, so past this Gamma(x) cannot be
+        # finite, and t^(w/2) below could overflow inside math.pow.
+        if log_pow - t > _LOG_FLOAT_MAX:
+            raise RangeError(f"gamma({x!r}) exceeds binary64 range")
+        lanczos = _lanczos_sum(x)
+        if log_pow > _EXP_SPLIT:
+            half = math.pow(t, 0.5 * w)
+            value = half * math.exp(-t) * half * lanczos
+        else:
+            value = math.pow(t, w) * math.exp(-t) * lanczos
     if math.isinf(value):
-        raise OverflowError(f"gamma({x!r}) exceeds binary64 range")
+        raise RangeError(f"gamma({x!r}) exceeds binary64 range")
     return value
 
 
@@ -221,7 +230,7 @@ def pochhammer(x: float, n: int) -> float:
     for k in range(int(n)):
         result *= x + k
     if math.isinf(result) or math.isnan(result):
-        raise OverflowError(f"pochhammer({x!r}, {n}) exceeds binary64 range")
+        raise RangeError(f"pochhammer({x!r}, {n}) exceeds binary64 range")
     return result
 
 
@@ -250,8 +259,7 @@ def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> f
         sb, lb = _signed_log_gamma(b)
         sign *= sb
         logs.append(-lb)
-    total = math.fsum(logs)
-    value = sign * math.exp(total)
-    if math.isinf(value):
-        raise OverflowError("gamma_ratio exceeds binary64 range")
-    return value
+    try:
+        return sign * math.exp(math.fsum(logs))
+    except OverflowError:
+        raise RangeError("gamma_ratio exceeds binary64 range") from None

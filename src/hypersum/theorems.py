@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from collections.abc import Sequence
 
-from .errors import DegenerateError, DomainError, PreconditionError
+from .errors import DegenerateError, DomainError, PreconditionError, RangeError
 from .specialfn import digamma, gamma, gamma_ratio, pochhammer
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "ratio_sum_extension",
     "karlsson_minton",
     "ck_coefficient",
-    "ck_vandermonde",
     "mu_spaced_sum",
     "s_p",
     "weighted_s1",
@@ -153,38 +151,48 @@ def ratio_sum_extension(b: float, c: float) -> float:
     return math.sqrt(math.pi) * b * c / (b - c) * diff
 
 
+def _ck_table(pairs: Sequence[ShiftedPair], top: int) -> list[float]:
+    # C_0..C_top with C_k = Delta^k P(0) / k! for the degree-m polynomial
+    # P(n) = prod_i (f_i + n)_{m_i} / (f_i)_{m_i}.  With f_i = p_i / q_i,
+    # P(n) = N(n) / N(0) for the integer N(n) = prod_i prod_{l<m_i}
+    # (p_i + (n + l) q_i), so one difference table over N(0..top) is exact
+    # and each C_k is a single correctly rounded int / int.
+    ratios = [(pair.f.as_integer_ratio(), pair.m) for pair in pairs]
+    diffs = []
+    for n in range(top + 1):
+        value = 1
+        for (num, den), m in ratios:
+            for l in range(n, n + m):
+                value *= num + l * den
+        diffs.append(value)
+    scale = diffs[0]  # k! N(0), nonzero because no f_i is a nonpositive integer
+    table = []
+    try:
+        for k in range(top + 1):
+            if k:
+                scale *= k
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            table.append(diffs[0] / scale)
+    except OverflowError:
+        raise RangeError(f"C_{len(table)} exceeds binary64 range") from None
+    return table
+
+
 def ck_coefficient(k: int, pairs: Sequence[ShiftedPair]) -> float:
     """Coefficient C_k of the Karlsson-Minton sum.
 
     C_k = (-1)^k / k! * F[-k, (f_i + m_i); (f_i); 1], the inner series being a
-    terminating sum of k + 1 terms.  The alternating sum cancels down to
-    O(binom(m,k)) from terms of size O(m^k), so it runs in exact rational
-    arithmetic on the binary64 inputs; the single rounding is the final
-    conversion back to float.
+    terminating sum of k + 1 terms.  It equals the k-th forward difference at
+    0 of P(n) = prod_i (f_i + n)_{m_i} / (f_i)_{m_i}, divided by k!, so it is
+    read off one exact integer difference table over the binary64 inputs and
+    rounded once, at the final division.  C_k = 0.0 for k > m = sum m_i.
     """
     if k != int(k) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     k = int(k)
-    rationals = [(Fraction(pair.f), pair.m) for pair in pairs]
-    total = Fraction(0)
-    u = Fraction(1)
-    for j in range(k + 1):
-        total += u
-        num = Fraction(j - k)  # (-k)_j recurrence factor
-        den = Fraction(j + 1)
-        for f, m in rationals:
-            num *= f + (m + j)
-            den *= f + j
-        u *= num / den
-    sign = -1 if k % 2 else 1
-    return float(Fraction(sign, math.factorial(k)) * total)
-
-
-def ck_vandermonde(k: int, f: float, m: int) -> float:
-    """Single-pair shortcut C_k = binom(m, k) / (f)_k, by Vandermonde."""
-    if k != int(k) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    return math.comb(int(m), int(k)) / pochhammer(f, int(k))
+    if k > sum(pair.m for pair in pairs):
+        return 0.0
+    return _ck_table(pairs, k)[k]
 
 
 def karlsson_minton(
@@ -204,13 +212,13 @@ def karlsson_minton(
     terms = []
     sign = 1.0
     poch_a = poch_b = poch_low = 1.0
-    for k in range(m_total + 1):
+    for k, ck in enumerate(_ck_table(pairs, m_total)):
         if poch_low == 0.0:
             raise DegenerateError(
                 f"(1+a+b-c)_k vanishes at k={k}; a+b-c must not be a "
                 "negative integer of magnitude <= m"
             )
-        terms.append(sign * poch_a * poch_b * ck_coefficient(k, pairs) / poch_low)
+        terms.append(sign * poch_a * poch_b * ck / poch_low)
         sign = -sign
         poch_a *= a + k
         poch_b *= b + k

@@ -21,13 +21,12 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from .errors import (
+    NA_ERRORS,
     ConfigError,
     DegenerateError,
-    DivergenceError,
     DomainError,
-    NondegenerateError,
-    PoleError,
     PreconditionError,
+    RangeError,
 )
 from .series import (
     DEFAULT_MAX_TERMS,
@@ -59,15 +58,6 @@ DEFAULT_REL_TOL = 1e-10
 # tolerance, but never so tight that the stop rule cannot fire at all.
 _SUMMATION_HEADROOM = 1e-2
 _SUMMATION_TOL_FLOOR = 1e-13
-
-_ERROR_KINDS = (
-    PreconditionError,
-    DegenerateError,
-    DivergenceError,
-    DomainError,
-    NondegenerateError,
-    PoleError,
-)
 
 
 class IdentityId(str, enum.Enum):
@@ -192,7 +182,10 @@ def _normalize_pairs(raw: Any) -> tuple[ShiftedPair, ...]:
 
 
 def _factorial(p: int) -> float:
-    return float(math.factorial(p))
+    try:
+        return float(math.factorial(p))
+    except OverflowError:
+        raise RangeError(f"{p}! exceeds binary64 range") from None
 
 
 def _assemble(identity: IdentityId, params: Mapping[str, Any]) -> _Assembled:
@@ -322,7 +315,8 @@ def verify_identity(
 
     Raises PreconditionError / DegenerateError / DivergenceError /
     DomainError / PoleError, with the failing condition in the message, when
-    the parameters fall outside the identity's validity region.
+    the parameters fall outside the identity's validity region, and
+    RangeError when a value on either side exceeds the binary64 range.
     """
     assembled = _assemble(case.identity, case.parameters)
     result = sum_series(
@@ -379,7 +373,7 @@ def sweep(
         case = IdentityCase(identity, dict(zip(signature, combo)), rel_tol)
         try:
             reports.append(verify_identity(case, max_terms=max_terms))
-        except _ERROR_KINDS as err:
+        except NA_ERRORS as err:
             reports.append(
                 VerificationReport(
                     case=case,

@@ -1,12 +1,13 @@
 """Independent test oracles.
 
-The rational oracle sums terminating series exactly in Fraction arithmetic,
-term by term from the definition.  It shares no code with the package and is
-deliberately naive: correctness over speed.
+The rational oracles sum terminating series exactly in Fraction arithmetic,
+term by term from the definition.  They share no code with the package and
+are deliberately naive: correctness over speed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -53,6 +54,28 @@ def rational_abs_term_sum(
         term /= n + 1
         total += abs(term)
     return total
+
+
+def rational_ck_coefficient(k: int, pairs) -> float:
+    """Karlsson-Minton C_k = (-1)^k / k! * F[-k, (f_i + m_i); (f_i); 1].
+
+    The k + 1 terms of the inner terminating series are summed exactly on the
+    binary64 values of f_i, and the result is rounded once.  ``pairs`` holds
+    objects with ``f`` and ``m`` attributes.
+    """
+    rationals = [(Fraction(pair.f), pair.m) for pair in pairs]
+    total = Fraction(0)
+    u = Fraction(1)
+    for j in range(k + 1):
+        total += u
+        num = Fraction(j - k)  # (-k)_j recurrence factor
+        den = Fraction(j + 1)
+        for f, m in rationals:
+            num *= f + (m + j)
+            den *= f + j
+        u *= num / den
+    sign = -1 if k % 2 else 1
+    return float(Fraction(sign, math.factorial(k)) * total)
 
 
 def random_terminating_spec(

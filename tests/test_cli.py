@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hypersum
 from hypersum.cli import main
 from hypersum.verify import report_from_dict
 
@@ -13,6 +17,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*argv):
+    """Run the interpreter in a fresh process that imports this hypersum."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hypersum.__file__)))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 class TestEval:
@@ -93,6 +105,15 @@ class TestVerify:
         assert code == 2
         assert "c-a-b>m violated" in out
 
+    def test_overflow_exit_2_without_traceback(self):
+        proc = run_python(
+            "-m", "hypersum.cli", "verify", "--identity", "eq2.1",
+            "--a", "-300", "--b", "1.7", "--c", "0.9", "--m", "2",
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not applicable: gamma(301.0) exceeds binary64 range" in proc.stdout
+
     def test_unknown_identity_lists_valid_ids(self, capsys):
         code, _, err = run(capsys, "verify", "--identity", "eq9.9")
         assert code == 1
@@ -147,6 +168,14 @@ class TestSweep:
         assert code == 0
         assert "not_applicable=2" in out
         assert "n/a" in out
+
+    def test_overflow_point_is_one_na_row(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--identity", "eq2.5", "--p", "1,200")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].startswith("p=1 ") and lines[0].endswith(" pass")
+        assert lines[1].startswith("p=200 ") and "n/a: 200! exceeds" in lines[1]
+        assert lines[2] == "passed=1 failed=0 not_applicable=1"
 
     def test_empty_value_list(self, capsys):
         code, _, err = run(
@@ -221,6 +250,16 @@ class TestTable:
 
 
 class TestUsage:
+    def test_import_skips_numpy_and_fractions(self):
+        # Calls that never sum, such as usage errors, skip numpy's import.
+        proc = run_python(
+            "-c",
+            "import sys, hypersum.cli; "
+            "print(sorted({'numpy', 'fractions'} & set(sys.modules)))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_no_command(self, capsys):
         code, _, err = run(capsys)
         assert code == 1

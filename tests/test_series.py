@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersum.errors import DivergenceError, DomainError, NondegenerateError
+from hypersum.errors import DivergenceError, DomainError, NondegenerateError, RangeError
 from hypersum.series import (
     SeriesSpec,
     SummationStatus,
@@ -192,6 +192,11 @@ def _gauss_half_half(c: int) -> float:
     f = math.factorial
     num = f(c - 1) ** 3 * f(c - 2) * 16 ** (c - 1)
     return num / f(2 * c - 2) ** 2 / math.pi
+
+
+def test_term_overflow_is_typed():
+    with pytest.raises(RangeError):
+        sum_series(SeriesSpec((1e200,), (1e-200,)))
 
 
 class TestDivergenceGate:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersum import specialfn
-from hypersum.errors import DomainError, PoleError
+from hypersum.errors import DomainError, PoleError, RangeError
 
 # 50-digit references, regenerate with scripts/gen_reference_values.py
 GAMMA_REF = {
@@ -53,9 +53,16 @@ class TestGamma:
             specialfn.gamma(x)
 
     def test_overflow(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(RangeError):
             specialfn.gamma(172.0)
         assert math.isfinite(specialfn.gamma(171.0))
+
+    @pytest.mark.parametrize("x", [301.0, 1e6, 1e-310, -5e-324])
+    def test_overflow_is_typed_before_math_overflows(self, x):
+        # Past x ~ 250, t^(w/2) itself overflows inside math.pow; below
+        # ~5.6e-309 the reflection divides pi by a subnormal.
+        with pytest.raises(RangeError):
+            specialfn.gamma(x)
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
@@ -138,7 +145,7 @@ class TestPochhammer:
         assert specialfn.pochhammer(x, n + 1) == specialfn.pochhammer(x, n) * (x + n)
 
     def test_overflow(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(RangeError):
             specialfn.pochhammer(300.0, 200)
 
     def test_bad_n(self):
@@ -177,5 +184,8 @@ class TestGammaRatio:
             specialfn.gamma_ratio([1.0, -2.0], [0.5])
 
     def test_overflow(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(RangeError):
             specialfn.gamma_ratio([200.0, 200.0], [1.0])
+        # RangeError is still an OverflowError for existing callers.
+        with pytest.raises(OverflowError):
+            specialfn.gamma_ratio([300.0], [1.0])

@@ -12,10 +12,12 @@ from hypersum.errors import (
     DomainError,
     PoleError,
     PreconditionError,
+    RangeError,
 )
 from hypersum.series import SeriesSpec, sum_series
-from hypersum.specialfn import pochhammer
+from hypersum.specialfn import gamma_ratio, pochhammer
 from hypersum.theorems import ShiftedPair
+from oracles import rational_ck_coefficient
 
 # 50-digit references, regenerate with scripts/gen_reference_values.py
 REF = {
@@ -194,6 +196,60 @@ class TestCkCoefficient:
         assert c1 == pytest.approx((1.0 + f1 + f2) / (f1 * f2), rel=1e-14)
         assert c2 == pytest.approx(1.0 / (f1 * f2), rel=1e-14)
 
+    def test_matches_rational_oracle_bitwise(self):
+        # The difference table and the oracle's alternating Fraction sum are
+        # the same rational number, each rounded once, so they agree exactly.
+        rng = random.Random(3141)
+        for _ in range(150):
+            pairs = [ShiftedPair(_random_pair_f(rng), rng.randint(1, 4))
+                     for _ in range(rng.randint(0, 4))]
+            m_total = sum(p.m for p in pairs)
+            for k in range(m_total + 3):
+                got = theorems.ck_coefficient(k, pairs)
+                assert got == rational_ck_coefficient(k, pairs), (k, pairs)
+                if k > m_total:
+                    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_bad_order(self):
+        for k in (-1, 1.5):
+            with pytest.raises(DomainError):
+                theorems.ck_coefficient(k, [ShiftedPair(1.3, 1)])
+
+    def test_overflow_is_typed(self):
+        # C_1 ~ -1e300 is finite; C_2 ~ 1e300 / (f_2 + 1) ~ 1e316 is not.
+        pairs = [ShiftedPair(1e-300, 1), ShiftedPair(-1.0 + 2.0**-52, 2)]
+        assert theorems.ck_coefficient(1, pairs) == rational_ck_coefficient(1, pairs)
+        with pytest.raises(RangeError):
+            theorems.ck_coefficient(2, pairs)
+        with pytest.raises(RangeError):
+            theorems.karlsson_minton(0.1, 0.2, 3.5, pairs)
+
+
+def _random_pair_f(rng: random.Random) -> float:
+    """A pair parameter f in (-40, 40): negative non-integer, dyadic, or not."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        f = -rng.uniform(0.01, 40.0)
+        return f - 0.5 if f == math.floor(f) else f
+    if kind == 1:
+        f = rng.randint(-320, 320) / 8.0
+        return f + 0.125 if f <= 0.0 and f == math.floor(f) else f
+    return rng.uniform(1e-3, 40.0)
+
+
+def _karlsson_minton_from_oracle(a, b, c, pairs):
+    # The closed form's arithmetic, step for step, on the oracle's C_k.
+    terms = []
+    sign = 1.0
+    poch_a = poch_b = poch_low = 1.0
+    for k in range(sum(p.m for p in pairs) + 1):
+        terms.append(sign * poch_a * poch_b * rational_ck_coefficient(k, pairs) / poch_low)
+        sign = -sign
+        poch_a *= a + k
+        poch_b *= b + k
+        poch_low *= 1.0 + a + b - c + k
+    return gamma_ratio([c, c - a - b], [c - a, c - b]) * math.fsum(terms)
+
 
 class TestKarlssonMinton:
     def test_empty_pairs_is_gauss(self):
@@ -220,6 +276,19 @@ class TestKarlssonMinton:
         # boundary c - a - b == m is also rejected
         with pytest.raises(PreconditionError):
             theorems.karlsson_minton(0.5, 0.5, 2.0, [ShiftedPair(1.3, 1)])
+
+    @pytest.mark.parametrize("m_total", range(1, 9))
+    def test_bit_identical_to_oracle_coefficients(self, m_total):
+        rng = random.Random(2718 + m_total)
+        for _ in range(10):
+            shifts = []
+            while sum(shifts) < m_total:
+                shifts.append(rng.randint(1, m_total - sum(shifts)))
+            pairs = [ShiftedPair(_random_pair_f(rng), m) for m in shifts]
+            a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            c = a + b + m_total + rng.uniform(0.05, 4.0)
+            want = _karlsson_minton_from_oracle(a, b, c, pairs)
+            assert theorems.karlsson_minton(a, b, c, pairs) == want
 
     def test_pair_permutation_invariance(self):
         rng = random.Random(4242)

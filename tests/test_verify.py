@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hypersum.errors import ConfigError, DegenerateError, PreconditionError
+from hypersum.errors import ConfigError, DegenerateError, PreconditionError, RangeError
 from hypersum.series import SummationStatus
 from hypersum.theorems import ShiftedPair, s_p
 from hypersum.verify import (
@@ -153,6 +153,16 @@ class TestSweep:
         reports = sweep(IdentityId.EQ_2_6, {"p": [2, 3], "f": [0.5, 1.5]})
         combos = [(r.case.parameters["p"], r.case.parameters["f"]) for r in reports]
         assert combos == [(2, 0.5), (2, 1.5), (3, 0.5), (3, 1.5)]
+
+    def test_overflow_points_are_not_applicable(self):
+        # gamma(301) in the eq2.1 closed form, 200! in the eq2.5 scale
+        with pytest.raises(RangeError):
+            verify_identity(
+                IdentityCase(IdentityId.EQ_2_1, {"a": -300.0, "b": 1.7, "c": 0.9, "m": 2})
+            )
+        reports = sweep(IdentityId.EQ_2_5, {"p": [1, 200]})
+        assert [r.passed for r in reports] == [True, None]
+        assert "exceeds binary64 range" in reports[1].precondition_note
 
     def test_not_applicable_rows(self):
         reports = sweep(
