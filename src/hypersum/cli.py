@@ -224,7 +224,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 "summary": {"error": str(err), "exit": EXIT_NOT_APPLICABLE},
             }, indent=2)])
         else:
-            _emit([f"divergent: {err}"])
+            kind = "divergent" if isinstance(err, DivergenceError) else "not applicable"
+            _emit([f"{kind}: {err}"])
         return EXIT_NOT_APPLICABLE
 
     row = {

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import DivergenceError, DomainError, NondegenerateError, RangeError
+from .specialfn import _is_nonpositive_integer
 
 __all__ = [
     "SeriesSpec",
@@ -49,13 +50,8 @@ _BLOCK_MAX = 65536
 # The stop rule ignores the first few terms: ratios of small parameters can sit
 # near 1 early on and fake convergence when the margin is small.
 _MIN_STOP_INDEX = 20
-_CONSECUTIVE_SMALL = 3
 
 _UNIT_ROUNDOFF = 2.0**-53
-
-
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
 
 
 @dataclass(frozen=True)
@@ -246,8 +242,7 @@ def sum_series(
         )
 
     limit = max_terms if k_term is None else min(k_term + 1, max_terms)
-    uppers = np.asarray(spec.numerators, dtype=np.float64)
-    lowers = np.asarray(spec.denominators + (1.0,), dtype=np.float64)
+    first_lower, *lowers = spec.denominators + (1.0,)
 
     tail_series = k_term is None and saturated
     c1 = _term_shape_coefficient(spec)
@@ -258,7 +253,8 @@ def sum_series(
     total, comp = 1.0, 0.0  # t_0
     t_last = 1.0
     count = 1
-    carry = np.array([False, False])
+    # Term-test flags of the last two terms of the previous block.
+    carry = (False, False)
     block = _BLOCK_START
     converged = False
     ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends
@@ -268,20 +264,29 @@ def sum_series(
         while count < limit:
             width = min(block, limit - count)
             block = min(2 * block, _BLOCK_MAX)
-            idx = (count - 1) + np.arange(width, dtype=np.float64)
-            num = np.ones(width)
-            for a in uppers:
-                num *= a + idx
-            den = np.ones(width)
+            # Ratios t_{n+1}/t_n for n = count-1 .. count+width-2, built in
+            # one buffer that then becomes the block's terms.
+            idx = np.arange(count - 1, count - 1 + width, dtype=np.float64)
+            terms = np.ones(width)
+            for a in spec.numerators:
+                terms *= idx + a
+            den = idx + first_lower
             for b in lowers:
-                den *= b + idx
-            terms = t_last * np.cumprod(num / den)
-            if not np.isfinite(terms[-1]):
+                den *= idx + b
+            terms /= den
+            np.cumprod(terms, out=terms)
+            terms *= t_last
+            if not math.isfinite(terms[-1]):
                 raise RangeError("series terms exceed binary64 range")
 
             if k_term is None:
-                partials = (total + comp) + np.cumsum(terms)
-                small = np.abs(terms) <= rel_tol * np.abs(partials)
+                # rel_tol |partial sum| at each term, then |t_n| into den.
+                scaled = np.cumsum(terms)
+                scaled += total + comp
+                np.abs(scaled, out=scaled)
+                scaled *= rel_tol
+                mags = np.abs(terms, out=den)
+                small = mags <= scaled
                 if count < _MIN_STOP_INDEX:
                     small[: _MIN_STOP_INDEX - count] = False
                 ahead = model_index - count  # position of t_M in this block
@@ -293,17 +298,27 @@ def sum_series(
                     # No tail correction is applied below the model index, so
                     # a stop there must also bound the uncorrected tail.
                     n = count + np.arange(width)
-                    bound = _early_tail_bound(np.abs(terms), n, model_index, margin)
-                    small &= bound <= rel_tol * np.abs(partials)
-                ext = np.concatenate((carry, small))
-                run = ext[:-2] & ext[1:-1] & ext[2:]
-                hits = np.flatnonzero(run)
-                if hits.size:
-                    terms = terms[: int(hits[0]) + 1]
+                    small &= _early_tail_bound(mags, n, model_index, margin) <= scaled
+                # Stop at the first term that ends three small ones in a
+                # row, counting the two carried over from the last block.
+                stop = None
+                if carry[0] and carry[1] and small[0]:
+                    stop = 0
+                elif width > 1 and carry[1] and small[0] and small[1]:
+                    stop = 1
+                elif width > 2:
+                    run = small[2:] & small[1:-1]
+                    run &= small[:-2]
+                    first = int(run.argmax())
+                    if run[first]:
+                        stop = first + 2
+                if stop is not None:
+                    terms = terms[: stop + 1]
                     converged = True
-                carry = ext[-2:].copy()
+                if width > 1:  # a one-term block is always the last
+                    carry = bool(small[-2]), bool(small[-1])
 
-            total, comp = _accumulate(total, comp, float(np.sum(terms)))
+            total, comp = _accumulate(total, comp, float(terms.sum()))
             t_last = float(terms[-1])
             count += len(terms)
             n_last = count - 1

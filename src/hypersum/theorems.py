@@ -8,7 +8,7 @@ Every function returns the closed-form value only; pairing these against
 direct summation is the job of :mod:`hypersum.verify`.  Validity conditions
 are checked strictly and raise PreconditionError (condition violated),
 DegenerateError (parameter collision), or PoleError (gamma pole) rather than
-returning NaN.
+returning NaN, and a value outside the binary64 range raises RangeError.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import DegenerateError, DomainError, PreconditionError, RangeError
-from .specialfn import digamma, gamma, gamma_ratio, pochhammer
+from .specialfn import _is_nonpositive_integer, digamma, gamma, gamma_ratio, pochhammer
 
 __all__ = [
     "ShiftedPair",
@@ -40,8 +40,12 @@ __all__ = [
 _DIGAMMA_BRANCH_GAP = 1e-8
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+def _finite(name: str, value: float) -> float:
+    # A product of finite factors can still overflow to inf, or meet inf - inf
+    # or 0 * inf on the way and end as nan.
+    if not math.isfinite(value):
+        raise RangeError(f"{name} value is not finite in binary64 ({value!r})")
+    return value
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,8 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
         inner += u
         u *= (1.0 - a + k) * (b - c + k) / ((1.0 + b - a + k) * (k + 1.0))
     braces = gamma_ratio([c], [1.0 + c - a]) - gamma_ratio([b], [1.0 + b - a]) * inner
-    return c * gamma(1.0 - a) * pochhammer(b, m) / shift_poch * braces
+    value = c * gamma(1.0 - a) * pochhammer(b, m) / shift_poch * braces
+    return _finite("contiguous_3f2", value)
 
 
 def ratio_sum_extension(b: float, c: float) -> float:
@@ -224,7 +229,7 @@ def karlsson_minton(
         poch_b *= b + k
         poch_low *= 1.0 + a + b - c + k
     prefactor = gamma_ratio([c, margin], [c - a, c - b])
-    return prefactor * math.fsum(terms)
+    return _finite("karlsson_minton", prefactor * math.fsum(terms))
 
 
 def mu_spaced_sum(b: float, mu: float) -> float:

@@ -3,6 +3,11 @@
 The rational oracles sum terminating series exactly in Fraction arithmetic,
 term by term from the definition.  They share no code with the package and
 are deliberately naive: correctness over speed.
+
+``reference_sum_series`` is the exception: it is the earlier, plainer block
+loop of ``hypersum.series.sum_series``, kept to pin the optimised kernel to
+it bit for bit.  It reuses the kernel's scalar helpers (tail model, Neumaier
+update), so it checks the block body only.
 """
 
 from __future__ import annotations
@@ -10,6 +15,19 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+
+import numpy as np
+
+from hypersum.errors import DivergenceError, DomainError, RangeError
+from hypersum.series import (
+    SummationResult,
+    SummationStatus,
+    _accumulate,
+    _early_tail_bound,
+    _tail_correction,
+    _term_shape_coefficient,
+    convergence_margin,
+)
 
 
 def rational_terminating_sum(
@@ -90,3 +108,109 @@ def random_terminating_spec(
     rng.shuffle(nums)
     dens = [Fraction(rng.randint(2, 50), 10) for _ in range(q)]
     return nums, dens
+
+
+def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
+    """``sum_series`` as a straightforward numpy block loop.
+
+    Same block widths, stop rules and floating-point operations as the
+    package kernel, written without in-place buffers: the ratios come from
+    separate numerator and denominator products, the term test concatenates
+    the carried flags and searches with ``flatnonzero``.
+    """
+    if not (rel_tol > 0.0):
+        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
+    if max_terms < 1:
+        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
+
+    k_term = spec.termination_index
+    margin = convergence_margin(spec)
+    saturated = spec.order_p == spec.order_q + 1
+    if k_term is None and saturated and margin <= 0.0:
+        raise DivergenceError("diverges at unit argument")
+
+    limit = max_terms if k_term is None else min(k_term + 1, max_terms)
+    uppers = np.asarray(spec.numerators, dtype=np.float64)
+    lowers = np.asarray(spec.denominators + (1.0,), dtype=np.float64)
+
+    tail_series = k_term is None and saturated
+    c1 = _term_shape_coefficient(spec)
+    model_index = max(20, math.ceil(4.0 * abs(c1))) if tail_series else 0
+    lowest = min(spec.numerators + spec.denominators, default=math.inf)
+
+    total, comp = 1.0, 0.0
+    t_last = 1.0
+    count = 1
+    carry = np.array([False, False])
+    block = 1024
+    converged = False
+    ends = []
+    n_last, value, error = 0, 1.0, None
+
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        while count < limit:
+            width = min(block, limit - count)
+            block = min(2 * block, 65536)
+            idx = (count - 1) + np.arange(width, dtype=np.float64)
+            num = np.ones(width)
+            for a in uppers:
+                num *= a + idx
+            den = np.ones(width)
+            for b in lowers:
+                den *= b + idx
+            terms = t_last * np.cumprod(num / den)
+            if not np.isfinite(terms[-1]):
+                raise RangeError("series terms exceed binary64 range")
+
+            if k_term is None:
+                partials = (total + comp) + np.cumsum(terms)
+                small = np.abs(terms) <= rel_tol * np.abs(partials)
+                if count < 20:
+                    small[: 20 - count] = False
+                ahead = model_index - count
+                if 0 < ahead < width:
+                    small[:ahead] = False
+                elif ahead >= width:
+                    n = count + np.arange(width)
+                    bound = _early_tail_bound(np.abs(terms), n, model_index, margin)
+                    small &= bound <= rel_tol * np.abs(partials)
+                ext = np.concatenate((carry, small))
+                run = ext[:-2] & ext[1:-1] & ext[2:]
+                hits = np.flatnonzero(run)
+                if hits.size:
+                    terms = terms[: int(hits[0]) + 1]
+                    converged = True
+                carry = ext[-2:].copy()
+
+            total, comp = _accumulate(total, comp, float(np.sum(terms)))
+            t_last = float(terms[-1])
+            count += len(terms)
+            n_last = count - 1
+            value, error = total + comp, None
+            if tail_series and n_last >= model_index and n_last + lowest > 1.0:
+                correction = _tail_correction(t_last, n_last, margin, c1)
+                value += correction
+                ref = next((e for e in reversed(ends) if 2 * e[0] <= n_last), None)
+                ends.append((n_last, value))
+                if ref is not None:
+                    delta = (value - ref[1]) / ((n_last / ref[0]) ** (2.0 + margin) - 1.0)
+                    error = abs(delta) + n_last * 2.0**-53 * abs(correction)
+                    converged = converged or error <= rel_tol * abs(value)
+                    value += delta
+            if converged:
+                break
+
+    if k_term is not None and count == k_term + 1:
+        return SummationResult(value, count, 0.0, SummationStatus.TERMINATED, 0.0)
+
+    status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
+    if tail_series and n_last >= 20:
+        tail = abs(t_last) * (n_last + 1) / margin
+    else:
+        tail = abs(t_last)
+    if error is None:
+        if n_last < model_index:
+            error = _early_tail_bound(abs(t_last), n_last, model_index, margin)
+        else:
+            error = tail
+    return SummationResult(value, count, tail, status, error)

@@ -43,7 +43,20 @@ class TestEval:
     def test_divergent_series(self, capsys):
         code, out, _ = run(capsys, "eval", "1,1;1")
         assert code == 2
-        assert "diverg" in out.lower()
+        assert out.startswith("divergent:")
+
+    def test_term_overflow_is_not_called_divergent(self, capsys):
+        # A p = q series always converges; here only its terms overflow.
+        code, out, _ = run(capsys, "eval", "1e200;1e-200")
+        assert code == 2
+        assert out.startswith("not applicable:")
+        assert "diverg" not in out.lower()
+        code, out, _ = run(capsys, "eval", "1e200;1e-200", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["summary"] == {
+            "error": "series terms exceed binary64 range",
+            "exit": 2,
+        }
 
     def test_exponential_type_is_fine(self, capsys):
         # p = q input: the margin gate does not apply

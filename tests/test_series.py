@@ -6,7 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersum.errors import DivergenceError, DomainError, NondegenerateError, RangeError
+from hypersum.errors import (
+    DivergenceError,
+    DomainError,
+    HypersumError,
+    NondegenerateError,
+    RangeError,
+)
 from hypersum.series import (
     SeriesSpec,
     SummationStatus,
@@ -20,6 +26,7 @@ from oracles import (
     random_terminating_spec,
     rational_abs_term_sum,
     rational_terminating_sum,
+    reference_sum_series,
 )
 
 # 50-digit references, regenerate with scripts/gen_reference_values.py
@@ -184,6 +191,82 @@ class TestRichardsonStop:
         error = abs(result.value - exact)
         assert error <= rel_tol * exact
         assert error <= result.error_estimate
+
+
+def _outcome(kernel, spec, rel_tol, max_terms):
+    # The result's repr shows every field exactly; an error shows its type.
+    try:
+        result = kernel(spec, rel_tol=rel_tol, max_terms=max_terms)
+    except HypersumError as err:
+        return type(err).__name__, ""
+    return result.status.value, repr(result)
+
+
+def _random_kernel_spec(rng: random.Random) -> SeriesSpec:
+    # Mostly convergent p = q + 1 series with margins 0.05-8, plus p <= q
+    # series, terminating ones, large parameters (4|c1| past the first
+    # block), divergent ones and ones whose terms overflow.
+    p = rng.randint(1, 4)
+    spread = 40.0 if rng.random() < 0.1 else 6.0
+    nums = [rng.uniform(-4.0, spread) for _ in range(p)]
+    kind = rng.random()
+    if kind < 0.6:
+        p = max(p, 2)
+        nums = (nums + [rng.uniform(0.1, spread)])[:p]
+        dens = [rng.uniform(-3.5, spread) for _ in range(p - 2)]
+        margin = rng.uniform(0.05, 8.0) if kind > 0.02 else -rng.uniform(0.0, 1.0)
+        dens.append(math.fsum(nums) - math.fsum(dens) + margin)
+    else:
+        dens = [rng.uniform(-3.5, spread) for _ in range(rng.randint(p, p + 1))]
+    if rng.random() < 0.15:
+        nums[0] = -float(rng.randint(0, 5000))
+    if rng.random() < 0.02:
+        nums[-1] = 1e200
+    return SeriesSpec(nums, dens)
+
+
+class TestKernelMatchesReference:
+    """The in-place block kernel against the plain block loop, bit for bit."""
+
+    BUDGETS = (1, 2, 50, 1000, 1025, 1026, 3073, 70_000)
+
+    def test_seeded_specs(self):
+        rng = random.Random(20261018)
+        outcomes = set()
+        for _ in range(2400):
+            try:
+                spec = _random_kernel_spec(rng)
+            except NondegenerateError:
+                continue
+            rel_tol = 10.0 ** -rng.uniform(6.0, 13.0)
+            budget = rng.choice(self.BUDGETS)
+            want = _outcome(reference_sum_series, spec, rel_tol, budget)
+            got = _outcome(sum_series, spec, rel_tol, budget)
+            assert got == want, (spec, rel_tol, budget)
+            outcomes.add(want[0])
+        # Every way out of the kernel was exercised.
+        assert outcomes == {
+            "Converged", "Terminated", "MaxTermsReached", "RangeError", "DivergenceError"
+        }
+
+    @pytest.mark.parametrize("first_small", [1021, 1022, 1023, 1024])
+    def test_three_in_a_row_across_a_block_end(self, first_small):
+        # The first block holds t_1..t_1024.  Pick rel_tol so that the term
+        # test first holds at n = first_small: the stop at first_small + 2
+        # then falls on the block's last two terms or the next block's first
+        # two, where the flags carried over from the block before decide it.
+        spec = SeriesSpec((0.5, 0.5), (2.5,))
+        term, total = 1.0, 1.0
+        ratios = []
+        for n in range(first_small + 2):
+            term *= (0.5 + n) * (0.5 + n) / ((2.5 + n) * (n + 1.0))
+            total += term
+            ratios.append(term / total)
+        rel_tol = ratios[first_small - 1] * (1.0 + 1e-9)
+        assert ratios[first_small - 2] > rel_tol
+        want = reference_sum_series(spec, rel_tol=rel_tol)
+        assert want.terms_used == first_small + 3
+        assert sum_series(spec, rel_tol=rel_tol) == want
 
 
 def _gauss_half_half(c: int) -> float:

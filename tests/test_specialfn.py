@@ -59,14 +59,25 @@ class TestGamma:
 
     @pytest.mark.parametrize("x", [301.0, 1e6, 1e-310, -5e-324])
     def test_overflow_is_typed_before_math_overflows(self, x):
-        # Past x ~ 250, t^(w/2) itself overflows inside math.pow; below
-        # ~5.6e-309 the reflection divides pi by a subnormal.
+        # math.gamma raises a bare OverflowError past 171.62 and at
+        # 0 < |x| < ~5.6e-309, where it returns 1/x.
         with pytest.raises(RangeError):
             specialfn.gamma(x)
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             specialfn.gamma(float("nan"))
+
+    @pytest.mark.parametrize("low,high", [(0.0, 171.6), (-170.0, 0.0)])
+    def test_within_10_ulp_of_mpmath(self, low, high):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(5417)
+        with mpmath.workdps(40):
+            for _ in range(500):
+                x = rng.uniform(low, high)
+                want = mpmath.gamma(x)
+                ulps = abs(specialfn.gamma(x) - want) / math.ulp(float(want))
+                assert ulps <= 10.0, (x, float(ulps))
 
     def test_recurrence_1000_points(self):
         rng = random.Random(1138)
@@ -95,6 +106,10 @@ class TestLogGamma:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             specialfn.log_gamma(x)
+
+    def test_overflow(self):
+        with pytest.raises(RangeError):
+            specialfn.log_gamma(1e308)
 
     @given(st.floats(min_value=0.01, max_value=170.0))
     @settings(max_examples=200, deadline=None)

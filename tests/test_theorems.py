@@ -115,6 +115,13 @@ class TestContiguous:
         with pytest.raises(DomainError):
             theorems.contiguous_3f2(0.3, 1.7, 0.9, 0)
 
+    def test_non_finite_value_is_typed(self):
+        # The gamma ratios underflow to 0 and the prefactor overflows: inf * 0.
+        with pytest.raises(RangeError):
+            theorems.contiguous_3f2(
+                -168.85721737734312, 229.48169173279283, 65.82665027714985, 4
+            )
+
     def test_matches_ratio_sum_extension(self):
         rng = random.Random(99)
         for _ in range(25):
@@ -276,6 +283,16 @@ class TestKarlssonMinton:
         # boundary c - a - b == m is also rejected
         with pytest.raises(PreconditionError):
             theorems.karlsson_minton(0.5, 0.5, 2.0, [ShiftedPair(1.3, 1)])
+
+    def test_non_finite_value_is_typed(self):
+        # The prefactor and the C_k sum are finite; their product is inf.
+        with pytest.raises(RangeError):
+            theorems.karlsson_minton(
+                415.43203119572644,
+                587.3192595389283,
+                1005.7551719567946,
+                [ShiftedPair(0.0011063682818082694, 1), ShiftedPair(-1.4670267235709928, 2)],
+            )
 
     @pytest.mark.parametrize("m_total", range(1, 9))
     def test_bit_identical_to_oracle_coefficients(self, m_total):

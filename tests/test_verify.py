@@ -164,6 +164,31 @@ class TestSweep:
         assert [r.passed for r in reports] == [True, None]
         assert "exceeds binary64 range" in reports[1].precondition_note
 
+    def test_non_finite_closed_forms_are_not_applicable(self):
+        contiguous = sweep(
+            IdentityId.EQ_2_1,
+            {
+                "a": [-168.85721737734312],
+                "b": [229.48169173279283],
+                "c": [65.82665027714985],
+                "m": [4],
+            },
+        )
+        km = sweep(
+            IdentityId.EQ_2_2,
+            {
+                "a": [415.43203119572644],
+                "b": [587.3192595389283],
+                "c": [1005.7551719567946],
+                "pairs": [
+                    (ShiftedPair(0.0011063682818082694, 1), ShiftedPair(-1.4670267235709928, 2))
+                ],
+            },
+        )
+        for reports, name in [(contiguous, "contiguous_3f2"), (km, "karlsson_minton")]:
+            assert [r.passed for r in reports] == [None]
+            assert f"{name} value is not finite" in reports[0].precondition_note
+
     def test_not_applicable_rows(self):
         reports = sweep(
             IdentityId.EQ_2_1,
