@@ -12,13 +12,7 @@ Usage:
 
 from hypersum.series import convergence_margin
 from hypersum.theorems import ShiftedPair
-from hypersum.verify import (
-    IdentityId,
-    _assemble,  # internal, used only to show each case's convergence margin
-    builtin_catalog,
-    sweep,
-    verify_identity,
-)
+from hypersum.verify import IdentityId, builtin_catalog, sweep, verify_identity
 
 
 def show_catalog() -> None:
@@ -26,8 +20,7 @@ def show_catalog() -> None:
     print(f"{'identity':<11s} {'lhs=series':<22s} {'rel_err':<10s} {'terms':>9s}  margin")
     for case in builtin_catalog():
         report = verify_identity(case)
-        assembled = _assemble(case.identity, case.parameters)
-        margin = convergence_margin(assembled.spec)
+        margin = convergence_margin(case.spec)
         flag = "ok" if report.passed else "FAIL"
         print(
             f"{case.identity.value:<11s} {report.lhs:<22.15g} "

@@ -7,7 +7,7 @@ Usage:
     hypersum table --format csv                # the built-in numeric table
 
 Global flags: --format human|json|csv, --rel-tol (default 1e-10),
---max-terms (default 10000000), --seed (default 0).
+--max-terms (default 10000000).
 
 Exit codes: 0 success, 1 usage/config error, 2 not-applicable, divergent
 or out of binary64 range (RangeError), 3 verification failure.
@@ -39,6 +39,8 @@ from .verify import (
     IdentityCase,
     IdentityId,
     VerificationReport,
+    _encode_parameter,
+    _encode_parameters,
     identity_signature,
     report_to_dict,
     sweep,
@@ -73,7 +75,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--format", choices=("human", "json", "csv"), default="human")
     common.add_argument("--rel-tol", dest="rel_tol", type=float, default=DEFAULT_REL_TOL)
     common.add_argument("--max-terms", dest="max_terms", type=int, default=DEFAULT_MAX_TERMS)
-    common.add_argument("--seed", type=int, default=0)
 
     parser = _Parser(
         prog="hypersum",
@@ -319,15 +320,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _verify_inputs(
     args: argparse.Namespace, identity: IdentityId, params: dict[str, Any]
 ) -> dict[str, Any]:
-    encoded = {
-        k: ([[p.f, p.m] for p in v] if k == "pairs" else v) for k, v in params.items()
-    }
     return {
         "identity": identity.value,
-        "parameters": encoded,
+        "parameters": _encode_parameters(params),
         "rel_tol": args.rel_tol,
         "max_terms": args.max_terms,
-        "seed": args.seed,
     }
 
 
@@ -371,9 +368,7 @@ def _report_csv_row(report: VerificationReport) -> str:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     identity = _lookup_identity(args.identity)
     grid = _parameter_values(identity, args, listy=True)
-    reports = sweep(
-        identity, grid, rel_tol=args.rel_tol, seed=args.seed, max_terms=args.max_terms
-    )
+    reports = sweep(identity, grid, rel_tol=args.rel_tol, max_terms=args.max_terms)
     n_pass = sum(1 for r in reports if r.passed is True)
     n_fail = sum(1 for r in reports if r.passed is False)
     n_na = sum(1 for r in reports if r.passed is None)
@@ -415,73 +410,44 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _sweep_inputs(
     args: argparse.Namespace, identity: IdentityId, grid: dict[str, Any]
 ) -> dict[str, Any]:
-    encoded: dict[str, Any] = {}
-    for key, values in grid.items():
-        if key == "pairs":
-            encoded[key] = [[[p.f, p.m] for p in combo] for combo in values]
-        else:
-            encoded[key] = values
     return {
         "identity": identity.value,
-        "grid": encoded,
+        "grid": {
+            name: [_encode_parameter(name, value) for value in values]
+            for name, values in grid.items()
+        },
         "rel_tol": args.rel_tol,
         "max_terms": args.max_terms,
-        "seed": args.seed,
     }
 
 
 # ---------------------------------------------------------------- table ----
 
-# The symbolic forms are classical: the first row's denominator carries the
-# fourth power of Gamma(3/4), which the closed form and the series agree on.
-_TABLE_ROWS: tuple[tuple[str, str], ...] = (
-    ("eq1.1", "pi^2/(4*Gamma(3/4)^4)"),
-    ("eq1.2", "pi^(5/2)/(8*sqrt(2)*Gamma(3/4)^2)"),
-    ("eq1.3", "pi^(3/2)/(2*sqrt(2)*Gamma(3/4)^2)"),
-    ("S_1", "4/pi"),
-    ("S_2", "16/(9*pi)"),
-    ("S_3", "128/(225*pi)"),
+# The table is a view over catalog cases: each row is one verify_identity
+# call.  The symbolic forms are classical: the first row's denominator
+# carries the fourth power of Gamma(3/4), which the closed form and the
+# series agree on.
+_TABLE_ROWS: tuple[tuple[str, str, IdentityId, dict[str, Any]], ...] = (
+    ("eq1.1", "pi^2/(4*Gamma(3/4)^4)", IdentityId.EQ_1_1, {}),
+    ("eq1.2", "pi^(5/2)/(8*sqrt(2)*Gamma(3/4)^2)", IdentityId.EQ_1_2, {}),
+    ("eq1.3", "pi^(3/2)/(2*sqrt(2)*Gamma(3/4)^2)", IdentityId.EQ_1_3, {}),
+    ("S_1", "4/pi", IdentityId.EQ_2_5, {"p": 1}),
+    ("S_2", "16/(9*pi)", IdentityId.EQ_2_5, {"p": 2}),
+    ("S_3", "128/(225*pi)", IdentityId.EQ_2_5, {"p": 3}),
 )
 
 
 def _table_entries(rel_tol: float, max_terms: int) -> list[dict[str, Any]]:
-    sum_tol = max(rel_tol * 1e-2, 1e-13)
-    specs: dict[str, tuple[SeriesSpec, float, float]] = {
-        "eq1.1": (
-            SeriesSpec((0.5, 0.5, 0.25), (1.0, 1.25)),
-            1.0,
-            theorems.dixon_3f2(0.5, 0.5, 0.25),
-        ),
-        "eq1.2": (
-            SeriesSpec((0.5, 0.25, 0.25), (1.25, 1.25)),
-            1.0,
-            theorems.dixon_3f2(0.5, 0.25, 0.25),
-        ),
-        "eq1.3": (
-            SeriesSpec((0.5, 0.25), (1.25,)),
-            1.0,
-            theorems.gauss_2f1(0.5, 0.25, 1.25),
-        ),
-        "S_1": (SeriesSpec((0.5, 0.5), (2.0,)), 1.0, theorems.s_p(1)),
-        "S_2": (SeriesSpec((0.5, 0.5), (3.0,)), 0.5, theorems.s_p(2)),
-        "S_3": (
-            SeriesSpec((0.5, 0.5), (4.0,)),
-            1.0 / 6.0,
-            theorems.s_p(3),
-        ),
-    }
     entries = []
-    for identity, symbolic in _TABLE_ROWS:
-        spec, scale, closed = specs[identity]
-        direct = scale * sum_series(spec, rel_tol=sum_tol, max_terms=max_terms).value
-        rel_err = abs(direct - closed) / abs(closed)
+    for name, symbolic, identity, params in _TABLE_ROWS:
+        report = verify_identity(IdentityCase(identity, params, rel_tol), max_terms=max_terms)
         entries.append({
-            "identity": identity,
+            "identity": name,
             "symbolic": symbolic,
-            "closed": closed,
-            "direct": direct,
-            "rel_err": rel_err,
-            "passed": bool(rel_err <= rel_tol),
+            "closed": report.rhs,
+            "direct": report.lhs,
+            "rel_err": report.rel_err,
+            "passed": report.passed,
         })
     return entries
 

@@ -38,7 +38,6 @@ __all__ = [
     "SummationStatus",
     "convergence_margin",
     "sum_series",
-    "ramanujan_mu_terms",
     "DEFAULT_MAX_TERMS",
 ]
 
@@ -221,7 +220,8 @@ def sum_series(
     are 0.
 
     Raises DivergenceError for a non-terminating p = q + 1 series whose
-    convergence margin is not positive.
+    convergence margin is not positive, and RangeError when a term or the
+    shape coefficient c1 exceeds the binary64 range.
     """
     # Imported here so that callers which never sum, such as CLI calls that
     # end in a usage error or an n/a, do not pay numpy's import time.
@@ -246,6 +246,8 @@ def sum_series(
 
     tail_series = k_term is None and saturated
     c1 = _term_shape_coefficient(spec)
+    if tail_series and not math.isfinite(c1):
+        raise RangeError(f"tail shape coefficient c1={c1!r} exceeds binary64 range")
     # Index from which the tail model t_n ~ K n^(-1-s) (1 + c1/n) is used.
     model_index = max(_MIN_STOP_INDEX, math.ceil(4.0 * abs(c1))) if tail_series else 0
     lowest = min(spec.numerators + spec.denominators, default=math.inf)
@@ -354,17 +356,3 @@ def sum_series(
         else:
             error = tail
     return SummationResult(value, count, tail, status, error)
-
-
-def ramanujan_mu_terms(b: float, mu: float) -> SeriesSpec:
-    """Gauss-type spec for the mu-spaced sum S = sum (1/2)_n / n! / (b + n mu).
-
-    The sum of the returned 2F1 series times 1/b equals S:
-    1/(b + n mu) = (1/b) (b/mu)_n / (b/mu + 1)_n.
-    """
-    if not (b > 0.0):
-        raise DomainError(f"b must be positive, got {b!r}")
-    if not (mu > 0.0):
-        raise DomainError(f"mu must be positive, got {mu!r}")
-    ratio = b / mu
-    return SeriesSpec((0.5, ratio), (ratio + 1.0,))

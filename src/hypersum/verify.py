@@ -17,7 +17,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from .errors import (
@@ -33,7 +33,6 @@ from .series import (
     SeriesSpec,
     SummationResult,
     SummationStatus,
-    ramanujan_mu_terms,
     sum_series,
 )
 from . import theorems
@@ -77,25 +76,9 @@ class IdentityId(str, enum.Enum):
     TELESCOPE = "telescope"
 
 
-_SIGNATURES: dict[IdentityId, tuple[str, ...]] = {
-    IdentityId.EQ_1_1: (),
-    IdentityId.EQ_1_2: (),
-    IdentityId.EQ_1_3: (),
-    IdentityId.EQ_1_6: ("b", "mu"),
-    IdentityId.EQ_2_1: ("a", "b", "c", "m"),
-    IdentityId.EQ_2_2: ("a", "b", "c", "pairs"),
-    IdentityId.EQ_2_3: ("b", "c"),
-    IdentityId.EQ_2_5: ("p",),
-    IdentityId.EQ_2_6: ("p", "f"),
-    IdentityId.EQ_2_7: ("p", "f"),
-    IdentityId.EQ_2_8: ("p", "f1", "f2"),
-    IdentityId.TELESCOPE: ("p", "f"),
-}
-
-
 def identity_signature(identity: IdentityId | str) -> tuple[str, ...]:
     """Parameter names required by an identity, in canonical order."""
-    return _SIGNATURES[IdentityId(identity)]
+    return _IDENTITIES[IdentityId(identity)][0]
 
 
 @dataclass(frozen=True)
@@ -109,7 +92,7 @@ class IdentityCase:
     def __post_init__(self) -> None:
         identity = IdentityId(self.identity)
         object.__setattr__(self, "identity", identity)
-        expected = set(_SIGNATURES[identity])
+        expected = set(_IDENTITIES[identity][0])
         got = set(self.parameters)
         if got != expected:
             raise ConfigError(
@@ -117,6 +100,11 @@ class IdentityCase:
             )
         if not (self.rel_tol > 0.0):
             raise ConfigError(f"rel_tol must be positive, got {self.rel_tol!r}")
+
+    @property
+    def spec(self) -> SeriesSpec:
+        """The series summed before scaling; raises as :func:`verify_identity`."""
+        return _assemble(self).spec
 
 
 @dataclass(frozen=True)
@@ -148,6 +136,25 @@ class _Assembled:
     scale: float
     closed: float
     note: str
+
+
+# One record per identity: its signature and a builder that checks the
+# parameters and returns the series, the scale that turns its sum into the
+# left side, the closed form and the note.  Builders look up theorems.* at
+# call time, so the functions can be replaced (for tracing) after import.
+_Builder = Callable[[Mapping[str, Any]], _Assembled]
+_IDENTITIES: dict[IdentityId, tuple[tuple[str, ...], _Builder]] = {}
+
+
+def _identity(identity: IdentityId, *signature: str) -> Callable[[_Builder], _Builder]:
+    def register(build: _Builder) -> _Builder:
+        _IDENTITIES[identity] = (signature, build)
+        return build
+    return register
+
+
+def _assemble(case: IdentityCase) -> _Assembled:
+    return _IDENTITIES[case.identity][1](case.parameters)
 
 
 def _require_int(name: str, value: Any) -> int:
@@ -188,120 +195,166 @@ def _factorial(p: int) -> float:
         raise RangeError(f"{p}! exceeds binary64 range") from None
 
 
-def _assemble(identity: IdentityId, params: Mapping[str, Any]) -> _Assembled:
-    if identity is IdentityId.EQ_1_1:
-        # Dixon at a = b = 1/2, c = 1/4.
-        return _Assembled(
-            SeriesSpec((0.5, 0.5, 0.25), (1.0, 1.25)),
-            1.0,
-            theorems.dixon_3f2(0.5, 0.5, 0.25),
-            "a/2-b-c>-1: -0.5 > -1 (a=b=1/2, c=1/4)",
-        )
-    if identity is IdentityId.EQ_1_2:
-        # Dixon at a = 1/2, b = c = 1/4.
-        return _Assembled(
-            SeriesSpec((0.5, 0.25, 0.25), (1.25, 1.25)),
-            1.0,
-            theorems.dixon_3f2(0.5, 0.25, 0.25),
-            "a/2-b-c>-1: -0.25 > -1 (a=1/2, b=c=1/4)",
-        )
-    if identity is IdentityId.EQ_1_3:
-        # Gauss at a = 1/2, b = 1/4, c = 5/4.
-        return _Assembled(
-            SeriesSpec((0.5, 0.25), (1.25,)),
-            1.0,
-            theorems.gauss_2f1(0.5, 0.25, 1.25),
-            "c-a-b>0: 0.5 > 0 (a=1/2, b=1/4, c=5/4)",
-        )
-    if identity is IdentityId.EQ_1_6:
-        b = float(params["b"])
-        mu = float(params["mu"])
-        spec = ramanujan_mu_terms(b, mu)  # DomainError for bad b, mu
-        return _Assembled(
-            spec,
-            1.0 / b,
-            theorems.mu_spaced_sum(b, mu),
-            f"b>0 and mu>0: b={b:g}, mu={mu:g}",
-        )
-    if identity is IdentityId.EQ_2_1:
-        a, b, c = (float(params[k]) for k in ("a", "b", "c"))
-        m = _require_int("m", params["m"])
-        closed = theorems.contiguous_3f2(a, b, c, m)
-        return _Assembled(
-            SeriesSpec((a, b, c), (b + m, c + 1.0)),
-            1.0,
-            closed,
-            f"m+1-a>0: {m + 1.0 - a:.6g} > 0; (b-c)_m != 0",
-        )
-    if identity is IdentityId.EQ_2_2:
-        a, b, c = (float(params[k]) for k in ("a", "b", "c"))
-        pairs = _normalize_pairs(params["pairs"])
-        m_total = sum(p.m for p in pairs)
-        closed = theorems.karlsson_minton(a, b, c, pairs)
-        uppers = (a, b) + tuple(p.f + p.m for p in pairs)
-        lowers = (c,) + tuple(p.f for p in pairs)
-        return _Assembled(
-            SeriesSpec(uppers, lowers),
-            1.0,
-            closed,
-            f"c-a-b>m: {c - a - b:.6g} > {m_total}",
-        )
-    if identity is IdentityId.EQ_2_3:
-        b = float(params["b"])
-        c = float(params["c"])
-        closed = theorems.ratio_sum_extension(b, c)
-        return _Assembled(
-            SeriesSpec((0.5, b, c), (b + 1.0, c + 1.0)),
-            1.0,
-            closed,
-            f"b>0 and c>0: b={b:g}, c={c:g}",
-        )
-    if identity is IdentityId.EQ_2_5:
-        p = _require_int("p", params["p"])
-        if p < 1:
-            raise PreconditionError(f"p>=1 violated: p={p}")
-        return _Assembled(
-            SeriesSpec((0.5, 0.5), (p + 1.0,)),
-            1.0 / _factorial(p),
-            theorems.s_p(p),
-            f"p>=1: p={p}",
-        )
-    if identity in (IdentityId.EQ_2_6, IdentityId.TELESCOPE):
-        p = _require_int("p", params["p"])
-        if p < 2:
-            raise PreconditionError(f"p>=2 violated: p={p}")
-        f = _require_series_safe_f("f", params["f"])
-        spec = SeriesSpec((0.5, 0.5, f + 1.0), (p + 1.0, f))
-        scale = f / _factorial(p)
-        if identity is IdentityId.EQ_2_6:
-            closed = theorems.weighted_s1(p, f)
-        else:
-            closed = theorems.s_p(p - 1) + (f - p) * theorems.s_p(p)
-        return _Assembled(spec, scale, closed, f"p>=2: p={p}")
-    if identity is IdentityId.EQ_2_7:
-        p = _require_int("p", params["p"])
-        if p < 3:
-            raise PreconditionError(f"p>=3 violated: p={p}")
-        f = _require_series_safe_f("f", params["f"])
-        return _Assembled(
-            SeriesSpec((0.5, 0.5, f + 2.0), (p + 1.0, f)),
-            f * (f + 1.0) / _factorial(p),
-            theorems.weighted_s2(p, f),
-            f"p>=3: p={p}",
-        )
-    if identity is IdentityId.EQ_2_8:
-        p = _require_int("p", params["p"])
-        if p < 3:
-            raise PreconditionError(f"p>=3 violated: p={p}")
-        f1 = _require_series_safe_f("f1", params["f1"])
-        f2 = _require_series_safe_f("f2", params["f2"])
-        return _Assembled(
-            SeriesSpec((0.5, 0.5, f1 + 1.0, f2 + 1.0), (p + 1.0, f1, f2)),
-            f1 * f2 / _factorial(p),
-            theorems.weighted_pair(p, f1, f2),
-            f"p>=3: p={p}",
-        )
-    raise ConfigError(f"unknown identity {identity!r}")
+@_identity(IdentityId.EQ_1_1)
+def _eq1_1(params: Mapping[str, Any]) -> _Assembled:
+    # Dixon at a = b = 1/2, c = 1/4.
+    return _Assembled(
+        SeriesSpec((0.5, 0.5, 0.25), (1.0, 1.25)),
+        1.0,
+        theorems.dixon_3f2(0.5, 0.5, 0.25),
+        "a/2-b-c>-1: -0.5 > -1 (a=b=1/2, c=1/4)",
+    )
+
+
+@_identity(IdentityId.EQ_1_2)
+def _eq1_2(params: Mapping[str, Any]) -> _Assembled:
+    # Dixon at a = 1/2, b = c = 1/4.
+    return _Assembled(
+        SeriesSpec((0.5, 0.25, 0.25), (1.25, 1.25)),
+        1.0,
+        theorems.dixon_3f2(0.5, 0.25, 0.25),
+        "a/2-b-c>-1: -0.25 > -1 (a=1/2, b=c=1/4)",
+    )
+
+
+@_identity(IdentityId.EQ_1_3)
+def _eq1_3(params: Mapping[str, Any]) -> _Assembled:
+    # Gauss at a = 1/2, b = 1/4, c = 5/4.
+    return _Assembled(
+        SeriesSpec((0.5, 0.25), (1.25,)),
+        1.0,
+        theorems.gauss_2f1(0.5, 0.25, 1.25),
+        "c-a-b>0: 0.5 > 0 (a=1/2, b=1/4, c=5/4)",
+    )
+
+
+@_identity(IdentityId.EQ_1_6, "b", "mu")
+def _eq1_6(params: Mapping[str, Any]) -> _Assembled:
+    # sum (1/2)_n / n! / (b + n mu) is 1/b times a 2F1, because
+    # 1/(b + n mu) = (1/b) (b/mu)_n / (b/mu + 1)_n.
+    b = float(params["b"])
+    mu = float(params["mu"])
+    if not (b > 0.0):
+        raise DomainError(f"b must be positive, got {b!r}")
+    if not (mu > 0.0):
+        raise DomainError(f"mu must be positive, got {mu!r}")
+    ratio = b / mu
+    return _Assembled(
+        SeriesSpec((0.5, ratio), (ratio + 1.0,)),
+        1.0 / b,
+        theorems.mu_spaced_sum(b, mu),
+        f"b>0 and mu>0: b={b:g}, mu={mu:g}",
+    )
+
+
+@_identity(IdentityId.EQ_2_1, "a", "b", "c", "m")
+def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
+    a, b, c = (float(params[k]) for k in ("a", "b", "c"))
+    m = _require_int("m", params["m"])
+    closed = theorems.contiguous_3f2(a, b, c, m)
+    return _Assembled(
+        SeriesSpec((a, b, c), (b + m, c + 1.0)),
+        1.0,
+        closed,
+        f"m+1-a>0: {m + 1.0 - a:.6g} > 0; (b-c)_m != 0",
+    )
+
+
+@_identity(IdentityId.EQ_2_2, "a", "b", "c", "pairs")
+def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
+    a, b, c = (float(params[k]) for k in ("a", "b", "c"))
+    pairs = _normalize_pairs(params["pairs"])
+    m_total = sum(p.m for p in pairs)
+    closed = theorems.karlsson_minton(a, b, c, pairs)
+    uppers = (a, b) + tuple(p.f + p.m for p in pairs)
+    lowers = (c,) + tuple(p.f for p in pairs)
+    return _Assembled(
+        SeriesSpec(uppers, lowers),
+        1.0,
+        closed,
+        f"c-a-b>m: {c - a - b:.6g} > {m_total}",
+    )
+
+
+@_identity(IdentityId.EQ_2_3, "b", "c")
+def _eq2_3(params: Mapping[str, Any]) -> _Assembled:
+    b = float(params["b"])
+    c = float(params["c"])
+    closed = theorems.ratio_sum_extension(b, c)
+    return _Assembled(
+        SeriesSpec((0.5, b, c), (b + 1.0, c + 1.0)),
+        1.0,
+        closed,
+        f"b>0 and c>0: b={b:g}, c={c:g}",
+    )
+
+
+@_identity(IdentityId.EQ_2_5, "p")
+def _eq2_5(params: Mapping[str, Any]) -> _Assembled:
+    p = _require_int("p", params["p"])
+    if p < 1:
+        raise PreconditionError(f"p>=1 violated: p={p}")
+    return _Assembled(
+        SeriesSpec((0.5, 0.5), (p + 1.0,)),
+        1.0 / _factorial(p),
+        theorems.s_p(p),
+        f"p>=1: p={p}",
+    )
+
+
+def _weighted_first_order(
+    params: Mapping[str, Any], closed: Callable[[int, float], float]
+) -> _Assembled:
+    # The series of eq2.6 and of the telescoping identity; only the closed
+    # forms differ.
+    p = _require_int("p", params["p"])
+    if p < 2:
+        raise PreconditionError(f"p>=2 violated: p={p}")
+    f = _require_series_safe_f("f", params["f"])
+    spec = SeriesSpec((0.5, 0.5, f + 1.0), (p + 1.0, f))
+    scale = f / _factorial(p)
+    return _Assembled(spec, scale, closed(p, f), f"p>=2: p={p}")
+
+
+@_identity(IdentityId.EQ_2_6, "p", "f")
+def _eq2_6(params: Mapping[str, Any]) -> _Assembled:
+    return _weighted_first_order(params, theorems.weighted_s1)
+
+
+@_identity(IdentityId.EQ_2_7, "p", "f")
+def _eq2_7(params: Mapping[str, Any]) -> _Assembled:
+    p = _require_int("p", params["p"])
+    if p < 3:
+        raise PreconditionError(f"p>=3 violated: p={p}")
+    f = _require_series_safe_f("f", params["f"])
+    return _Assembled(
+        SeriesSpec((0.5, 0.5, f + 2.0), (p + 1.0, f)),
+        f * (f + 1.0) / _factorial(p),
+        theorems.weighted_s2(p, f),
+        f"p>=3: p={p}",
+    )
+
+
+@_identity(IdentityId.EQ_2_8, "p", "f1", "f2")
+def _eq2_8(params: Mapping[str, Any]) -> _Assembled:
+    p = _require_int("p", params["p"])
+    if p < 3:
+        raise PreconditionError(f"p>=3 violated: p={p}")
+    f1 = _require_series_safe_f("f1", params["f1"])
+    f2 = _require_series_safe_f("f2", params["f2"])
+    return _Assembled(
+        SeriesSpec((0.5, 0.5, f1 + 1.0, f2 + 1.0), (p + 1.0, f1, f2)),
+        f1 * f2 / _factorial(p),
+        theorems.weighted_pair(p, f1, f2),
+        f"p>=3: p={p}",
+    )
+
+
+@_identity(IdentityId.TELESCOPE, "p", "f")
+def _telescope(params: Mapping[str, Any]) -> _Assembled:
+    return _weighted_first_order(
+        params, lambda p, f: theorems.s_p(p - 1) + (f - p) * theorems.s_p(p)
+    )
 
 
 def _summation_rel_tol(rel_tol: float) -> float:
@@ -318,7 +371,7 @@ def verify_identity(
     the parameters fall outside the identity's validity region, and
     RangeError when a value on either side exceeds the binary64 range.
     """
-    assembled = _assemble(case.identity, case.parameters)
+    assembled = _assemble(case)
     result = sum_series(
         assembled.spec,
         rel_tol=_summation_rel_tol(case.rel_tol),
@@ -344,7 +397,6 @@ def sweep(
     identity: IdentityId | str,
     grid: Mapping[str, Sequence[Any]],
     rel_tol: float = DEFAULT_REL_TOL,
-    seed: int = 0,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> list[VerificationReport]:
     """Verify an identity over the Cartesian product of parameter lists.
@@ -352,14 +404,11 @@ def sweep(
     Rows appear in row-major order over the grid (the last signature
     parameter varies fastest).  Grid points outside the validity region
     yield not-applicable reports.  An empty grid yields an empty list.
-    ``seed`` is accepted for interface stability; the sweep itself is fully
-    deterministic.
     """
-    del seed
     identity = IdentityId(identity)
     if not grid:
         return []
-    signature = _SIGNATURES[identity]
+    signature = identity_signature(identity)
     if set(grid) != set(signature):
         raise ConfigError(
             f"{identity.value} sweep needs values for {list(signature)}, "
@@ -422,24 +471,19 @@ def builtin_catalog(rel_tol: float = DEFAULT_REL_TOL) -> list[IdentityCase]:
     ]
 
 
+def _encode_parameter(name: str, value: Any) -> Any:
+    """JSON-ready form of one parameter value: pairs become [f, m] lists."""
+    if name == "pairs":
+        return [[pair.f, pair.m] for pair in _normalize_pairs(value)]
+    return value
+
+
 def _encode_parameters(params: Mapping[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in params.items():
-        if key == "pairs":
-            out[key] = [[pair.f, pair.m] for pair in _normalize_pairs(value)]
-        else:
-            out[key] = value
-    return out
+    return {name: _encode_parameter(name, value) for name, value in params.items()}
 
 
 def _decode_parameters(params: Mapping[str, Any]) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, value in params.items():
-        if key == "pairs":
-            out[key] = tuple(ShiftedPair(float(f), int(m)) for f, m in value)
-        else:
-            out[key] = value
-    return out
+    return {k: _normalize_pairs(v) if k == "pairs" else v for k, v in params.items()}
 
 
 def report_to_dict(report: VerificationReport) -> dict[str, Any]:

@@ -18,7 +18,7 @@ import pytest
 
 from hypersum import specialfn, theorems
 from hypersum.cli import _table_entries
-from hypersum.series import SeriesSpec, ramanujan_mu_terms, sum_series
+from hypersum.series import SeriesSpec, sum_series
 from hypersum.theorems import ShiftedPair
 from hypersum.verify import IdentityCase, IdentityId, sweep, verify_identity
 
@@ -75,7 +75,7 @@ def test_criterion_3_mu_spaced_family():
     ok = True
     for b in (0.5, 1.0, 2.7):
         for mu in (0.5, 1.0, 2.0, 4.0):
-            spec = ramanujan_mu_terms(b, mu)
+            spec = IdentityCase(IdentityId.EQ_1_6, {"b": b, "mu": mu}).spec
             direct = sum_series(spec, rel_tol=1e-12).value / b
             closed = theorems.mu_spaced_sum(b, mu)
             ok &= abs(direct - closed) <= 1e-10 * abs(closed)

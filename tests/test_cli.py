@@ -127,6 +127,15 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "not applicable: gamma(301.0) exceeds binary64 range" in proc.stdout
 
+    def test_shape_coefficient_overflow_exit_2_without_traceback(self):
+        proc = run_python(
+            "-m", "hypersum.cli", "verify", "--identity", "eq2.2",
+            "--a", "0.3", "--b", "0.2", "--c", "1e200", "--pairs", "1.3:1",
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("not applicable: tail shape coefficient")
+
     def test_unknown_identity_lists_valid_ids(self, capsys):
         code, _, err = run(capsys, "verify", "--identity", "eq9.9")
         assert code == 1

@@ -17,10 +17,10 @@ from hypersum.series import (
     SeriesSpec,
     SummationStatus,
     convergence_margin,
-    ramanujan_mu_terms,
     sum_series,
 )
 from hypersum.theorems import gauss_2f1
+from hypersum.verify import IdentityCase, IdentityId
 
 from oracles import (
     random_terminating_spec,
@@ -282,6 +282,16 @@ def test_term_overflow_is_typed():
         sum_series(SeriesSpec((1e200,), (1e-200,)))
 
 
+@pytest.mark.parametrize(
+    "uppers,lowers",
+    [((1.0, 1.0), (1e200,)), ((1e160, 1.0), (2e160,))],
+)
+def test_shape_coefficient_overflow_is_typed(uppers, lowers):
+    # Convergent series whose c1 is -inf (first) or inf - inf = nan (second).
+    with pytest.raises(RangeError):
+        sum_series(SeriesSpec(uppers, lowers))
+
+
 class TestDivergenceGate:
     @pytest.mark.parametrize(
         "nums,dens",
@@ -312,22 +322,26 @@ def test_margin_matches_sums(extra_dens, num):
     assert convergence_margin(spec) == pytest.approx(expected, rel=1e-15)
 
 
+def mu_spec(b, mu):
+    return IdentityCase(IdentityId.EQ_1_6, {"b": b, "mu": mu}).spec
+
+
 class TestMuSeries:
     def test_known_reductions(self):
-        assert ramanujan_mu_terms(1.0, 4.0) == SeriesSpec((0.5, 0.25), (1.25,))
-        assert ramanujan_mu_terms(1.0, 1.0) == SeriesSpec((0.5, 1.0), (2.0,))
-        assert ramanujan_mu_terms(2.0, 2.0) == ramanujan_mu_terms(1.0, 1.0)
+        assert mu_spec(1.0, 4.0) == SeriesSpec((0.5, 0.25), (1.25,))
+        assert mu_spec(1.0, 1.0) == SeriesSpec((0.5, 1.0), (2.0,))
+        assert mu_spec(2.0, 2.0) == mu_spec(1.0, 1.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ramanujan_mu_terms(0.0, 1.0)
+            mu_spec(0.0, 1.0)
         with pytest.raises(DomainError):
-            ramanujan_mu_terms(1.0, -2.0)
+            mu_spec(1.0, -2.0)
 
     def test_rewrite_matches_raw_terms(self):
         # (1/b) (1/2)_n (b/mu)_n / ((b/mu+1)_n n!) == (1/2)_n / (n! (b + n mu))
         b, mu = 0.7, 1.9
-        spec = ramanujan_mu_terms(b, mu)
+        spec = mu_spec(b, mu)
         half_poch = 1.0
         rewritten = 1.0 / b  # n = 0 term of the scaled 2F1
         for n in range(60):
