@@ -22,7 +22,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from .errors import (
@@ -33,7 +33,6 @@ from .errors import (
     NondegenerateError,
 )
 from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationStatus, sum_series
-from . import theorems
 from .verify import (
     DEFAULT_REL_TOL,
     IdentityCase,
@@ -41,6 +40,7 @@ from .verify import (
     VerificationReport,
     _encode_parameter,
     _encode_parameters,
+    _encode_summation,
     identity_signature,
     report_to_dict,
     sweep,
@@ -53,7 +53,6 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_FAILURE = 3
 
 _PARAM_FLAGS = ("a", "b", "c", "f", "f1", "f2", "mu", "p", "m", "pairs")
-_INT_PARAMS = frozenset({"p", "m"})
 
 
 def _human(x: float) -> str:
@@ -118,10 +117,28 @@ def _parse_int(token: str) -> int:
         raise ConfigError(f"not an integer: {token!r}") from None
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _parse_pair(token: str) -> tuple[float, int]:
+    # A plain (f, m) pair: the eq2.2 builder checks it, so an invalid pair is
+    # not applicable instead of a usage error.
+    if ":" not in token:
+        raise ConfigError(f"pair must look like f:m, got {token!r}")
+    f_part, m_part = token.split(":", 1)
+    return _parse_float(f_part), _parse_int(m_part)
+
+
+def _parse_list(text: str, parse: Callable[[str], Any]) -> list[Any]:
+    """A comma-separated list; blank text is empty, an empty token an error."""
     if text.strip() == "":
         return []
-    return [_parse_float(tok.strip()) for tok in text.split(",")]
+    return [parse(tok.strip()) for tok in text.split(",")]
+
+
+def _parse_pairs(text: str) -> tuple[tuple[float, int], ...]:
+    # One pair list is one value, so unlike a list flag it is never blank.
+    return tuple(_parse_pair(tok.strip()) for tok in text.split(","))
+
+
+_PARSERS = {"p": _parse_int, "m": _parse_int, "pairs": _parse_pairs}
 
 
 def _parse_series_spec(text: str) -> SeriesSpec:
@@ -130,25 +147,14 @@ def _parse_series_spec(text: str) -> SeriesSpec:
         raise ConfigError(
             f"series spec must look like 'a1,a2,...;b1,b2,...', got {text!r}"
         )
-    return SeriesSpec(_parse_float_list(parts[0]), _parse_float_list(parts[1]))
-
-
-def _parse_pairs(text: str) -> tuple[theorems.ShiftedPair, ...]:
-    pairs = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if ":" not in tok:
-            raise ConfigError(f"pair must look like f:m, got {tok!r}")
-        f_part, m_part = tok.split(":", 1)
-        pairs.append(theorems.ShiftedPair(_parse_float(f_part), _parse_int(m_part)))
-    return tuple(pairs)
+    return SeriesSpec(*(_parse_list(part, _parse_float) for part in parts))
 
 
 def _parameter_values(identity: IdentityId, args: argparse.Namespace, listy: bool) -> dict[str, Any]:
     """Collect the identity's parameters from CLI flags.
 
-    With ``listy`` each flag may hold a comma-separated list (sweep grids);
-    otherwise exactly one value per flag (verify).
+    With ``listy`` each flag holds a comma-separated list (sweep grids), except
+    ``--pairs``, which is one pair list; otherwise one value per flag (verify).
     """
     signature = identity_signature(identity)
     params: dict[str, Any] = {}
@@ -163,23 +169,15 @@ def _parameter_values(identity: IdentityId, args: argparse.Namespace, listy: boo
                 f"{identity.value} requires --{flag} "
                 f"(signature: {', '.join(signature)})"
             )
-        if flag == "pairs":
-            value: Any = _parse_pairs(raw)
-            params[flag] = [value] if listy else value
-        elif flag in _INT_PARAMS:
-            tokens = [t.strip() for t in raw.split(",")] if listy else [raw]
-            values = [_parse_int(t) for t in tokens if t != ""]
-            if listy and not values:
-                raise ConfigError(f"--{flag} has an empty value list")
-            params[flag] = values if listy else values[0]
+        parse = _PARSERS.get(flag, _parse_float)
+        if not listy:
+            params[flag] = parse(raw)
+        elif flag == "pairs":
+            params[flag] = [parse(raw)]
         else:
-            if listy:
-                values = _parse_float_list(raw)
-                if not values:
-                    raise ConfigError(f"--{flag} has an empty value list")
-                params[flag] = values
-            else:
-                params[flag] = _parse_float(raw)
+            params[flag] = _parse_list(raw, parse)
+            if not params[flag]:
+                raise ConfigError(f"--{flag} has an empty value list")
     return params
 
 
@@ -191,8 +189,18 @@ def _lookup_identity(name: str) -> IdentityId:
         raise ConfigError(f"unknown identity {name!r}; valid ids: {valid}") from None
 
 
-def _emit(lines: Sequence[str]) -> None:
+def _finish(args: argparse.Namespace, command: str, inputs: dict[str, Any], results: list[Any],
+            summary: dict[str, Any], csv_lines: Sequence[str], human_lines: Sequence[str]) -> int:
+    """Print a command's result in the chosen format; return its exit code."""
+    if args.format == "json":
+        inputs = {**inputs, "rel_tol": args.rel_tol, "max_terms": args.max_terms}
+        document = {"command": command, "inputs": inputs, "results": results,
+                    "summary": summary}
+        lines: Sequence[str] = [json.dumps(document, indent=2)]
+    else:
+        lines = csv_lines if args.format == "csv" else human_lines
     sys.stdout.write("\n".join(lines) + "\n")
+    return summary["exit"]
 
 
 def _params_text(identity: IdentityId, params: dict[str, Any]) -> str:
@@ -200,7 +208,7 @@ def _params_text(identity: IdentityId, params: dict[str, Any]) -> str:
     for name in identity_signature(identity):
         value = params[name]
         if name == "pairs":
-            body = ",".join(f"{p.f:g}:{p.m}" for p in value)
+            body = ",".join(f"{f:g}:{m}" for f, m in _encode_parameter(name, value))
             chunks.append(f"pairs={body}")
         elif isinstance(value, int):
             chunks.append(f"{name}={value}")
@@ -214,60 +222,35 @@ def _params_text(identity: IdentityId, params: dict[str, Any]) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     spec = _parse_series_spec(args.spec)
+    inputs = {
+        "spec": args.spec,
+        "numerators": list(spec.numerators),
+        "denominators": list(spec.denominators),
+    }
     try:
         result = sum_series(spec, rel_tol=args.rel_tol, max_terms=args.max_terms)
     except (DivergenceError, OverflowError) as err:
-        if args.format == "json":
-            _emit([json.dumps({
-                "command": "eval",
-                "inputs": _eval_inputs(args, spec),
-                "results": [],
-                "summary": {"error": str(err), "exit": EXIT_NOT_APPLICABLE},
-            }, indent=2)])
-        else:
-            kind = "divergent" if isinstance(err, DivergenceError) else "not applicable"
-            _emit([f"{kind}: {err}"])
-        return EXIT_NOT_APPLICABLE
+        kind = "divergent" if isinstance(err, DivergenceError) else "not applicable"
+        message = [f"{kind}: {err}"]
+        summary = {"error": str(err), "exit": EXIT_NOT_APPLICABLE}
+        return _finish(args, "eval", inputs, [], summary, message, message)
 
-    row = {
-        "value": result.value,
-        "terms_used": result.terms_used,
-        "tail_estimate": result.tail_estimate,
-        "status": result.status.value,
-        "error_estimate": result.error_estimate,
-    }
     code = EXIT_OK if result.status != SummationStatus.MAX_TERMS_REACHED else EXIT_NOT_APPLICABLE
-    if args.format == "json":
-        _emit([json.dumps({
-            "command": "eval",
-            "inputs": _eval_inputs(args, spec),
-            "results": [row],
-            "summary": {"status": result.status.value, "exit": code},
-        }, indent=2)])
-    elif args.format == "csv":
-        _emit([
+    return _finish(
+        args, "eval", inputs, [_encode_summation(result)],
+        {"status": result.status.value, "exit": code},
+        [
             "value,terms_used,tail_estimate,status",
             f"{_machine(result.value)},{result.terms_used},"
             f"{_machine(result.tail_estimate)},{result.status.value}",
-        ])
-    else:
-        _emit([
+        ],
+        [
             f"value          {_human(result.value)}",
             f"terms_used     {result.terms_used}",
             f"tail_estimate  {_human(result.tail_estimate)}",
             f"status         {result.status.value}",
-        ])
-    return code
-
-
-def _eval_inputs(args: argparse.Namespace, spec: SeriesSpec) -> dict[str, Any]:
-    return {
-        "spec": args.spec,
-        "numerators": list(spec.numerators),
-        "denominators": list(spec.denominators),
-        "rel_tol": args.rel_tol,
-        "max_terms": args.max_terms,
-    }
+        ],
+    )
 
 
 # --------------------------------------------------------------- verify ----
@@ -276,34 +259,21 @@ def _eval_inputs(args: argparse.Namespace, spec: SeriesSpec) -> dict[str, Any]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity = _lookup_identity(args.identity)
     params = _parameter_values(identity, args, listy=False)
+    inputs = {"identity": identity.value, "parameters": _encode_parameters(params)}
     case = IdentityCase(identity, params, rel_tol=args.rel_tol)
     try:
         report = verify_identity(case, max_terms=args.max_terms)
     except NA_ERRORS as err:
-        if args.format == "json":
-            _emit([json.dumps({
-                "command": "verify",
-                "inputs": _verify_inputs(args, identity, params),
-                "results": [],
-                "summary": {"not_applicable": str(err), "exit": EXIT_NOT_APPLICABLE},
-            }, indent=2)])
-        else:
-            _emit([f"not applicable: {err}"])
-        return EXIT_NOT_APPLICABLE
+        message = [f"not applicable: {err}"]
+        summary = {"not_applicable": str(err), "exit": EXIT_NOT_APPLICABLE}
+        return _finish(args, "verify", inputs, [], summary, message, message)
 
-    code = EXIT_OK if report.passed else EXIT_FAILURE
-    if args.format == "json":
-        _emit([json.dumps({
-            "command": "verify",
-            "inputs": _verify_inputs(args, identity, params),
-            "results": [report_to_dict(report)],
-            "summary": {"passed": report.passed, "exit": code},
-        }, indent=2)])
-    elif args.format == "csv":
-        _emit([_REPORT_CSV_HEADER, _report_csv_row(report)])
-    else:
-        assert report.summation is not None
-        _emit([
+    assert report.summation is not None
+    return _finish(
+        args, "verify", inputs, [report_to_dict(report)],
+        {"passed": report.passed, "exit": EXIT_OK if report.passed else EXIT_FAILURE},
+        [_REPORT_CSV_HEADER, _report_csv_row(report)],
+        [
             f"identity       {identity.value}",
             f"parameters     {_params_text(identity, params) or '(none)'}",
             f"lhs (series)   {_human(report.lhs)}",
@@ -313,19 +283,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"terms_used     {report.summation.terms_used}",
             f"precondition   {report.precondition_note}",
             f"passed         {'yes' if report.passed else 'NO'}",
-        ])
-    return code
-
-
-def _verify_inputs(
-    args: argparse.Namespace, identity: IdentityId, params: dict[str, Any]
-) -> dict[str, Any]:
-    return {
-        "identity": identity.value,
-        "parameters": _encode_parameters(params),
-        "rel_tol": args.rel_tol,
-        "max_terms": args.max_terms,
-    }
+        ],
+    )
 
 
 # ---------------------------------------------------------------- sweep ----
@@ -372,53 +331,37 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     n_pass = sum(1 for r in reports if r.passed is True)
     n_fail = sum(1 for r in reports if r.passed is False)
     n_na = sum(1 for r in reports if r.passed is None)
-    code = EXIT_OK if n_fail == 0 else EXIT_FAILURE
-    summary = {
-        "passed": n_pass,
-        "failed": n_fail,
-        "not_applicable": n_na,
-        "exit": code,
-    }
-    if args.format == "json":
-        _emit([json.dumps({
-            "command": "sweep",
-            "inputs": _sweep_inputs(args, identity, grid),
-            "results": [report_to_dict(r) for r in reports],
-            "summary": summary,
-        }, indent=2)])
-    elif args.format == "csv":
-        _emit([_REPORT_CSV_HEADER, *(_report_csv_row(r) for r in reports)])
-    else:
-        lines = []
-        for r in reports:
-            ptxt = _params_text(identity, r.case.parameters)
-            if r.passed is None:
-                lines.append(f"{ptxt:<40s} n/a: {r.precondition_note}")
-            else:
-                verdict = "pass" if r.passed else "FAIL"
-                lines.append(
-                    f"{ptxt:<40s} lhs={_human(r.lhs)} rhs={_human(r.rhs)} "
-                    f"rel_err={r.rel_err:.3e} {verdict}"
-                )
-        lines.append(
-            f"passed={n_pass} failed={n_fail} not_applicable={n_na}"
-        )
-        _emit(lines)
-    return code
-
-
-def _sweep_inputs(
-    args: argparse.Namespace, identity: IdentityId, grid: dict[str, Any]
-) -> dict[str, Any]:
-    return {
-        "identity": identity.value,
-        "grid": {
-            name: [_encode_parameter(name, value) for value in values]
-            for name, values in grid.items()
+    human = []
+    for r in reports:
+        ptxt = _params_text(identity, r.case.parameters)
+        if r.passed is None:
+            human.append(f"{ptxt:<40s} n/a: {r.precondition_note}")
+        else:
+            verdict = "pass" if r.passed else "FAIL"
+            human.append(
+                f"{ptxt:<40s} lhs={_human(r.lhs)} rhs={_human(r.rhs)} "
+                f"rel_err={r.rel_err:.3e} {verdict}"
+            )
+    human.append(f"passed={n_pass} failed={n_fail} not_applicable={n_na}")
+    return _finish(
+        args, "sweep",
+        {
+            "identity": identity.value,
+            "grid": {
+                name: [_encode_parameter(name, value) for value in values]
+                for name, values in grid.items()
+            },
         },
-        "rel_tol": args.rel_tol,
-        "max_terms": args.max_terms,
-    }
+        [report_to_dict(r) for r in reports],
+        {
+            "passed": n_pass,
+            "failed": n_fail,
+            "not_applicable": n_na,
+            "exit": EXIT_OK if n_fail == 0 else EXIT_FAILURE,
+        },
+        [_REPORT_CSV_HEADER, *(_report_csv_row(r) for r in reports)],
+        human,
+    )
 
 
 # ---------------------------------------------------------------- table ----
@@ -455,36 +398,28 @@ def _table_entries(rel_tol: float, max_terms: int) -> list[dict[str, Any]]:
 def _cmd_table(args: argparse.Namespace) -> int:
     entries = _table_entries(args.rel_tol, args.max_terms)
     n_fail = sum(1 for e in entries if not e["passed"])
-    code = EXIT_OK if n_fail == 0 else EXIT_FAILURE
-    if args.format == "json":
-        _emit([json.dumps({
-            "command": "table",
-            "inputs": {"rel_tol": args.rel_tol, "max_terms": args.max_terms},
-            "results": entries,
-            "summary": {"passed": len(entries) - n_fail, "failed": n_fail, "exit": code},
-        }, indent=2)])
-    elif args.format == "csv":
-        lines = ["identity,symbolic,closed,direct,rel_err"]
-        for e in entries:
-            lines.append(
-                f"{e['identity']},{e['symbolic']},{_machine(e['closed'])},"
-                f"{_machine(e['direct'])},{_machine(e['rel_err'])}"
-            )
-        _emit(lines)
-    else:
-        lines = [
-            f"{'identity':<8s} {'closed form':<36s} {'closed':<18s} "
-            f"{'direct':<18s} {'rel_err':<10s}"
-        ]
-        for e in entries:
-            mark = "" if e["passed"] else "  FAIL"
-            lines.append(
-                f"{e['identity']:<8s} {e['symbolic']:<36s} "
-                f"{_human(e['closed']):<18s} {_human(e['direct']):<18s} "
-                f"{e['rel_err']:.3e}{mark}"
-            )
-        _emit(lines)
-    return code
+    csv_lines = ["identity,symbolic,closed,direct,rel_err"]
+    human = [
+        f"{'identity':<8s} {'closed form':<36s} {'closed':<18s} "
+        f"{'direct':<18s} {'rel_err':<10s}"
+    ]
+    for e in entries:
+        csv_lines.append(
+            f"{e['identity']},{e['symbolic']},{_machine(e['closed'])},"
+            f"{_machine(e['direct'])},{_machine(e['rel_err'])}"
+        )
+        mark = "" if e["passed"] else "  FAIL"
+        human.append(
+            f"{e['identity']:<8s} {e['symbolic']:<36s} "
+            f"{_human(e['closed']):<18s} {_human(e['direct']):<18s} "
+            f"{e['rel_err']:.3e}{mark}"
+        )
+    summary = {
+        "passed": len(entries) - n_fail,
+        "failed": n_fail,
+        "exit": EXIT_OK if n_fail == 0 else EXIT_FAILURE,
+    }
+    return _finish(args, "table", {}, entries, summary, csv_lines, human)
 
 
 # ----------------------------------------------------------------- main ----

@@ -173,19 +173,20 @@ def _require_series_safe_f(name: str, f: float) -> float:
     return f
 
 
-def _normalize_pairs(raw: Any) -> tuple[ShiftedPair, ...]:
+def _pair_items(raw: Any) -> list[tuple[float, int]]:
+    """(f, m) of each pair in a ``pairs`` value, which may hold ShiftedPairs,
+    plain (f, m) pairs or be one bare ShiftedPair; nothing is checked."""
     if isinstance(raw, ShiftedPair):
         raw = (raw,)
-    pairs = []
+    items = []
     for item in raw:
-        if isinstance(item, ShiftedPair):
-            pairs.append(item)
-        else:
-            f, m = item
-            pairs.append(ShiftedPair(float(f), int(m)))
-    if not pairs:
-        raise DegenerateError("at least one (f, m) pair is required")
-    return tuple(pairs)
+        f, m = (item.f, item.m) if isinstance(item, ShiftedPair) else item
+        items.append((float(f), int(m)))
+    return items
+
+
+def _normalize_pairs(raw: Any) -> tuple[ShiftedPair, ...]:
+    return tuple(ShiftedPair(f, m) for f, m in _pair_items(raw))
 
 
 def _factorial(p: int) -> float:
@@ -264,6 +265,8 @@ def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
 def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
     a, b, c = (float(params[k]) for k in ("a", "b", "c"))
     pairs = _normalize_pairs(params["pairs"])
+    if not pairs:
+        raise DegenerateError("at least one (f, m) pair is required")
     m_total = sum(p.m for p in pairs)
     closed = theorems.karlsson_minton(a, b, c, pairs)
     uppers = (a, b) + tuple(p.f + p.m for p in pairs)
@@ -474,7 +477,7 @@ def builtin_catalog(rel_tol: float = DEFAULT_REL_TOL) -> list[IdentityCase]:
 def _encode_parameter(name: str, value: Any) -> Any:
     """JSON-ready form of one parameter value: pairs become [f, m] lists."""
     if name == "pairs":
-        return [[pair.f, pair.m] for pair in _normalize_pairs(value)]
+        return [list(item) for item in _pair_items(value)]
     return value
 
 
@@ -482,21 +485,28 @@ def _encode_parameters(params: Mapping[str, Any]) -> dict[str, Any]:
     return {name: _encode_parameter(name, value) for name, value in params.items()}
 
 
-def _decode_parameters(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {k: _normalize_pairs(v) if k == "pairs" else v for k, v in params.items()}
+def _decode_pairs(raw: Any) -> tuple[Any, ...]:
+    # A not-applicable row may carry invalid pairs; those load as plain
+    # (f, m) pairs, so every encoded report loads again.
+    try:
+        return _normalize_pairs(raw)
+    except DegenerateError:
+        return tuple(_pair_items(raw))
+
+
+def _encode_summation(result: SummationResult) -> dict[str, Any]:
+    return {
+        "value": result.value,
+        "terms_used": result.terms_used,
+        "tail_estimate": result.tail_estimate,
+        "status": result.status.value,
+        "error_estimate": result.error_estimate,
+    }
 
 
 def report_to_dict(report: VerificationReport) -> dict[str, Any]:
     """JSON-ready encoding; inverse of :func:`report_from_dict`."""
-    summation = None
-    if report.summation is not None:
-        summation = {
-            "value": report.summation.value,
-            "terms_used": report.summation.terms_used,
-            "tail_estimate": report.summation.tail_estimate,
-            "status": report.summation.status.value,
-            "error_estimate": report.summation.error_estimate,
-        }
+    summation = report.summation
     return {
         "identity": report.case.identity.value,
         "parameters": _encode_parameters(report.case.parameters),
@@ -507,14 +517,14 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
         "rel_err": report.rel_err,
         "passed": report.passed,
         "precondition_note": report.precondition_note,
-        "summation": summation,
+        "summation": None if summation is None else _encode_summation(summation),
     }
 
 
 def report_from_dict(data: Mapping[str, Any]) -> VerificationReport:
     case = IdentityCase(
         IdentityId(data["identity"]),
-        _decode_parameters(data["parameters"]),
+        {k: _decode_pairs(v) if k == "pairs" else v for k, v in data["parameters"].items()},
         float(data["rel_tol"]),
     )
     summation = None

@@ -10,7 +10,7 @@ import pytest
 
 import hypersum
 from hypersum.cli import main
-from hypersum.verify import report_from_dict
+from hypersum.verify import report_from_dict, report_to_dict
 
 
 def run(capsys, *argv):
@@ -136,6 +136,28 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert proc.stdout.startswith("not applicable: tail shape coefficient")
 
+    def test_empty_int_value_is_usage_error(self):
+        proc = run_python("-m", "hypersum.cli", "verify", "--identity", "eq2.5", "--p", "")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: not an integer: ''\n"
+
+    @pytest.mark.parametrize(
+        ("pair", "message"),
+        [
+            ("0:1", "pair parameter f=0.0 is a nonpositive integer"),
+            ("1.3:0", "pair shift must be a positive integer, got 0"),
+        ],
+    )
+    def test_invalid_pair_exit_2_without_traceback(self, pair, message):
+        proc = run_python(
+            "-m", "hypersum.cli", "verify", "--identity", "eq2.2",
+            "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", pair,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == f"not applicable: {message}\n"
+
     def test_unknown_identity_lists_valid_ids(self, capsys):
         code, _, err = run(capsys, "verify", "--identity", "eq9.9")
         assert code == 1
@@ -206,6 +228,36 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("p", ["1,,2", "1,", " , "])
+    def test_empty_int_token_is_usage_error(self, capsys, p):
+        # as an empty float token already is
+        code, out, err = run(capsys, "sweep", "--identity", "eq2.5", "--p", p)
+        assert (code, out) == (1, "")
+        assert err == "error: not an integer: ''\n"
+
+    def test_invalid_pair_is_one_na_row(self):
+        proc = run_python(
+            "-m", "hypersum.cli", "sweep", "--identity", "eq2.2",
+            "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", "1.3:0",
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        row, summary = proc.stdout.splitlines()
+        assert row.startswith("a=0.4 b=0.3 c=6 pairs=1.3:0 ")
+        assert row.endswith(" n/a: pair shift must be a positive integer, got 0")
+        assert summary == "passed=0 failed=0 not_applicable=1"
+
+    def test_invalid_pair_row_round_trips(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep", "--identity", "eq2.2", "--a", "0.4", "--b", "0.3",
+            "--c", "6", "--pairs", "1.3:1,0:2", "--format", "json",
+        )
+        assert code == 0
+        (item,) = json.loads(out)["results"]
+        assert item["passed"] is None
+        assert item["parameters"]["pairs"] == [[1.3, 1], [0.0, 2]]
+        assert report_to_dict(report_from_dict(item)) == item
+
     def test_csv_deterministic(self, capsys):
         argv = (
             "sweep", "--identity", "eq2.6", "--p", "2,3", "--f", "0.5,1.5",
@@ -269,6 +321,40 @@ class TestTable:
         assert doc["summary"]["failed"] == 0
         rel_errs = [row["rel_err"] for row in doc["results"]]
         assert all(err <= 1e-10 for err in rel_errs)
+
+
+# (argv, exit code, whether the call takes the n/a path that has no results)
+_JSON_CALLS = [
+    (("eval", "0.5,0.25;1.25"), 0, False),
+    (("eval", "0.5,0.25;1.25", "--max-terms", "1000"), 2, False),
+    (("eval", "1,1;1"), 2, True),
+    (("eval", "1e200;1e-200"), 2, True),
+    (("verify", "--identity", "eq2.6", "--p", "3", "--f", "0.7"), 0, False),
+    (("verify", "--identity", "eq2.6", "--p", "3", "--f", "0.7", "--rel-tol", "1e-18"), 3, False),
+    (("verify", "--identity", "eq2.7", "--p", "2", "--f", "0.5"), 2, True),
+    (("verify", "--identity", "eq2.2", "--a", "0.4", "--b", "0.3", "--c", "6",
+      "--pairs", "0:1"), 2, True),
+    (("sweep", "--identity", "eq2.6", "--p", "1,2", "--f", "0.5"), 0, False),
+    (("sweep", "--identity", "eq2.6", "--p", "2", "--f", "0.5", "--rel-tol", "1e-18"),
+     3, False),
+    (("table",), 0, False),
+    (("table", "--rel-tol", "1e-18"), 3, False),
+]
+
+
+class TestJsonDocument:
+    @pytest.mark.parametrize(
+        ("argv", "exit_code", "na"), _JSON_CALLS, ids=[" ".join(c[0]) for c in _JSON_CALLS]
+    )
+    def test_document_contract(self, capsys, argv, exit_code, na):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert err == ""
+        doc = json.loads(out)
+        assert list(doc) == ["command", "inputs", "results", "summary"]
+        assert doc["command"] == argv[0]
+        assert list(doc["inputs"])[-2:] == ["rel_tol", "max_terms"]
+        assert code == exit_code == doc["summary"]["exit"]
+        assert (doc["results"] == []) == na
 
 
 class TestUsage:

@@ -322,6 +322,23 @@ class TestReportSerialization:
             data = json.loads(json.dumps(report_to_dict(report)))
             assert report_from_dict(data) == report
 
+    def test_round_trip_empty_pairs_na(self):
+        # Encoding and decoding never check the pairs, so an n/a row whose
+        # pair list the builder rejected still round-trips.
+        (report,) = sweep(
+            IdentityId.EQ_2_2, {"a": [0.4], "b": [0.3], "c": [6.0], "pairs": [()]}
+        )
+        assert report.passed is None
+        assert report.precondition_note == "at least one (f, m) pair is required"
+        data = json.loads(json.dumps(report_to_dict(report)))
+        assert data["parameters"]["pairs"] == []
+        assert report_from_dict(data) == report
+
+    def test_empty_pairs_raise_in_verify(self):
+        case = IdentityCase(IdentityId.EQ_2_2, {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": ()})
+        with pytest.raises(DegenerateError, match="at least one"):
+            verify_identity(case)
+
     def test_signature_helper(self):
         assert identity_signature("eq2.8") == ("p", "f1", "f2")
         assert identity_signature(IdentityId.EQ_1_1) == ()
