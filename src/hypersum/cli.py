@@ -240,14 +240,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         args, "eval", inputs, [_encode_summation(result)],
         {"status": result.status.value, "exit": code},
         [
-            "value,terms_used,tail_estimate,status",
+            "value,terms_used,error_estimate,status",
             f"{_machine(result.value)},{result.terms_used},"
-            f"{_machine(result.tail_estimate)},{result.status.value}",
+            f"{_machine(result.error_estimate)},{result.status.value}",
         ],
         [
             f"value          {_human(result.value)}",
             f"terms_used     {result.terms_used}",
-            f"tail_estimate  {_human(result.tail_estimate)}",
+            f"error_estimate {_human(result.error_estimate)}",
             f"status         {result.status.value}",
         ],
     )

@@ -110,16 +110,15 @@ class SummationStatus(str, enum.Enum):
 class SummationResult:
     """Outcome of :func:`sum_series`.
 
-    ``tail_estimate`` is the integral-comparison bound on the omitted tail
-    before any correction.  ``error_estimate`` estimates the error of the
-    value before extrapolation: the tail-corrected value V(N), or the partial
-    sum where no correction applies.  Where ``value`` is the extrapolation of
-    V, it overstates the error of ``value`` (see :func:`sum_series`).
+    ``error_estimate`` is the result's one error figure.  It estimates the
+    error of the value before extrapolation: the tail-corrected value V(N),
+    or the partial sum where no correction applies.  Where ``value`` is the
+    extrapolation of V, it overstates the error of ``value`` (see
+    :func:`sum_series`).
     """
 
     value: float
     terms_used: int
-    tail_estimate: float
     status: SummationStatus
     error_estimate: float
 
@@ -214,10 +213,9 @@ def sum_series(
     extrapolation improves on.
 
     In the remaining cases ``value`` is V(N), or the partial sum alone for
-    p <= q, and ``error_estimate`` falls back to ``tail_estimate``: the
-    integral-comparison bound |t_N| (N+1) / s on the whole omitted tail for
-    p = q + 1 series, and |t_N| for the rest.  For a terminated series both
-    are 0.
+    p <= q, and ``error_estimate`` falls back to a bound on the omitted tail:
+    B(N) below M, the integral-comparison bound |t_N| (N+1) / s for p = q + 1
+    series, and |t_N| for the rest.  For a terminated series it is 0.
 
     Raises DivergenceError for a non-terminating p = q + 1 series whose
     convergence margin is not positive, and RangeError when a term or the
@@ -288,37 +286,29 @@ def sum_series(
                 np.abs(scaled, out=scaled)
                 scaled *= rel_tol
                 mags = np.abs(terms, out=den)
-                small = mags <= scaled
-                if count < _MIN_STOP_INDEX:
-                    small[: _MIN_STOP_INDEX - count] = False
-                ahead = model_index - count  # position of t_M in this block
-                if 0 < ahead < width:
-                    # The block reaches the model index, so the stop waits
-                    # for it and gets the tail correction at no extra cost.
-                    small[:ahead] = False
-                elif ahead >= width:
+                # Term-test flags after the two carried over from the last
+                # block, so one search finds a run of three wherever it starts.
+                flags = np.empty(width + 2, dtype=bool)
+                flags[:2] = carry
+                small = np.less_equal(mags, scaled, out=flags[2:])
+                if model_index - count >= width:
                     # No tail correction is applied below the model index, so
                     # a stop there must also bound the uncorrected tail.
+                    first = _MIN_STOP_INDEX
                     n = count + np.arange(width)
                     small &= _early_tail_bound(mags, n, model_index, margin) <= scaled
-                # Stop at the first term that ends three small ones in a
-                # row, counting the two carried over from the last block.
-                stop = None
-                if carry[0] and carry[1] and small[0]:
-                    stop = 0
-                elif width > 1 and carry[1] and small[0] and small[1]:
-                    stop = 1
-                elif width > 2:
-                    run = small[2:] & small[1:-1]
-                    run &= small[:-2]
-                    first = int(run.argmax())
-                    if run[first]:
-                        stop = first + 2
-                if stop is not None:
+                else:
+                    # A block that reaches the model index waits for it: the
+                    # terms are computed anyway, and the stop gets the correction.
+                    first = max(_MIN_STOP_INDEX, model_index)
+                small[: max(first - count, 0)] = False
+                run = small & flags[1:-1]
+                run &= flags[:-2]
+                stop = int(run.argmax())
+                if run[stop]:
                     terms = terms[: stop + 1]
                     converged = True
-                if width > 1:  # a one-term block is always the last
-                    carry = bool(small[-2]), bool(small[-1])
+                carry = flags[-2:]
 
             total, comp = _accumulate(total, comp, float(terms.sum()))
             t_last = float(terms[-1])
@@ -343,16 +333,14 @@ def sum_series(
                 break
 
     if k_term is not None and count == k_term + 1:
-        return SummationResult(value, count, 0.0, SummationStatus.TERMINATED, 0.0)
+        return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
 
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
-    if tail_series and n_last >= _MIN_STOP_INDEX:
-        tail = abs(t_last) * (n_last + 1) / margin
-    else:
-        tail = abs(t_last)
     if error is None:
         if n_last < model_index:
             error = _early_tail_bound(abs(t_last), n_last, model_index, margin)
+        elif tail_series:
+            error = abs(t_last) * (n_last + 1) / margin
         else:
-            error = tail
-    return SummationResult(value, count, tail, status, error)
+            error = abs(t_last)
+    return SummationResult(value, count, status, error)

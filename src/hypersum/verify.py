@@ -36,6 +36,7 @@ from .series import (
     sum_series,
 )
 from . import theorems
+from .specialfn import _is_nonpositive_integer
 from .theorems import ShiftedPair
 
 __all__ = [
@@ -165,7 +166,7 @@ def _require_int(name: str, value: Any) -> int:
 
 def _require_series_safe_f(name: str, f: float) -> float:
     f = float(f)
-    if f <= 0.0 and f == math.floor(f):
+    if _is_nonpositive_integer(f):
         raise DegenerateError(
             f"{name}={f!r} is a nonpositive integer; the weighted series has "
             "no hypergeometric parameterization there"
@@ -173,15 +174,17 @@ def _require_series_safe_f(name: str, f: float) -> float:
     return f
 
 
-def _pair_items(raw: Any) -> list[tuple[float, int]]:
+def _pair_items(raw: Any) -> list[tuple[float, Any]]:
     """(f, m) of each pair in a ``pairs`` value, which may hold ShiftedPairs,
-    plain (f, m) pairs or be one bare ShiftedPair; nothing is checked."""
+    plain (f, m) pairs or be one bare ShiftedPair; nothing is checked.  An
+    integral shift becomes an int; any other is kept for ShiftedPair to
+    reject."""
     if isinstance(raw, ShiftedPair):
         raw = (raw,)
     items = []
     for item in raw:
         f, m = (item.f, item.m) if isinstance(item, ShiftedPair) else item
-        items.append((float(f), int(m)))
+        items.append((float(f), int(m) if float(m).is_integer() else m))
     return items
 
 
@@ -235,15 +238,12 @@ def _eq1_6(params: Mapping[str, Any]) -> _Assembled:
     # 1/(b + n mu) = (1/b) (b/mu)_n / (b/mu + 1)_n.
     b = float(params["b"])
     mu = float(params["mu"])
-    if not (b > 0.0):
-        raise DomainError(f"b must be positive, got {b!r}")
-    if not (mu > 0.0):
-        raise DomainError(f"mu must be positive, got {mu!r}")
+    closed = theorems.mu_spaced_sum(b, mu)  # checks b > 0 and mu > 0 first
     ratio = b / mu
     return _Assembled(
         SeriesSpec((0.5, ratio), (ratio + 1.0,)),
         1.0 / b,
-        theorems.mu_spaced_sum(b, mu),
+        closed,
         f"b>0 and mu>0: b={b:g}, mu={mu:g}",
     )
 
@@ -498,7 +498,6 @@ def _encode_summation(result: SummationResult) -> dict[str, Any]:
     return {
         "value": result.value,
         "terms_used": result.terms_used,
-        "tail_estimate": result.tail_estimate,
         "status": result.status.value,
         "error_estimate": result.error_estimate,
     }
@@ -533,9 +532,8 @@ def report_from_dict(data: Mapping[str, Any]) -> VerificationReport:
         summation = SummationResult(
             value=float(raw["value"]),
             terms_used=int(raw["terms_used"]),
-            tail_estimate=float(raw["tail_estimate"]),
             status=SummationStatus(raw["status"]),
-            error_estimate=float(raw.get("error_estimate", raw["tail_estimate"])),
+            error_estimate=float(raw["error_estimate"]),
         )
     return VerificationReport(
         case=case,

@@ -201,7 +201,7 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
                 break
 
     if k_term is not None and count == k_term + 1:
-        return SummationResult(value, count, 0.0, SummationStatus.TERMINATED, 0.0)
+        return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
 
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
     if tail_series and n_last >= 20:
@@ -213,4 +213,4 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
             error = _early_tail_bound(abs(t_last), n_last, model_index, margin)
         else:
             error = tail
-    return SummationResult(value, count, tail, status, error)
+    return SummationResult(value, count, status, error)

@@ -10,6 +10,7 @@ import pytest
 
 import hypersum
 from hypersum.cli import main
+from hypersum.series import SeriesSpec, sum_series
 from hypersum.verify import report_from_dict, report_to_dict
 
 
@@ -91,8 +92,26 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "-3,2;5", "--format", "csv")
         assert code == 0
         header, row = out.strip().splitlines()
-        assert header == "value,terms_used,tail_estimate,status"
+        assert header == "value,terms_used,error_estimate,status"
         assert row.endswith("Terminated")
+
+    @pytest.mark.parametrize("spec, nums, dens, max_terms", [
+        ("0.5,0.45;1.05", (0.5, 0.45), (1.05,), 10_000_000),
+        ("0.5,0.25;1.25", (0.5, 0.25), (1.25,), 1000),
+        ("-3,2;5", (-3.0, 2.0), (5.0,), 10_000_000),
+        ("0.5;0.5", (0.5,), (0.5,), 10_000_000),
+    ])
+    def test_prints_error_estimate(self, capsys, spec, nums, dens, max_terms):
+        want = sum_series(SeriesSpec(nums, dens), rel_tol=1e-10, max_terms=max_terms)
+        argv = ("eval", spec, "--rel-tol", "1e-10", "--max-terms", str(max_terms))
+        _, out, _ = run(capsys, *argv, "--format", "csv")
+        assert out.splitlines()[1].split(",")[2] == format(want.error_estimate, ".17g")
+        _, out, _ = run(capsys, *argv)
+        assert f"error_estimate {want.error_estimate:.12g}" in out.splitlines()
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        (row,) = json.loads(out)["results"]
+        assert list(row) == ["value", "terms_used", "status", "error_estimate"]
+        assert row["error_estimate"] == want.error_estimate
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "eval", "0.5,0.25;1.25", "--format", "json")

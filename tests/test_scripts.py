@@ -10,12 +10,16 @@ import hypersum
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_run_catalog():
+def run_script(name):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hypersum.__file__)))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_catalog.py")],
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_run_catalog():
+    proc = run_script("run_catalog.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     catalog = [line for line in lines if line.endswith(("[ok]", "[FAIL]"))]
@@ -23,3 +27,12 @@ def test_run_catalog():
     assert all(line.endswith("[ok]") for line in catalog)
     assert sum(line.startswith("  margin-m=") for line in lines) == 6
     assert "all passed: True" in proc.stdout
+
+
+def test_cli_digest():
+    proc = run_script("cli_digest.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) > 100
+    assert {line.split()[0] for line in lines} <= {"0", "1", "2", "3"}

@@ -14,6 +14,7 @@ from hypersum.errors import (
     RangeError,
 )
 from hypersum.series import (
+    DEFAULT_MAX_TERMS,
     SeriesSpec,
     SummationStatus,
     convergence_margin,
@@ -69,7 +70,6 @@ class TestTermination:
         result = sum_series(SeriesSpec((-3.0, 2.0), (5.0,)), rel_tol=1e-6)
         assert result.status is SummationStatus.TERMINATED
         assert result.terms_used == 4
-        assert result.tail_estimate == 0.0
         assert result.error_estimate == 0.0
         assert result.value == pytest.approx(2.0 / 7.0, rel=1e-15)
 
@@ -78,7 +78,7 @@ class TestTermination:
         result = sum_series(SeriesSpec((-float(k), 1.3), (2.2, 0.7)), rel_tol=1e-10)
         assert result.status is SummationStatus.TERMINATED
         assert result.terms_used == k + 1
-        assert result.tail_estimate == 0.0
+        assert result.error_estimate == 0.0
 
     def test_oracle_agreement_50_random_specs(self):
         rng = random.Random(20260810)
@@ -113,7 +113,7 @@ class TestConvergence:
             spec = SeriesSpec(nums, dens)
             loose = sum_series(spec, rel_tol=1e-8)
             tight = sum_series(spec, rel_tol=1e-12)
-            bound = loose.tail_estimate + 10.0 * 1e-8 * abs(tight.value)
+            bound = loose.error_estimate + 10.0 * 1e-8 * abs(tight.value)
             assert abs(loose.value - tight.value) <= bound
 
     def test_exponential_type_series(self):
@@ -130,7 +130,7 @@ class TestConvergence:
         result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-12, max_terms=5000)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
         assert result.terms_used == 5000
-        assert result.tail_estimate > 0.0
+        assert result.error_estimate > 0.0
 
 
 class TestRichardsonStop:
@@ -147,7 +147,6 @@ class TestRichardsonStop:
     def test_error_estimate_is_far_below_tail_bound(self):
         result = sum_series(SeriesSpec((0.5, 0.5), (2.0,)), rel_tol=1e-12)
         assert result.error_estimate <= 1e-12 * result.value
-        assert result.tail_estimate > 1e3 * result.error_estimate
         assert abs(result.value - FOUR_OVER_PI) <= result.error_estimate
 
     @pytest.mark.parametrize("max_terms", [15_362, 31_746])
@@ -255,6 +254,8 @@ class TestKernelMatchesReference:
         # test first holds at n = first_small: the stop at first_small + 2
         # then falls on the block's last two terms or the next block's first
         # two, where the flags carried over from the block before decide it.
+        # With max_terms = first_small + 3 the stop is the last term of the
+        # budget; at first_small = 1023 it is the only term of its block.
         spec = SeriesSpec((0.5, 0.5), (2.5,))
         term, total = 1.0, 1.0
         ratios = []
@@ -264,9 +265,11 @@ class TestKernelMatchesReference:
             ratios.append(term / total)
         rel_tol = ratios[first_small - 1] * (1.0 + 1e-9)
         assert ratios[first_small - 2] > rel_tol
-        want = reference_sum_series(spec, rel_tol=rel_tol)
-        assert want.terms_used == first_small + 3
-        assert sum_series(spec, rel_tol=rel_tol) == want
+        for max_terms in (DEFAULT_MAX_TERMS, first_small + 3):
+            want = reference_sum_series(spec, rel_tol=rel_tol, max_terms=max_terms)
+            assert want.terms_used == first_small + 3
+            assert want.status is SummationStatus.CONVERGED
+            assert sum_series(spec, rel_tol=rel_tol, max_terms=max_terms) == want
 
 
 def _gauss_half_half(c: int) -> float:

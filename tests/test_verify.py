@@ -299,14 +299,6 @@ class TestReportSerialization:
         assert data["summation"]["error_estimate"] == report.summation.error_estimate
         assert report_from_dict(data) == report
 
-    def test_report_without_error_estimate_loads(self):
-        # reports written before error_estimate existed
-        report = verify_identity(IdentityCase(IdentityId.EQ_2_7, {"p": 3, "f": 0.7}))
-        data = json.loads(json.dumps(report_to_dict(report)))
-        del data["summation"]["error_estimate"]
-        loaded = report_from_dict(data).summation
-        assert loaded.error_estimate == loaded.tail_estimate == report.summation.tail_estimate
-
     def test_round_trip_pairs_and_na(self):
         reports = sweep(
             IdentityId.EQ_2_2,
@@ -333,6 +325,30 @@ class TestReportSerialization:
         data = json.loads(json.dumps(report_to_dict(report)))
         assert data["parameters"]["pairs"] == []
         assert report_from_dict(data) == report
+
+    def test_non_integer_shift_is_not_applicable(self):
+        # A plain pair keeps its shift as given, so ShiftedPair rejects 1.9
+        # instead of the builder summing the m = 1 identity.
+        params = {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": ((1.3, 1.9),)}
+        with pytest.raises(DegenerateError, match="positive integer, got 1.9"):
+            verify_identity(IdentityCase(IdentityId.EQ_2_2, params))
+        (report,) = sweep(IdentityId.EQ_2_2, {k: [v] for k, v in params.items()})
+        assert report.passed is None
+        data = json.loads(json.dumps(report_to_dict(report)))
+        assert data["parameters"]["pairs"] == [[1.3, 1.9]]
+        assert report_from_dict(data) == report
+        for m in (math.nan, math.inf):
+            with pytest.raises(DegenerateError, match="positive integer"):
+                verify_identity(IdentityCase(IdentityId.EQ_2_2, {**params, "pairs": ((1.3, m),)}))
+
+    def test_integral_shifts_encode_as_ints(self):
+        pairs = ((1.3, 1.0), ShiftedPair(2.1, 2))
+        report = verify_identity(
+            IdentityCase(IdentityId.EQ_2_2, {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": pairs})
+        )
+        assert report.passed
+        encoded = json.dumps(report_to_dict(report)["parameters"]["pairs"])
+        assert encoded == "[[1.3, 1], [2.1, 2]]"
 
     def test_empty_pairs_raise_in_verify(self):
         case = IdentityCase(IdentityId.EQ_2_2, {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": ()})
