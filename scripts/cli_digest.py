@@ -56,19 +56,23 @@ VERIFY = (
     ("eq1.6", "--b", "1e300", "--mu", "1e-10"),
     ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "0.9", "--m", "2"),
     ("eq2.1", "--a", "3.5", "--b", "1.7", "--c", "0.9", "--m", "2"),
+    ("eq2.1", "--a", "1", "--b", "-3", "--c", "0.9", "--m", "5"),
     ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", "1.3:1,2.1:2"),
     ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "1", "--pairs", "1.3:1"),
     ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", "0:1"),
     ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", "1.3:0"),
     ("eq2.2", "--a", "0.3", "--b", "0.2", "--c", "1e200", "--pairs", "1.3:1"),
+    ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "1e17", "--pairs", "1.3:1"),
     ("eq2.3", "--b", "0.5", "--c", "0.25"),
     ("eq2.3", "--b", "-0.5", "--c", "0.25"),
+    ("eq2.3", "--b", "1e160", "--c", "0.25"),
     ("eq2.5", "--p", "1"),
     ("eq2.5", "--p", "0"),
     ("eq2.5", "--p", "200"),
     ("eq2.6", "--p", "3", "--f", "0.7"),
     ("eq2.6", "--p", "1", "--f", "0.7"),
     ("eq2.6", "--p", "3", "--f", "0"),
+    ("eq2.6", "--p", "3", "--f", "1e17"),
     ("eq2.7", "--p", "3", "--f", "0.7"),
     ("eq2.7", "--p", "2", "--f", "0.5"),
     ("eq2.8", "--p", "4", "--f1", "0.3", "--f2", "2.2"),
@@ -78,7 +82,8 @@ VERIFY = (
 )
 
 # Terminating, margin-1/2, small-margin and p = q series; two that run out
-# of budget; divergent and overflowing ones.
+# of budget; divergent and overflowing ones; one whose tail model starts
+# past the int64 range.
 EVAL = (
     ("-3,2;5",),
     ("-2.5,1;3",),
@@ -90,6 +95,7 @@ EVAL = (
     ("1,1;1",),
     ("1e200;1e-200",),
     ("1e160,1;2e160",),
+    ("0.5,1e10;2e10",),
 )
 
 SWEEP = (

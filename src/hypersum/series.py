@@ -295,8 +295,9 @@ def sum_series(
                     # No tail correction is applied below the model index, so
                     # a stop there must also bound the uncorrected tail.
                     first = _MIN_STOP_INDEX
-                    n = count + np.arange(width)
-                    small &= _early_tail_bound(mags, n, model_index, margin) <= scaled
+                    # idx + 1 are the term indices, as floats: exact below
+                    # 2^53, and M may be past the int64 range.
+                    small &= _early_tail_bound(mags, idx + 1.0, model_index, margin) <= scaled
                 else:
                     # A block that reaches the model index waits for it: the
                     # terms are computed anyway, and the stop gets the correction.

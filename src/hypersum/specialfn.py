@@ -31,20 +31,11 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def _sinpi(x: float) -> float:
-    # sin(pi*x) with argument reduction around the nearest integer, so the
-    # result stays fully accurate near the zeros of sine.
-    k = round(x)
-    r = x - k  # exact: |r| <= 1/2
-    s = math.sin(math.pi * r)
-    return s if int(k) % 2 == 0 else -s
-
-
-def _cospi(x: float) -> float:
-    k = round(x)
-    r = x - k
-    c = math.cos(math.pi * r)
-    return c if int(k) % 2 == 0 else -c
+def _cotpi(x: float) -> float:
+    # cot(pi*x) from x less its nearest integer: cot has period 1, and the
+    # reduction keeps the result fully accurate near the poles.
+    r = x - round(x)  # exact: |r| <= 1/2
+    return math.cos(math.pi * r) / math.sin(math.pi * r)
 
 
 def _check_real(name: str, x: float) -> float:
@@ -113,7 +104,7 @@ def digamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at x={x!r}")
     if x < 0.5:
-        return digamma(1.0 - x) - math.pi * (_cospi(x) / _sinpi(x))
+        return digamma(1.0 - x) - math.pi * _cotpi(x)
     acc = 0.0
     while x < 10.0:
         acc -= 1.0 / x

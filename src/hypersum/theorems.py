@@ -107,9 +107,9 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     Value: c Gamma(1-a) (b)_m / (b-c)_m * { Gamma(c)/Gamma(1+c-a)
     - Gamma(b)/Gamma(1+b-a) * sum_{k<m} (1-a)_k (b-c)_k / ((1+b-a)_k k!) }.
 
-    Requires m + 1 - a > 0 (convergence of the left side) and (b-c)_m != 0;
-    b = c and the other integer collisions b - c in {-1, ..., -(m-1)} are
-    DegenerateError since the closed form becomes 0/0 there.
+    Requires m + 1 - a > 0 (convergence of the left side).  It raises
+    DegenerateError where (b-c)_m = 0 (b - c in {0, -1, ..., -(m-1)}), as the
+    closed form is 0/0 there, and where (1+b-a)_k = 0 for some k < m.
     """
     if m != int(m) or m < 1:
         raise DomainError(f"m must be a positive integer, got {m!r}")
@@ -122,6 +122,9 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
             f"(b-c)_m vanishes for b-c={b - c!r}, m={m}; the b=c limit is "
             "only available through ratio_sum_extension"
         )
+    low = 1.0 + b - a
+    if _is_nonpositive_integer(low) and low > -m:
+        raise DegenerateError(f"(1+b-a)_k vanishes for 1+b-a={low!r}, m={m}")
     inner = 0.0
     u = 1.0
     for k in range(m):
@@ -242,7 +245,7 @@ def mu_spaced_sum(b: float, mu: float) -> float:
         raise DomainError(f"b must be positive, got {b!r}")
     if not (mu > 0.0):
         raise DomainError(f"mu must be positive, got {mu!r}")
-    ratio = b / mu
+    ratio = _finite("b/mu", b / mu)
     return math.sqrt(math.pi) * gamma_ratio([ratio], [ratio + 0.5]) / mu
 
 

@@ -79,7 +79,7 @@ class IdentityId(str, enum.Enum):
 
 def identity_signature(identity: IdentityId | str) -> tuple[str, ...]:
     """Parameter names required by an identity, in canonical order."""
-    return _IDENTITIES[IdentityId(identity)][0]
+    return tuple(_IDENTITIES[IdentityId(identity)][0])
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,18 @@ class _Assembled:
     note: str
 
 
-# One record per identity: its signature and a builder that checks the
-# parameters and returns the series, the scale that turns its sum into the
-# left side, the closed form and the note.  Builders look up theorems.* at
-# call time, so the functions can be replaced (for tracing) after import.
+# One record per identity: its catalog point, whose keys in order are its
+# signature, and a builder that checks the parameters and returns the series,
+# the scale that turns its sum into the left side, the closed form and the
+# note.  Builders look up theorems.* at call time, so the functions can be
+# replaced (for tracing) after import.
 _Builder = Callable[[Mapping[str, Any]], _Assembled]
-_IDENTITIES: dict[IdentityId, tuple[tuple[str, ...], _Builder]] = {}
+_IDENTITIES: dict[IdentityId, tuple[dict[str, Any], _Builder]] = {}
 
 
-def _identity(identity: IdentityId, *signature: str) -> Callable[[_Builder], _Builder]:
+def _identity(identity: IdentityId, **point: Any) -> Callable[[_Builder], _Builder]:
     def register(build: _Builder) -> _Builder:
-        _IDENTITIES[identity] = (signature, build)
+        _IDENTITIES[identity] = (point, build)
         return build
     return register
 
@@ -192,11 +193,12 @@ def _normalize_pairs(raw: Any) -> tuple[ShiftedPair, ...]:
     return tuple(ShiftedPair(f, m) for f, m in _pair_items(raw))
 
 
-def _factorial(p: int) -> float:
-    try:
-        return float(math.factorial(p))
-    except OverflowError:
-        raise RangeError(f"{p}! exceeds binary64 range") from None
+def _shifted(name: str, x: float, m: int) -> float:
+    # x + m as a series parameter; a lost shift would change the margin.
+    shifted = x + m
+    if shifted == x:
+        raise RangeError(f"{name} + {m} rounds to {name} in binary64")
+    return shifted
 
 
 @_identity(IdentityId.EQ_1_1)
@@ -232,7 +234,7 @@ def _eq1_3(params: Mapping[str, Any]) -> _Assembled:
     )
 
 
-@_identity(IdentityId.EQ_1_6, "b", "mu")
+@_identity(IdentityId.EQ_1_6, b=1.0, mu=2.0)
 def _eq1_6(params: Mapping[str, Any]) -> _Assembled:
     # sum (1/2)_n / n! / (b + n mu) is 1/b times a 2F1, because
     # 1/(b + n mu) = (1/b) (b/mu)_n / (b/mu + 1)_n.
@@ -241,27 +243,28 @@ def _eq1_6(params: Mapping[str, Any]) -> _Assembled:
     closed = theorems.mu_spaced_sum(b, mu)  # checks b > 0 and mu > 0 first
     ratio = b / mu
     return _Assembled(
-        SeriesSpec((0.5, ratio), (ratio + 1.0,)),
+        SeriesSpec((0.5, ratio), (_shifted("b/mu", ratio, 1),)),
         1.0 / b,
         closed,
         f"b>0 and mu>0: b={b:g}, mu={mu:g}",
     )
 
 
-@_identity(IdentityId.EQ_2_1, "a", "b", "c", "m")
+@_identity(IdentityId.EQ_2_1, a=0.3, b=1.7, c=0.9, m=2)
 def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
     a, b, c = (float(params[k]) for k in ("a", "b", "c"))
     m = _require_int("m", params["m"])
     closed = theorems.contiguous_3f2(a, b, c, m)
     return _Assembled(
-        SeriesSpec((a, b, c), (b + m, c + 1.0)),
+        SeriesSpec((a, b, c), (_shifted("b", b, m), _shifted("c", c, 1))),
         1.0,
         closed,
         f"m+1-a>0: {m + 1.0 - a:.6g} > 0; (b-c)_m != 0",
     )
 
 
-@_identity(IdentityId.EQ_2_2, "a", "b", "c", "pairs")
+@_identity(IdentityId.EQ_2_2, a=0.4, b=0.3, c=6.0,
+           pairs=(ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)))
 def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
     a, b, c = (float(params[k]) for k in ("a", "b", "c"))
     pairs = _normalize_pairs(params["pairs"])
@@ -269,7 +272,7 @@ def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
         raise DegenerateError("at least one (f, m) pair is required")
     m_total = sum(p.m for p in pairs)
     closed = theorems.karlsson_minton(a, b, c, pairs)
-    uppers = (a, b) + tuple(p.f + p.m for p in pairs)
+    uppers = (a, b) + tuple(_shifted("f", p.f, p.m) for p in pairs)
     lowers = (c,) + tuple(p.f for p in pairs)
     return _Assembled(
         SeriesSpec(uppers, lowers),
@@ -279,84 +282,65 @@ def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
     )
 
 
-@_identity(IdentityId.EQ_2_3, "b", "c")
+@_identity(IdentityId.EQ_2_3, b=0.5, c=0.25)
 def _eq2_3(params: Mapping[str, Any]) -> _Assembled:
     b = float(params["b"])
     c = float(params["c"])
     closed = theorems.ratio_sum_extension(b, c)
     return _Assembled(
-        SeriesSpec((0.5, b, c), (b + 1.0, c + 1.0)),
+        SeriesSpec((0.5, b, c), (_shifted("b", b, 1), _shifted("c", c, 1))),
         1.0,
         closed,
         f"b>0 and c>0: b={b:g}, c={c:g}",
     )
 
 
-@_identity(IdentityId.EQ_2_5, "p")
+def _weighted(params: Mapping[str, Any], least_p: int, weights: Mapping[str, int],
+              closed: Callable[..., float]) -> _Assembled:
+    # The S_p family: sum ((1/2)_n/n!)^2 prod (n+f)_m / ((n+1)...(n+p)) over
+    # the weights {f: m}.  (n+f)_m = (f)_m (f+m)_n / (f)_n and
+    # 1/((n+1)...(n+p)) = (1)_n / (p! (p+1)_n), so the series has an upper
+    # f+m and a lower f per weight, a lower p+1, and scale prod (f)_m / p!.
+    p = _require_int("p", params["p"])
+    if p < least_p:
+        raise PreconditionError(f"p>={least_p} violated: p={p}")
+    fs = [_require_series_safe_f(name, params[name]) for name in weights]
+    uppers, scale = [0.5, 0.5], 1.0
+    for f, (name, m) in zip(fs, weights.items()):
+        uppers.append(_shifted(name, f, m))
+        for k in range(m):
+            scale *= f + k
+    spec = SeriesSpec(uppers, [_shifted("p", float(p), 1), *fs])
+    if p > 170:  # 171! > 1.8e308, and p! itself is slow to compute at large p
+        raise RangeError(f"{p}! exceeds binary64 range")
+    scale /= math.factorial(p)
+    return _Assembled(spec, scale, closed(p, *fs), f"p>={least_p}: p={p}")
+
+
+@_identity(IdentityId.EQ_2_5, p=1)
 def _eq2_5(params: Mapping[str, Any]) -> _Assembled:
-    p = _require_int("p", params["p"])
-    if p < 1:
-        raise PreconditionError(f"p>=1 violated: p={p}")
-    return _Assembled(
-        SeriesSpec((0.5, 0.5), (p + 1.0,)),
-        1.0 / _factorial(p),
-        theorems.s_p(p),
-        f"p>=1: p={p}",
-    )
+    return _weighted(params, 1, {}, theorems.s_p)
 
 
-def _weighted_first_order(
-    params: Mapping[str, Any], closed: Callable[[int, float], float]
-) -> _Assembled:
-    # The series of eq2.6 and of the telescoping identity; only the closed
-    # forms differ.
-    p = _require_int("p", params["p"])
-    if p < 2:
-        raise PreconditionError(f"p>=2 violated: p={p}")
-    f = _require_series_safe_f("f", params["f"])
-    spec = SeriesSpec((0.5, 0.5, f + 1.0), (p + 1.0, f))
-    scale = f / _factorial(p)
-    return _Assembled(spec, scale, closed(p, f), f"p>=2: p={p}")
-
-
-@_identity(IdentityId.EQ_2_6, "p", "f")
+@_identity(IdentityId.EQ_2_6, p=2, f=0.5)
 def _eq2_6(params: Mapping[str, Any]) -> _Assembled:
-    return _weighted_first_order(params, theorems.weighted_s1)
+    return _weighted(params, 2, {"f": 1}, theorems.weighted_s1)
 
 
-@_identity(IdentityId.EQ_2_7, "p", "f")
+@_identity(IdentityId.EQ_2_7, p=3, f=0.7)
 def _eq2_7(params: Mapping[str, Any]) -> _Assembled:
-    p = _require_int("p", params["p"])
-    if p < 3:
-        raise PreconditionError(f"p>=3 violated: p={p}")
-    f = _require_series_safe_f("f", params["f"])
-    return _Assembled(
-        SeriesSpec((0.5, 0.5, f + 2.0), (p + 1.0, f)),
-        f * (f + 1.0) / _factorial(p),
-        theorems.weighted_s2(p, f),
-        f"p>=3: p={p}",
-    )
+    return _weighted(params, 3, {"f": 2}, theorems.weighted_s2)
 
 
-@_identity(IdentityId.EQ_2_8, "p", "f1", "f2")
+@_identity(IdentityId.EQ_2_8, p=4, f1=0.3, f2=2.2)
 def _eq2_8(params: Mapping[str, Any]) -> _Assembled:
-    p = _require_int("p", params["p"])
-    if p < 3:
-        raise PreconditionError(f"p>=3 violated: p={p}")
-    f1 = _require_series_safe_f("f1", params["f1"])
-    f2 = _require_series_safe_f("f2", params["f2"])
-    return _Assembled(
-        SeriesSpec((0.5, 0.5, f1 + 1.0, f2 + 1.0), (p + 1.0, f1, f2)),
-        f1 * f2 / _factorial(p),
-        theorems.weighted_pair(p, f1, f2),
-        f"p>=3: p={p}",
-    )
+    return _weighted(params, 3, {"f1": 1, "f2": 1}, theorems.weighted_pair)
 
 
-@_identity(IdentityId.TELESCOPE, "p", "f")
+@_identity(IdentityId.TELESCOPE, p=3, f=1.0)
 def _telescope(params: Mapping[str, Any]) -> _Assembled:
-    return _weighted_first_order(
-        params, lambda p, f: theorems.s_p(p - 1) + (f - p) * theorems.s_p(p)
+    return _weighted(
+        params, 2, {"f": 1}, lambda p, f: theorems.s_p(p - 1) + (f - p) * theorems.s_p(p)
     )
 
 
@@ -372,7 +356,8 @@ def verify_identity(
     Raises PreconditionError / DegenerateError / DivergenceError /
     DomainError / PoleError, with the failing condition in the message, when
     the parameters fall outside the identity's validity region, and
-    RangeError when a value on either side exceeds the binary64 range.
+    RangeError when a value on either side exceeds the binary64 range or a
+    shifted series parameter x + m rounds to x.
     """
     assembled = _assemble(case)
     result = sum_series(
@@ -442,35 +427,14 @@ def sweep(
 
 
 def builtin_catalog(rel_tol: float = DEFAULT_REL_TOL) -> list[IdentityCase]:
-    """The twelve canonical identity instances.
+    """The twelve canonical identity instances, one per registration.
 
     Identities whose parameters are fixed by the source material keep those
-    values; the rest carry representative defaults.
+    values; the rest carry the representative point they are registered with.
     """
     return [
-        IdentityCase(IdentityId.EQ_1_1, {}, rel_tol),
-        IdentityCase(IdentityId.EQ_1_2, {}, rel_tol),
-        IdentityCase(IdentityId.EQ_1_3, {}, rel_tol),
-        IdentityCase(IdentityId.EQ_1_6, {"b": 1.0, "mu": 2.0}, rel_tol),
-        IdentityCase(
-            IdentityId.EQ_2_1, {"a": 0.3, "b": 1.7, "c": 0.9, "m": 2}, rel_tol
-        ),
-        IdentityCase(
-            IdentityId.EQ_2_2,
-            {
-                "a": 0.4,
-                "b": 0.3,
-                "c": 6.0,
-                "pairs": (ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)),
-            },
-            rel_tol,
-        ),
-        IdentityCase(IdentityId.EQ_2_3, {"b": 0.5, "c": 0.25}, rel_tol),
-        IdentityCase(IdentityId.EQ_2_5, {"p": 1}, rel_tol),
-        IdentityCase(IdentityId.EQ_2_6, {"p": 2, "f": 0.5}, rel_tol),
-        IdentityCase(IdentityId.EQ_2_7, {"p": 3, "f": 0.7}, rel_tol),
-        IdentityCase(IdentityId.EQ_2_8, {"p": 4, "f1": 0.3, "f2": 2.2}, rel_tol),
-        IdentityCase(IdentityId.TELESCOPE, {"p": 3, "f": 1.0}, rel_tol),
+        IdentityCase(identity, dict(point), rel_tol)
+        for identity, (point, _) in _IDENTITIES.items()
     ]
 
 

@@ -29,6 +29,12 @@ def run_python(*argv):
 
 
 class TestEval:
+    def test_model_index_past_int64(self, capsys):
+        code, out, _ = run(capsys, "eval", "0.5,1e10;2e10", "--format", "csv")
+        assert code == 0
+        value, _, _, status = out.splitlines()[1].split(",")
+        assert (float(value), status) == (1.4142135623996115, "Converged")
+
     def test_gauss_series(self, capsys):
         code, out, _ = run(capsys, "eval", "0.5,0.25;1.25")
         assert code == 0
@@ -154,6 +160,35 @@ class TestVerify:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stdout.startswith("not applicable: tail shape coefficient")
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (("--identity", "eq2.1", "--a", "1", "--b", "-3", "--c", "0.9", "--m", "5"),
+             "(1+b-a)_k vanishes for 1+b-a=-3.0, m=5"),
+            (("--identity", "eq2.3", "--b", "1e160", "--c", "0.25"),
+             "b + 1 rounds to b in binary64"),
+            (("--identity", "eq2.6", "--p", "3", "--f", "1e17"),
+             "f + 1 rounds to f in binary64"),
+            (("--identity", "eq1.6", "--b", "1e300", "--mu", "1e-10"),
+             "b/mu value is not finite in binary64 (inf)"),
+        ],
+    )
+    def test_typed_not_applicable_without_traceback(self, argv, message):
+        proc = run_python("-m", "hypersum.cli", "verify", *argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == f"not applicable: {message}\n"
+
+    def test_model_index_past_int64_without_traceback(self):
+        # c = 1e17 puts the kernel's model index 4|c1| past the int64 range.
+        proc = run_python(
+            "-m", "hypersum.cli", "sweep", "--identity", "eq2.2",
+            "--a", "0.4", "--b", "0.3", "--c", "6,1e17", "--pairs", "1.3:1",
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines()[-1] == "passed=2 failed=0 not_applicable=0"
 
     def test_empty_int_value_is_usage_error(self):
         proc = run_python("-m", "hypersum.cli", "verify", "--identity", "eq2.5", "--p", "")

@@ -295,6 +295,20 @@ def test_shape_coefficient_overflow_is_typed(uppers, lowers):
         sum_series(SeriesSpec(uppers, lowers))
 
 
+@pytest.mark.parametrize(
+    "uppers,lowers", [((0.5, 1e10), (2e10,)), ((0.25, 1.0, 2e9), (1.5, 4e9))]
+)
+def test_model_index_past_int64(uppers, lowers):
+    # |c1| is ~1.5e20 and ~6e18, so the model index M = 4|c1| is past the int64
+    # range while the terms are tiny after a few dozen.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = float(mpmath.hyper(uppers, lowers, 1))
+    result = sum_series(SeriesSpec(uppers, lowers))
+    assert result.status is SummationStatus.CONVERGED
+    assert abs(result.value - want) <= 1e-12 * abs(want)
+
+
 class TestDivergenceGate:
     @pytest.mark.parametrize(
         "nums,dens",

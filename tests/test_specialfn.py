@@ -134,6 +134,17 @@ class TestDigamma:
         with pytest.raises(PoleError):
             specialfn.digamma(x)
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 7])
+    @pytest.mark.parametrize("d", [1e-12, -1e-12, 1e-6, -0.3, 0.49])
+    def test_reflection_near_poles_matches_mpmath(self, k, d):
+        # pi cot(pi x) carries the pole; reducing x to the nearest integer
+        # keeps it accurate next to each pole.
+        mpmath = pytest.importorskip("mpmath")
+        x = d - k
+        with mpmath.workdps(40):
+            want = float(mpmath.digamma(x))
+        assert rel_err(specialfn.digamma(x), want) <= 1e-13
+
     @given(st.floats(min_value=0.1, max_value=100.0))
     @settings(max_examples=300, deadline=None)
     def test_recurrence(self, x):

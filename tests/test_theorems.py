@@ -111,6 +111,15 @@ class TestContiguous:
         with pytest.raises(PreconditionError):
             theorems.contiguous_3f2(2.0, 1.7, 0.9, 1)
 
+    @pytest.mark.parametrize(
+        "a,b,c,m", [(1.0, -3.0, 0.9, 5), (0.5, -0.5, 0.9, 6), (-1.0, -2.0, 1.0, 1)]
+    )
+    def test_degenerate_lower_pochhammer(self, a, b, c, m):
+        # 1+b-a is 0 or a negative integer above -m, so one (1+b-a)_k in the
+        # finite sum is zero.
+        with pytest.raises(DegenerateError, match=r"\(1\+b-a\)_k vanishes"):
+            theorems.contiguous_3f2(a, b, c, m)
+
     def test_bad_m(self):
         with pytest.raises(DomainError):
             theorems.contiguous_3f2(0.3, 1.7, 0.9, 0)
@@ -425,3 +434,7 @@ class TestMuSpacedSum:
             theorems.mu_spaced_sum(0.0, 1.0)
         with pytest.raises(DomainError):
             theorems.mu_spaced_sum(1.0, 0.0)
+
+    def test_ratio_overflow_is_range_error(self):
+        with pytest.raises(RangeError, match="b/mu value is not finite"):
+            theorems.mu_spaced_sum(1e300, 1e-10)

@@ -2,13 +2,14 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from hypersum import verify
 from hypersum.cli import _PARAM_FLAGS, _table_entries
 from hypersum.errors import ConfigError, DegenerateError, PreconditionError, RangeError
-from hypersum.series import SummationStatus
+from hypersum.series import SeriesSpec, SummationStatus
 from hypersum.theorems import ShiftedPair, s_p
 from hypersum.verify import (
     IdentityCase,
@@ -163,11 +164,96 @@ class TestIdentityTable:
                 report.rhs, report.lhs, report.rel_err, report.passed
             )
 
+    def test_catalog_points(self):
+        pairs = (ShiftedPair(1.3, 1), ShiftedPair(2.1, 2))
+        assert [(case.identity.value, case.parameters) for case in builtin_catalog()] == [
+            ("eq1.1", {}),
+            ("eq1.2", {}),
+            ("eq1.3", {}),
+            ("eq1.6", {"b": 1.0, "mu": 2.0}),
+            ("eq2.1", {"a": 0.3, "b": 1.7, "c": 0.9, "m": 2}),
+            ("eq2.2", {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": pairs}),
+            ("eq2.3", {"b": 0.5, "c": 0.25}),
+            ("eq2.5", {"p": 1}),
+            ("eq2.6", {"p": 2, "f": 0.5}),
+            ("eq2.7", {"p": 3, "f": 0.7}),
+            ("eq2.8", {"p": 4, "f1": 0.3, "f2": 2.2}),
+            ("telescope", {"p": 3, "f": 1.0}),
+        ]
+        first, second = builtin_catalog(), builtin_catalog()
+        first[3].parameters["b"] = 5.0
+        assert second[3].parameters["b"] == 1.0
+
+    # Each weight (n+f)_m of the S_p family is an upper parameter f+m over a
+    # lower f; the scale (f)_m / p! restores the factors left out of the series.
+    @pytest.mark.parametrize(
+        "identity,params,spec,scale",
+        [
+            (IdentityId.EQ_2_5, {"p": 1}, ((0.5, 0.5), (2.0,)), 1.0 / 1.0),
+            (IdentityId.EQ_2_5, {"p": 7}, ((0.5, 0.5), (8.0,)), 1.0 / 5040.0),
+            (IdentityId.EQ_2_6, {"p": 2, "f": 0.5}, ((0.5, 0.5, 0.5 + 1.0), (3.0, 0.5)), 0.5 / 2.0),
+            (IdentityId.EQ_2_6, {"p": 5, "f": -1.3}, ((0.5, 0.5, -1.3 + 1.0), (6.0, -1.3)), -1.3 / 120.0),
+            (IdentityId.EQ_2_7, {"p": 3, "f": 0.7}, ((0.5, 0.5, 0.7 + 2.0), (4.0, 0.7)), 0.7 * (0.7 + 1.0) / 6.0),
+            (IdentityId.EQ_2_7, {"p": 6, "f": 2.9}, ((0.5, 0.5, 2.9 + 2.0), (7.0, 2.9)), 2.9 * (2.9 + 1.0) / 720.0),
+            (
+                IdentityId.EQ_2_8,
+                {"p": 4, "f1": 0.3, "f2": 2.2},
+                ((0.5, 0.5, 0.3 + 1.0, 2.2 + 1.0), (5.0, 0.3, 2.2)),
+                0.3 * 2.2 / 24.0,
+            ),
+            (
+                IdentityId.EQ_2_8,
+                {"p": 5, "f1": 1.1, "f2": -0.6},
+                ((0.5, 0.5, 1.1 + 1.0, -0.6 + 1.0), (6.0, 1.1, -0.6)),
+                1.1 * -0.6 / 120.0,
+            ),
+            (IdentityId.TELESCOPE, {"p": 3, "f": 1.0}, ((0.5, 0.5, 2.0), (4.0, 1.0)), 1.0 / 6.0),
+            (IdentityId.TELESCOPE, {"p": 4, "f": 1.5}, ((0.5, 0.5, 1.5 + 1.0), (5.0, 1.5)), 1.5 / 24.0),
+        ],
+    )
+    def test_sp_family_spec_and_scale(self, identity, params, spec, scale):
+        case = IdentityCase(identity, params)
+        assert case.spec == SeriesSpec(*spec)
+        report = verify_identity(case)
+        assert report.lhs == scale * report.summation.value
+
     def test_spec_raises_like_verify(self):
         case = IdentityCase(IdentityId.EQ_2_7, {"p": 2, "f": 0.5})
         for evaluate in (lambda: case.spec, lambda: verify_identity(case)):
             with pytest.raises(PreconditionError, match="p>=3 violated: p=2"):
                 evaluate()
+
+
+class TestLostShifts:
+    # A shift x + m that rounds to x changes the series' margin, so a
+    # convergent series such as eq2.3 at b = 1e160 would read as divergent.
+    @pytest.mark.parametrize(
+        "identity,params,name",
+        [
+            (IdentityId.EQ_1_6, {"b": 1e17, "mu": 1.0}, "b/mu"),
+            (IdentityId.EQ_2_1, {"a": 0.3, "b": 1e17, "c": 0.9, "m": 2}, "b"),
+            (IdentityId.EQ_2_2, {"a": 0.4, "b": 0.3, "c": 1e18, "pairs": ((1e17, 1),)}, "f"),
+            (IdentityId.EQ_2_3, {"b": 1e160, "c": 0.25}, "b"),
+            (IdentityId.EQ_2_3, {"b": 0.25, "c": 1e160}, "c"),
+            (IdentityId.EQ_2_5, {"p": 10**17}, "p"),
+            (IdentityId.EQ_2_6, {"p": 3, "f": 1e17}, "f"),
+            (IdentityId.EQ_2_8, {"p": 3, "f1": 0.5, "f2": 2e17}, "f2"),
+        ],
+    )
+    def test_lost_shift_is_range_error(self, identity, params, name):
+        name = re.escape(name)
+        with pytest.raises(RangeError, match=rf"^{name} \+ \d+ rounds to {name} in binary64$"):
+            verify_identity(IdentityCase(identity, params))
+
+    def test_lost_shift_is_one_na_row(self):
+        reports = sweep(IdentityId.EQ_2_3, {"b": [0.5, 1e160], "c": [0.25]})
+        assert [r.passed for r in reports] == [True, None]
+        assert reports[1].precondition_note == "b + 1 rounds to b in binary64"
+
+    def test_large_p_fails_fast(self):
+        # p! is never computed past 170!, which is the binary64 limit.
+        with pytest.raises(RangeError, match=r"^1000000! exceeds binary64 range$"):
+            verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 10**6}))
 
 
 class TestSweep:
