@@ -83,7 +83,8 @@ VERIFY = (
 
 # Terminating, margin-1/2, small-margin and p = q series; two that run out
 # of budget; divergent and overflowing ones; one whose tail model starts
-# past the int64 range.
+# past the int64 range; two whose parameter sums overflow and one whose
+# model index 4|c1| does.
 EVAL = (
     ("-3,2;5",),
     ("-2.5,1;3",),
@@ -96,6 +97,10 @@ EVAL = (
     ("1e200;1e-200",),
     ("1e160,1;2e160",),
     ("0.5,1e10;2e10",),
+    ("0.5;1e308,1e308",),
+    ("-1e308,-1e308;0.5",),
+    ("1.34e154,0.5,0.5,0.5;4.4666666666666674e+153,4.4666666666666674e+153,"
+     "4.4666666666666674e+153",),
 )
 
 SWEEP = (

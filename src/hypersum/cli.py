@@ -9,8 +9,8 @@ Usage:
 Global flags: --format human|json|csv, --rel-tol (default 1e-10),
 --max-terms (default 10000000).
 
-Exit codes: 0 success, 1 usage/config error, 2 not-applicable, divergent
-or out of binary64 range (RangeError), 3 verification failure.
+Exit codes: 0 success, 1 usage error (ConfigError), 2 not applicable (any
+NotApplicableError) or eval's term budget exhausted, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ import sys
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from .errors import (
-    NA_ERRORS,
-    ConfigError,
-    DivergenceError,
-    DomainError,
-    NondegenerateError,
-)
+from .errors import ConfigError, DivergenceError, NotApplicableError
 from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationStatus, sum_series
 from .verify import (
     DEFAULT_REL_TOL,
@@ -147,7 +141,10 @@ def _parse_series_spec(text: str) -> SeriesSpec:
         raise ConfigError(
             f"series spec must look like 'a1,a2,...;b1,b2,...', got {text!r}"
         )
-    return SeriesSpec(*(_parse_list(part, _parse_float) for part in parts))
+    try:
+        return SeriesSpec(*(_parse_list(part, _parse_float) for part in parts))
+    except NotApplicableError as err:  # the spec is input: a usage error
+        raise ConfigError(str(err)) from None
 
 
 def _parameter_values(identity: IdentityId, args: argparse.Namespace, listy: bool) -> dict[str, Any]:
@@ -229,7 +226,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     }
     try:
         result = sum_series(spec, rel_tol=args.rel_tol, max_terms=args.max_terms)
-    except (DivergenceError, OverflowError) as err:
+    except NotApplicableError as err:
         kind = "divergent" if isinstance(err, DivergenceError) else "not applicable"
         message = [f"{kind}: {err}"]
         summary = {"error": str(err), "exit": EXIT_NOT_APPLICABLE}
@@ -263,7 +260,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     case = IdentityCase(identity, params, rel_tol=args.rel_tol)
     try:
         report = verify_identity(case, max_terms=args.max_terms)
-    except NA_ERRORS as err:
+    except NotApplicableError as err:
         message = [f"not applicable: {err}"]
         summary = {"not_applicable": str(err), "exit": EXIT_NOT_APPLICABLE}
         return _finish(args, "verify", inputs, [], summary, message, message)
@@ -440,7 +437,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "table": _cmd_table,
         }[args.command]
         return handler(args)
-    except (ConfigError, DomainError, NondegenerateError) as err:
+    except ConfigError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_USAGE
 

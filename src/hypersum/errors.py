@@ -2,6 +2,12 @@
 
 Poles and domain violations are always reported as exceptions: no operation
 in this package returns NaN or infinity to signal a problem.
+
+The hierarchy alone says what an error means to a caller.  A ConfigError is
+a malformed request (a bad flag, grid, identity id or tolerance): the CLI
+exits 1 on it.  Every other error derives from NotApplicableError: the
+request is well formed, but the point lies outside what the series or the
+identity can evaluate.  A sweep records it as an n/a row and the CLI exits 2.
 """
 
 
@@ -9,46 +15,33 @@ class HypersumError(Exception):
     """Base class for every error raised by this package."""
 
 
-class PoleError(HypersumError):
+class ConfigError(HypersumError, ValueError):
+    """Malformed grid, identity id, tolerance or command-line configuration."""
+
+
+class NotApplicableError(HypersumError):
+    """A well-formed request whose point the series or identity cannot evaluate."""
+
+
+class PoleError(NotApplicableError):
     """A gamma-type function was evaluated at a nonpositive integer."""
 
 
-class DomainError(HypersumError, ValueError):
+class DomainError(NotApplicableError, ValueError):
     """An argument lies outside an operation's real domain."""
 
 
-class DivergenceError(HypersumError):
+class DivergenceError(NotApplicableError):
     """A non-terminating series fails the unit-argument convergence test."""
 
 
-class NondegenerateError(HypersumError):
-    """A series denominator parameter is (or reaches) a nonpositive integer."""
-
-
-class PreconditionError(HypersumError):
+class PreconditionError(NotApplicableError):
     """A closed-form theorem was invoked outside its validity region."""
 
 
-class DegenerateError(HypersumError):
-    """Parameters collide in a way that makes a closed form singular."""
+class DegenerateError(NotApplicableError):
+    """Parameters collide so that a series or closed form is singular."""
 
 
-class ConfigError(HypersumError, ValueError):
-    """Malformed grid, identity id, or command-line configuration."""
-
-
-class RangeError(HypersumError, OverflowError):
+class RangeError(NotApplicableError, OverflowError):
     """A result or an intermediate value exceeds the binary64 range."""
-
-
-# Errors that mark a point as outside what an identity or series can
-# evaluate: a sweep records them as n/a rows and the CLI exits 2 on them.
-NA_ERRORS = (
-    PreconditionError,
-    DegenerateError,
-    DivergenceError,
-    DomainError,
-    NondegenerateError,
-    PoleError,
-    RangeError,
-)

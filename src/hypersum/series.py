@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import DivergenceError, DomainError, NondegenerateError, RangeError
+from .errors import ConfigError, DegenerateError, DivergenceError, DomainError, RangeError
 from .specialfn import _is_nonpositive_integer
 
 __all__ = [
@@ -74,9 +74,7 @@ class SeriesSpec:
                 raise DomainError(f"series parameters must be finite, got {v!r}")
         for b in dens:
             if _is_nonpositive_integer(b):
-                raise NondegenerateError(
-                    f"lower parameter {b!r} is a nonpositive integer"
-                )
+                raise DegenerateError(f"lower parameter {b!r} is a nonpositive integer")
         if len(nums) > len(dens) + 1:
             raise DomainError(
                 f"p = {len(nums)} upper parameters need q >= p - 1 lower "
@@ -128,16 +126,23 @@ def convergence_margin(spec: SeriesSpec) -> float:
 
     For a non-terminating series with p = q + 1 the unit-argument series
     converges iff this margin is positive (terms decay like n^(-1-margin)).
-    Series with p <= q converge regardless.
+    Series with p <= q converge regardless.  Raises RangeError where a
+    parameter sum exceeds the binary64 range.
     """
-    return math.fsum(spec.denominators) - math.fsum(spec.numerators)
+    try:
+        return math.fsum(spec.denominators) - math.fsum(spec.numerators)
+    except OverflowError:  # fsum's intermediate overflow
+        raise RangeError("parameter sum exceeds binary64 range") from None
 
 
 def _term_shape_coefficient(spec: SeriesSpec) -> float:
     # First-order deviation of t_n from a pure power law:
     # t_n = K n^(-1-s) (1 + c1/n + ...) with c1 from the parameter moments.
-    upper = math.fsum(a * a - a for a in spec.numerators)
-    lower = math.fsum(b * b - b for b in spec.denominators)
+    try:
+        upper = math.fsum(a * a - a for a in spec.numerators)
+        lower = math.fsum(b * b - b for b in spec.denominators)
+    except OverflowError:  # fsum's intermediate overflow
+        return math.inf
     return 0.5 * (upper - lower)
 
 
@@ -217,18 +222,19 @@ def sum_series(
     B(N) below M, the integral-comparison bound |t_N| (N+1) / s for p = q + 1
     series, and |t_N| for the rest.  For a terminated series it is 0.
 
-    Raises DivergenceError for a non-terminating p = q + 1 series whose
-    convergence margin is not positive, and RangeError when a term or the
-    shape coefficient c1 exceeds the binary64 range.
+    Raises ConfigError for a rel_tol that is not positive or a max_terms
+    below 1, DivergenceError for a non-terminating p = q + 1 series whose
+    convergence margin is not positive, and RangeError when a term, a
+    parameter sum or the model index 4 |c1| exceeds the binary64 range.
     """
     # Imported here so that callers which never sum, such as CLI calls that
     # end in a usage error or an n/a, do not pay numpy's import time.
     import numpy as np
 
     if not (rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
+        raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
     if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
+        raise ConfigError(f"max_terms must be >= 1, got {max_terms!r}")
 
     k_term = spec.termination_index
     margin = convergence_margin(spec)
@@ -243,11 +249,13 @@ def sum_series(
     first_lower, *lowers = spec.denominators + (1.0,)
 
     tail_series = k_term is None and saturated
-    c1 = _term_shape_coefficient(spec)
-    if tail_series and not math.isfinite(c1):
-        raise RangeError(f"tail shape coefficient c1={c1!r} exceeds binary64 range")
-    # Index from which the tail model t_n ~ K n^(-1-s) (1 + c1/n) is used.
-    model_index = max(_MIN_STOP_INDEX, math.ceil(4.0 * abs(c1))) if tail_series else 0
+    c1, model_index = 0.0, 0
+    if tail_series:
+        c1 = _term_shape_coefficient(spec)
+        if not math.isfinite(4.0 * c1):
+            raise RangeError(f"tail shape coefficient c1={c1!r} exceeds binary64 range")
+        # Index from which the tail model t_n ~ K n^(-1-s) (1 + c1/n) is used.
+        model_index = max(_MIN_STOP_INDEX, math.ceil(4.0 * abs(c1)))
     lowest = min(spec.numerators + spec.denominators, default=math.inf)
 
     total, comp = 1.0, 0.0  # t_0

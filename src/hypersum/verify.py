@@ -21,10 +21,10 @@ from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from .errors import (
-    NA_ERRORS,
     ConfigError,
     DegenerateError,
     DomainError,
+    NotApplicableError,
     PreconditionError,
     RangeError,
 )
@@ -353,11 +353,10 @@ def verify_identity(
 ) -> VerificationReport:
     """Check one identity instance: direct summation against the closed form.
 
-    Raises PreconditionError / DegenerateError / DivergenceError /
-    DomainError / PoleError, with the failing condition in the message, when
-    the parameters fall outside the identity's validity region, and
-    RangeError when a value on either side exceeds the binary64 range or a
-    shifted series parameter x + m rounds to x.
+    Raises a NotApplicableError, with the failing condition in the message,
+    when the point lies outside the identity's validity region, a value on
+    either side exceeds the binary64 range (RangeError) or a shifted series
+    parameter x + m rounds to x (RangeError); ConfigError for max_terms < 1.
     """
     assembled = _assemble(case)
     result = sum_series(
@@ -390,8 +389,9 @@ def sweep(
     """Verify an identity over the Cartesian product of parameter lists.
 
     Rows appear in row-major order over the grid (the last signature
-    parameter varies fastest).  Grid points outside the validity region
-    yield not-applicable reports.  An empty grid yields an empty list.
+    parameter varies fastest).  A grid point that raises NotApplicableError
+    yields a not-applicable report; a ConfigError propagates.  An empty grid
+    yields an empty list.
     """
     identity = IdentityId(identity)
     if not grid:
@@ -410,7 +410,7 @@ def sweep(
         case = IdentityCase(identity, dict(zip(signature, combo)), rel_tol)
         try:
             reports.append(verify_identity(case, max_terms=max_terms))
-        except NA_ERRORS as err:
+        except NotApplicableError as err:
             reports.append(
                 VerificationReport(
                     case=case,

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersum.errors import (
+    ConfigError,
+    DegenerateError,
     DivergenceError,
     DomainError,
     HypersumError,
-    NondegenerateError,
     RangeError,
 )
 from hypersum.series import (
@@ -49,9 +50,9 @@ class TestSeriesSpec:
         assert SeriesSpec((0.0, 2.0), (5.0,)).termination_index == 0
 
     def test_nonpositive_integer_denominator_rejected(self):
-        with pytest.raises(NondegenerateError):
+        with pytest.raises(DegenerateError):
             SeriesSpec((0.5,), (-2.0,))
-        with pytest.raises(NondegenerateError):
+        with pytest.raises(DegenerateError):
             SeriesSpec((0.5,), (0.0,))
 
     def test_too_many_upper_parameters_rejected(self):
@@ -235,7 +236,7 @@ class TestKernelMatchesReference:
         for _ in range(2400):
             try:
                 spec = _random_kernel_spec(rng)
-            except NondegenerateError:
+            except DegenerateError:
                 continue
             rel_tol = 10.0 ** -rng.uniform(6.0, 13.0)
             budget = rng.choice(self.BUDGETS)
@@ -309,6 +310,23 @@ def test_model_index_past_int64(uppers, lowers):
     assert abs(result.value - want) <= 1e-12 * abs(want)
 
 
+# The parameter sums overflow inside fsum (first two), c1 is finite but the
+# model index 4|c1| is not (third), or the sum of a^2 - a overflows inside
+# fsum although the margin is finite (fourth).
+PRELUDE_OVERFLOW_SPECS = [
+    ((0.5,), (1e308, 1e308)),
+    ((-1e308, -1e308), (0.5,)),
+    ((1.34e154, 0.5, 0.5, 0.5), (4.4666666666666674e153,) * 3),
+    ((1.2e154, 1.2e154), (2.5e154,)),
+]
+
+
+@pytest.mark.parametrize("uppers,lowers", PRELUDE_OVERFLOW_SPECS)
+def test_prelude_overflow_is_typed(uppers, lowers):
+    with pytest.raises(RangeError, match="binary64 range"):
+        sum_series(SeriesSpec(uppers, lowers))
+
+
 class TestDivergenceGate:
     @pytest.mark.parametrize(
         "nums,dens",
@@ -324,7 +342,7 @@ class TestDivergenceGate:
         assert result.status is SummationStatus.TERMINATED
 
     def test_bad_rel_tol(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             sum_series(SeriesSpec((0.5,), (1.5,)), rel_tol=0.0)
 
 

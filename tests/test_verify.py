@@ -256,6 +256,17 @@ class TestLostShifts:
             verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 10**6}))
 
 
+class TestMalformedBudget:
+    # A budget below one term is a malformed request, not an n/a point.
+    def test_verify_identity_raises_config_error(self):
+        with pytest.raises(ConfigError, match="max_terms must be >= 1"):
+            verify_identity(IdentityCase(IdentityId.EQ_1_3, {}), max_terms=0)
+
+    def test_sweep_raises_config_error(self):
+        with pytest.raises(ConfigError, match="max_terms must be >= 1"):
+            sweep(IdentityId.EQ_2_6, {"p": [2, 3], "f": [0.5]}, max_terms=0)
+
+
 class TestSweep:
     def test_weighted_grid(self):
         reports = sweep(
