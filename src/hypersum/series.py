@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import ConfigError, DegenerateError, DivergenceError, DomainError, RangeError
-from .specialfn import _is_nonpositive_integer
+from .specialfn import _is_integer, _is_nonpositive_integer
 
 __all__ = [
     "SeriesSpec",
@@ -223,9 +223,11 @@ def sum_series(
     series, and |t_N| for the rest.  For a terminated series it is 0.
 
     Raises ConfigError for a rel_tol that is not positive or a max_terms
-    below 1, DivergenceError for a non-terminating p = q + 1 series whose
-    convergence margin is not positive, and RangeError when a term, a
-    parameter sum or the model index 4 |c1| exceeds the binary64 range.
+    that is not an integer or is below 1, DivergenceError for a
+    non-terminating p = q + 1 series whose convergence margin is not
+    positive, and RangeError when a term exceeds the binary64 range or, for
+    a non-terminating p = q + 1 series only, a parameter sum or the model
+    index 4 |c1| does.
     """
     # Imported here so that callers which never sum, such as CLI calls that
     # end in a usage error or an n/a, do not pay numpy's import time.
@@ -233,24 +235,25 @@ def sum_series(
 
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not _is_integer(max_terms):
+        raise ConfigError(f"max_terms must be an integer, got {max_terms!r}")
     if max_terms < 1:
         raise ConfigError(f"max_terms must be >= 1, got {max_terms!r}")
 
     k_term = spec.termination_index
-    margin = convergence_margin(spec)
-    saturated = spec.order_p == spec.order_q + 1
-    if k_term is None and saturated and margin <= 0.0:
-        raise DivergenceError(
-            f"non-terminating series with margin {margin:.6g} <= 0 diverges "
-            "at unit argument"
-        )
-
-    limit = max_terms if k_term is None else min(k_term + 1, max_terms)
+    limit = int(max_terms) if k_term is None else min(k_term + 1, int(max_terms))
     first_lower, *lowers = spec.denominators + (1.0,)
 
-    tail_series = k_term is None and saturated
-    c1, model_index = 0.0, 0
+    # Only a non-terminating p = q + 1 series can diverge or needs a tail model.
+    tail_series = k_term is None and spec.order_p == spec.order_q + 1
+    margin, c1, model_index = 0.0, 0.0, 0
     if tail_series:
+        margin = convergence_margin(spec)
+        if margin <= 0.0:
+            raise DivergenceError(
+                f"non-terminating series with margin {margin:.6g} <= 0 diverges "
+                "at unit argument"
+            )
         c1 = _term_shape_coefficient(spec)
         if not math.isfinite(4.0 * c1):
             raise RangeError(f"tail shape coefficient c1={c1!r} exceeds binary64 range")

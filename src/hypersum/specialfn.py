@@ -27,6 +27,14 @@ __all__ = [
 ]
 
 
+def _is_integer(x: object) -> bool:
+    # False, not a raw error, for nan, inf and values int() rejects.
+    try:
+        return x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
@@ -130,7 +138,7 @@ def digamma(x: float) -> float:
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
     x = _check_real("pochhammer", x)
-    if n != int(n) or n < 0:
+    if not _is_integer(n) or n < 0:
         raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
     result = 1.0
     for k in range(int(n)):

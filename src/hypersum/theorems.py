@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import DegenerateError, DomainError, PreconditionError, RangeError
-from .specialfn import _is_nonpositive_integer, digamma, gamma, gamma_ratio, pochhammer
+from .specialfn import _is_integer, _is_nonpositive_integer, digamma, gamma, gamma_ratio, pochhammer
 
 __all__ = [
     "ShiftedPair",
@@ -111,7 +111,7 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     DegenerateError where (b-c)_m = 0 (b - c in {0, -1, ..., -(m-1)}), as the
     closed form is 0/0 there, and where (1+b-a)_k = 0 for some k < m.
     """
-    if m != int(m) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise DomainError(f"m must be a positive integer, got {m!r}")
     m = int(m)
     if not (m + 1.0 - a > 0.0):
@@ -195,7 +195,7 @@ def ck_coefficient(k: int, pairs: Sequence[ShiftedPair]) -> float:
     read off one exact integer difference table over the binary64 inputs and
     rounded once, at the final division.  C_k = 0.0 for k > m = sum m_i.
     """
-    if k != int(k) or k < 0:
+    if not _is_integer(k) or k < 0:
         raise DomainError(f"k must be a nonnegative integer, got {k!r}")
     k = int(k)
     if k > sum(pair.m for pair in pairs):
@@ -254,7 +254,7 @@ def s_p(p: int) -> float:
 
     S_1 = 4/pi, S_2 = 16/(9 pi), S_3 = 128/(225 pi), ...
     """
-    if p != int(p):
+    if not _is_integer(p):
         raise DomainError(f"p must be an integer, got {p!r}")
     p = int(p)
     return gamma_ratio([float(p)], [p + 0.5, p + 0.5])
@@ -265,7 +265,7 @@ def weighted_s1(p: int, f: float) -> float:
 
     Value: Gamma(p)/Gamma(p+1/2)^2 * (f + 1/(4(p-1))).
     """
-    if p != int(p) or p < 2:
+    if not _is_integer(p) or p < 2:
         raise PreconditionError(f"p must be an integer >= 2, got {p!r}")
     p = int(p)
     return s_p(p) * (f + 0.25 / (p - 1.0))
@@ -277,7 +277,7 @@ def weighted_s2(p: int, f: float) -> float:
     Value: Gamma(p)/Gamma(p+1/2)^2 *
     (f(f+1) + (f+1)/(2(p-1)) + 9/(16(p-1)(p-2))).
     """
-    if p != int(p) or p < 3:
+    if not _is_integer(p) or p < 3:
         raise PreconditionError(f"p must be an integer >= 3, got {p!r}")
     p = int(p)
     poly = f * (f + 1.0) + (f + 1.0) / (2.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))
@@ -291,7 +291,7 @@ def weighted_pair(p: int, f1: float, f2: float) -> float:
     (f1 f2 + (f1+f2+1)/(4(p-1)) + 9/(16(p-1)(p-2))); symmetric in f1, f2 and
     reduces to weighted_s2 at f2 = f1 + 1.
     """
-    if p != int(p) or p < 3:
+    if not _is_integer(p) or p < 3:
         raise PreconditionError(f"p must be an integer >= 3, got {p!r}")
     p = int(p)
     poly = f1 * f2 + (f1 + f2 + 1.0) / (4.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))

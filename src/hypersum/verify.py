@@ -32,11 +32,10 @@ from .series import (
     DEFAULT_MAX_TERMS,
     SeriesSpec,
     SummationResult,
-    SummationStatus,
     sum_series,
 )
 from . import theorems
-from .specialfn import _is_nonpositive_integer
+from .specialfn import _is_integer, _is_nonpositive_integer
 from .theorems import ShiftedPair
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "builtin_catalog",
     "identity_signature",
     "report_to_dict",
-    "report_from_dict",
     "DEFAULT_REL_TOL",
 ]
 
@@ -126,10 +124,6 @@ class VerificationReport:
     precondition_note: str
     summation: SummationResult | None
 
-    @property
-    def applicable(self) -> bool:
-        return self.passed is not None
-
 
 @dataclass(frozen=True)
 class _Assembled:
@@ -160,7 +154,7 @@ def _assemble(case: IdentityCase) -> _Assembled:
 
 
 def _require_int(name: str, value: Any) -> int:
-    if value != int(value):
+    if not _is_integer(value):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -187,10 +181,6 @@ def _pair_items(raw: Any) -> list[tuple[float, Any]]:
         f, m = (item.f, item.m) if isinstance(item, ShiftedPair) else item
         items.append((float(f), int(m) if float(m).is_integer() else m))
     return items
-
-
-def _normalize_pairs(raw: Any) -> tuple[ShiftedPair, ...]:
-    return tuple(ShiftedPair(f, m) for f, m in _pair_items(raw))
 
 
 def _shifted(name: str, x: float, m: int) -> float:
@@ -267,7 +257,7 @@ def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
            pairs=(ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)))
 def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
     a, b, c = (float(params[k]) for k in ("a", "b", "c"))
-    pairs = _normalize_pairs(params["pairs"])
+    pairs = tuple(ShiftedPair(f, m) for f, m in _pair_items(params["pairs"]))
     if not pairs:
         raise DegenerateError("at least one (f, m) pair is required")
     m_total = sum(p.m for p in pairs)
@@ -449,15 +439,6 @@ def _encode_parameters(params: Mapping[str, Any]) -> dict[str, Any]:
     return {name: _encode_parameter(name, value) for name, value in params.items()}
 
 
-def _decode_pairs(raw: Any) -> tuple[Any, ...]:
-    # A not-applicable row may carry invalid pairs; those load as plain
-    # (f, m) pairs, so every encoded report loads again.
-    try:
-        return _normalize_pairs(raw)
-    except DegenerateError:
-        return tuple(_pair_items(raw))
-
-
 def _encode_summation(result: SummationResult) -> dict[str, Any]:
     return {
         "value": result.value,
@@ -468,7 +449,7 @@ def _encode_summation(result: SummationResult) -> dict[str, Any]:
 
 
 def report_to_dict(report: VerificationReport) -> dict[str, Any]:
-    """JSON-ready encoding; inverse of :func:`report_from_dict`."""
+    """JSON-ready encoding of a report, as the CLI writes it."""
     summation = report.summation
     return {
         "identity": report.case.identity.value,
@@ -482,30 +463,3 @@ def report_to_dict(report: VerificationReport) -> dict[str, Any]:
         "precondition_note": report.precondition_note,
         "summation": None if summation is None else _encode_summation(summation),
     }
-
-
-def report_from_dict(data: Mapping[str, Any]) -> VerificationReport:
-    case = IdentityCase(
-        IdentityId(data["identity"]),
-        {k: _decode_pairs(v) if k == "pairs" else v for k, v in data["parameters"].items()},
-        float(data["rel_tol"]),
-    )
-    summation = None
-    if data.get("summation") is not None:
-        raw = data["summation"]
-        summation = SummationResult(
-            value=float(raw["value"]),
-            terms_used=int(raw["terms_used"]),
-            status=SummationStatus(raw["status"]),
-            error_estimate=float(raw["error_estimate"]),
-        )
-    return VerificationReport(
-        case=case,
-        lhs=data["lhs"],
-        rhs=data["rhs"],
-        abs_err=data["abs_err"],
-        rel_err=data["rel_err"],
-        passed=data["passed"],
-        precondition_note=data["precondition_note"],
-        summation=summation,
-    )

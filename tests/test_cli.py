@@ -1,4 +1,4 @@
-"""CLI contract tests: exit codes, formats, determinism, round-trips."""
+"""CLI contract tests: exit codes, formats, determinism, JSON encoding."""
 
 import json
 import math
@@ -11,7 +11,8 @@ import pytest
 import hypersum
 from hypersum.cli import main
 from hypersum.series import SeriesSpec, sum_series
-from hypersum.verify import report_from_dict, report_to_dict
+from hypersum.theorems import ShiftedPair
+from hypersum.verify import IdentityCase, report_to_dict, sweep, verify_identity
 
 
 def run(capsys, *argv):
@@ -241,10 +242,13 @@ class TestVerify:
             "--p", "4", "--f1", "0.3", "--f2", "2.2", "--format", "json",
         )
         assert code == 0
-        doc = json.loads(out)
-        report = report_from_dict(doc["results"][0])
-        assert report.passed is True
-        assert report.case.parameters == {"p": 4, "f1": 0.3, "f2": 2.2}
+        (item,) = json.loads(out)["results"]
+        assert item["passed"] is True
+        assert item["parameters"] == {"p": 4, "f1": 0.3, "f2": 2.2}
+        assert set(item["summation"]) == {"value", "terms_used", "status", "error_estimate"}
+        # Equal to the in-process encoding, error_estimate included.
+        report = verify_identity(IdentityCase("eq2.8", {"p": 4, "f1": 0.3, "f2": 2.2}))
+        assert item == report_to_dict(report)
 
 
 class TestSweep:
@@ -310,7 +314,11 @@ class TestSweep:
         (item,) = json.loads(out)["results"]
         assert item["passed"] is None
         assert item["parameters"]["pairs"] == [[1.3, 1], [0.0, 2]]
-        assert report_to_dict(report_from_dict(item)) == item
+        assert item["summation"] is None
+        (report,) = sweep(
+            "eq2.2", {"a": [0.4], "b": [0.3], "c": [6.0], "pairs": [((1.3, 1), (0.0, 2))]}
+        )
+        assert item == report_to_dict(report)
 
     def test_csv_deterministic(self, capsys):
         argv = (
@@ -332,8 +340,17 @@ class TestSweep:
         assert code == 0
         doc = json.loads(out)
         assert doc["summary"]["not_applicable"] == 1
-        reports = [report_from_dict(item) for item in doc["results"]]
-        assert [r.passed for r in reports] == [True, None]
+        results = doc["results"]
+        assert [item["passed"] for item in results] == [True, None]
+        for item in results:
+            assert item["parameters"]["pairs"] == [[1.3, 1], [2.1, 2]]
+        assert [item["summation"] is None for item in results] == [False, True]
+        reports = sweep(
+            "eq2.2",
+            {"a": [0.4], "b": [0.3], "c": [6.0, 1.0],
+             "pairs": [(ShiftedPair(1.3, 1), ShiftedPair(2.1, 2))]},
+        )
+        assert results == [report_to_dict(r) for r in reports]
 
     def test_forced_failure_exit_3(self, capsys):
         code, out, _ = run(

@@ -314,7 +314,6 @@ def test_model_index_past_int64(uppers, lowers):
 # model index 4|c1| is not (third), or the sum of a^2 - a overflows inside
 # fsum although the margin is finite (fourth).
 PRELUDE_OVERFLOW_SPECS = [
-    ((0.5,), (1e308, 1e308)),
     ((-1e308, -1e308), (0.5,)),
     ((1.34e154, 0.5, 0.5, 0.5), (4.4666666666666674e153,) * 3),
     ((1.2e154, 1.2e154), (2.5e154,)),
@@ -325,6 +324,14 @@ PRELUDE_OVERFLOW_SPECS = [
 def test_prelude_overflow_is_typed(uppers, lowers):
     with pytest.raises(RangeError, match="binary64 range"):
         sum_series(SeriesSpec(uppers, lowers))
+
+
+def test_p_le_q_ignores_parameter_sum_overflow():
+    # A p <= q series has no margin, so its overflowing parameter sum is
+    # never formed; t_1 = 0.5 / 1e616 underflows to 0 and the value is 1.
+    result = sum_series(SeriesSpec((0.5,), (1e308, 1e308)))
+    assert result.status is SummationStatus.CONVERGED
+    assert result.value == 1.0
 
 
 class TestDivergenceGate:
@@ -344,6 +351,15 @@ class TestDivergenceGate:
     def test_bad_rel_tol(self):
         with pytest.raises(ConfigError):
             sum_series(SeriesSpec((0.5,), (1.5,)), rel_tol=0.0)
+
+    @pytest.mark.parametrize("max_terms", [math.nan, 2.5, math.inf, -math.inf])
+    def test_non_integer_max_terms(self, max_terms):
+        with pytest.raises(ConfigError, match="max_terms must be an integer"):
+            sum_series(SeriesSpec((0.5, 0.25), (1.25,)), max_terms=max_terms)
+
+    def test_integral_float_max_terms(self):
+        spec = SeriesSpec((0.5, 0.25), (1.25,))
+        assert sum_series(spec, max_terms=1e4) == sum_series(spec, max_terms=10_000)
 
 
 @given(

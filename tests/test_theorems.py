@@ -10,6 +10,7 @@ from hypersum import theorems
 from hypersum.errors import (
     DegenerateError,
     DomainError,
+    HypersumError,
     PoleError,
     PreconditionError,
     RangeError,
@@ -330,6 +331,28 @@ class TestKarlssonMinton:
                 rng.shuffle(pairs)
                 got = theorems.karlsson_minton(a, b, c, pairs)
                 assert abs(got - base) <= 1e-13 * abs(base)
+
+
+INTEGER_ENTRY_POINTS = {
+    "pochhammer": (DomainError, lambda n: pochhammer(0.5, n)),
+    "contiguous_3f2": (DomainError, lambda m: theorems.contiguous_3f2(0.3, 1.7, 0.9, m)),
+    "ck_coefficient": (DomainError, lambda k: theorems.ck_coefficient(k, (ShiftedPair(1.3, 1),))),
+    "s_p": (DomainError, theorems.s_p),
+    "weighted_s1": (PreconditionError, lambda p: theorems.weighted_s1(p, 0.5)),
+    "weighted_s2": (PreconditionError, lambda p: theorems.weighted_s2(p, 0.7)),
+    "weighted_pair": (PreconditionError, lambda p: theorems.weighted_pair(p, 0.3, 2.2)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_non_finite_integer_argument_is_typed(entry, value):
+    # int() raises ValueError on nan and OverflowError on inf; each entry
+    # point reports its own error instead.
+    error, call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(HypersumError) as info:
+        call(value)
+    assert type(info.value) is error
 
 
 class TestSpFamily:
