@@ -310,13 +310,15 @@ def test_model_index_past_int64(uppers, lowers):
     assert abs(result.value - want) <= 1e-12 * abs(want)
 
 
-# The parameter sums overflow inside fsum (first two), c1 is finite but the
-# model index 4|c1| is not (third), or the sum of a^2 - a overflows inside
-# fsum although the margin is finite (fourth).
+# The upper parameter sum overflows inside fsum (first), c1 is finite but
+# the model index 4|c1| is not (second), the sum of a^2 - a overflows inside
+# fsum although the margin is finite (third), or the lower parameter sum of
+# a p = q + 1 series overflows inside fsum (fourth).
 PRELUDE_OVERFLOW_SPECS = [
     ((-1e308, -1e308), (0.5,)),
     ((1.34e154, 0.5, 0.5, 0.5), (4.4666666666666674e153,) * 3),
     ((1.2e154, 1.2e154), (2.5e154,)),
+    ((0.5, 0.5, 0.5), (1e308, 1e308)),
 ]
 
 
