@@ -45,7 +45,9 @@ BENCHMARK = (
 )
 
 # Every identity at a valid point, then at points outside its validity
-# region (eq1.1-eq1.3 take no parameters, so they have none).
+# region (eq1.1-eq1.3 take no parameters, so they have none).  In the last
+# two eq2.1 points (b-c)_m overflows at m = 1e7, and is an exact zero at
+# b-c = -200, m = 300, although its first 200 factors overflow.
 VERIFY = (
     ("eq1.1",),
     ("eq1.2",),
@@ -57,6 +59,8 @@ VERIFY = (
     ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "0.9", "--m", "2"),
     ("eq2.1", "--a", "3.5", "--b", "1.7", "--c", "0.9", "--m", "2"),
     ("eq2.1", "--a", "1", "--b", "-3", "--c", "0.9", "--m", "5"),
+    ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "0.9", "--m", "10000000"),
+    ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "201.7", "--m", "300"),
     ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", "1.3:1,2.1:2"),
     ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "1", "--pairs", "1.3:1"),
     ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", "0:1"),

@@ -9,11 +9,14 @@ The summation kernel runs the term recurrence
     t_0 = 1,   t_{n+1} = t_n * prod(a_i + n) / (prod(b_j + n) * (n + 1))
 
 in numpy blocks with compensated (Neumaier) accumulation across blocks and
-pairwise summation inside them.  For non-terminating series with p = q + 1 the
-terms decay like n^(-1-s), where s is the convergence margin; the corrected
-value V(N) adds the Euler-Maclaurin estimate of the omitted tail, which pushes
-the truncation error from O(|t_N| * N / s) down to O(N^-(2+s)).  Without that
-correction a margin-1/2 series would need ~1e19 terms to reach ten digits.
+pairwise summation inside them.  A block skips the term test when each of its
+|t_n| exceeds 2 rel_tol (|sum before it| + sum of its |t_n|), which bounds what
+the test compares |t_n| with; no term there could pass, so the skip is exact.
+For non-terminating series with p = q + 1 the terms decay like n^(-1-s),
+where s is the convergence margin; the corrected value V(N) adds the
+Euler-Maclaurin estimate of the omitted tail, which pushes the truncation
+error from O(|t_N| * N / s) down to O(N^-(2+s)).  Without that correction a
+margin-1/2 series would need ~1e19 terms to reach ten digits.
 
 Because that remainder order is known, comparing V at two block ends gives a
 Richardson estimate of the error of V(N).  The kernel stops once that estimate
@@ -276,51 +279,61 @@ def sum_series(
             width = min(block, limit - count)
             block = min(2 * block, _BLOCK_MAX)
             # Ratios t_{n+1}/t_n for n = count-1 .. count+width-2, built in
-            # one buffer that then becomes the block's terms.
+            # one buffer that then becomes the block's terms.  It starts from
+            # idx + a_1, which is 1.0 * (idx + a_1) exactly.
             idx = np.arange(count - 1, count - 1 + width, dtype=np.float64)
-            terms = np.ones(width)
-            for a in spec.numerators:
+            terms = idx + spec.numerators[0] if spec.numerators else np.ones(width)
+            for a in spec.numerators[1:]:
                 terms *= idx + a
             den = idx + first_lower
             for b in lowers:
                 den *= idx + b
             terms /= den
-            np.cumprod(terms, out=terms)
+            np.multiply.accumulate(terms, out=terms)
             terms *= t_last
             if not math.isfinite(terms[-1]):
                 raise RangeError("series terms exceed binary64 range")
 
             if k_term is None:
-                # rel_tol |partial sum| at each term, then |t_n| into den.
-                scaled = np.cumsum(terms)
-                scaled += total + comp
-                np.abs(scaled, out=scaled)
-                scaled *= rel_tol
                 mags = np.abs(terms, out=den)
-                # Term-test flags after the two carried over from the last
-                # block, so one search finds a run of three wherever it starts.
-                flags = np.empty(width + 2, dtype=bool)
-                flags[:2] = carry
-                small = np.less_equal(mags, scaled, out=flags[2:])
-                if model_index - count >= width:
-                    # No tail correction is applied below the model index, so
-                    # a stop there must also bound the uncorrected tail.
-                    first = _MIN_STOP_INDEX
-                    # idx + 1 are the term indices, as floats: exact below
-                    # 2^53, and M may be past the int64 range.
-                    small &= _early_tail_bound(mags, idx + 1.0, model_index, margin) <= scaled
+                # No flag can be set where every |t_n| exceeds fl(2 Y rel_tol),
+                # Y = |total + comp| + fl(sum |t_n|): with w <= 2^16 terms the
+                # scan's |partial sums| are at most (1 + 2^18 u) Y < 2 Y,
+                # rounding is monotone and the masks only clear flags.  If 2 Y
+                # overflows the bound is inf and the scan runs.  A one-term
+                # block is the budget's last, so its carry is never read.
+                if mags.min() > 2.0 * (abs(total + comp) + mags.sum()) * rel_tol:
+                    carry = (False, False)
                 else:
-                    # A block that reaches the model index waits for it: the
-                    # terms are computed anyway, and the stop gets the correction.
-                    first = max(_MIN_STOP_INDEX, model_index)
-                small[: max(first - count, 0)] = False
-                run = small & flags[1:-1]
-                run &= flags[:-2]
-                stop = int(run.argmax())
-                if run[stop]:
-                    terms = terms[: stop + 1]
-                    converged = True
-                carry = flags[-2:]
+                    # rel_tol |partial sum| at each term.
+                    scaled = np.add.accumulate(terms)
+                    scaled += total + comp
+                    np.abs(scaled, out=scaled)
+                    scaled *= rel_tol
+                    # Term-test flags after the two carried over from the last
+                    # block, so one search finds a run of three wherever it starts.
+                    flags = np.empty(width + 2, dtype=bool)
+                    flags[:2] = carry
+                    small = np.less_equal(mags, scaled, out=flags[2:])
+                    if model_index - count >= width:
+                        # No tail correction is applied below the model index, so
+                        # a stop there must also bound the uncorrected tail.
+                        first = _MIN_STOP_INDEX
+                        # idx + 1 are the term indices, as floats: exact below
+                        # 2^53, and M may be past the int64 range.
+                        small &= _early_tail_bound(mags, idx + 1.0, model_index, margin) <= scaled
+                    else:
+                        # A block that reaches the model index waits for it: the
+                        # terms are computed anyway, and the stop gets the correction.
+                        first = max(_MIN_STOP_INDEX, model_index)
+                    small[: max(first - count, 0)] = False
+                    run = small & flags[1:-1]
+                    run &= flags[:-2]
+                    stop = int(run.argmax())
+                    if run[stop]:
+                        terms = terms[: stop + 1]
+                        converged = True
+                    carry = flags[-2:]
 
             total, comp = _accumulate(total, comp, float(terms.sum()))
             t_last = float(terms[-1])

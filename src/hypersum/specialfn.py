@@ -140,11 +140,13 @@ def pochhammer(x: float, n: int) -> float:
     x = _check_real("pochhammer", x)
     if not _is_integer(n) or n < 0:
         raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
+    if _is_nonpositive_integer(x) and n > -x:
+        return -0.0 if int(x) % 2 else 0.0  # the product's signed zero
     result = 1.0
     for k in range(int(n)):
         result *= x + k
-    if math.isinf(result) or math.isnan(result):
-        raise RangeError(f"pochhammer({x!r}, {n}) exceeds binary64 range")
+        if math.isinf(result):
+            raise RangeError(f"pochhammer({x!r}, {n}) exceeds binary64 range")
     return result
 
 

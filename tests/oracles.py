@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hypersum.errors import DivergenceError, DomainError, RangeError
+from hypersum.errors import ConfigError, DivergenceError, RangeError
 from hypersum.series import (
     SummationResult,
     SummationStatus,
@@ -28,6 +28,7 @@ from hypersum.series import (
     _term_shape_coefficient,
     convergence_margin,
 )
+from hypersum.specialfn import _is_integer
 
 
 def rational_terminating_sum(
@@ -119,23 +120,27 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     the carried flags and searches with ``flatnonzero``.
     """
     if not (rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be positive, got {rel_tol!r}")
-    if max_terms < 1:
-        raise DomainError(f"max_terms must be >= 1, got {max_terms!r}")
+        raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
+    if not _is_integer(max_terms) or max_terms < 1:
+        raise ConfigError(f"max_terms must be an integer >= 1, got {max_terms!r}")
 
     k_term = spec.termination_index
-    margin = convergence_margin(spec)
-    saturated = spec.order_p == spec.order_q + 1
-    if k_term is None and saturated and margin <= 0.0:
-        raise DivergenceError("diverges at unit argument")
-
-    limit = max_terms if k_term is None else min(k_term + 1, max_terms)
+    limit = int(max_terms) if k_term is None else min(k_term + 1, int(max_terms))
     uppers = np.asarray(spec.numerators, dtype=np.float64)
     lowers = np.asarray(spec.denominators + (1.0,), dtype=np.float64)
 
-    tail_series = k_term is None and saturated
-    c1 = _term_shape_coefficient(spec)
-    model_index = max(20, math.ceil(4.0 * abs(c1))) if tail_series else 0
+    # Margin, c1 and M belong to the tail model of a non-terminating
+    # p = q + 1 series and are formed for no other.
+    tail_series = k_term is None and spec.order_p == spec.order_q + 1
+    margin, c1, model_index = 0.0, 0.0, 0
+    if tail_series:
+        margin = convergence_margin(spec)
+        if margin <= 0.0:
+            raise DivergenceError("diverges at unit argument")
+        c1 = _term_shape_coefficient(spec)
+        if not math.isfinite(4.0 * c1):
+            raise RangeError("tail shape coefficient exceeds binary64 range")
+        model_index = max(20, math.ceil(4.0 * abs(c1)))
     lowest = min(spec.numerators + spec.denominators, default=math.inf)
 
     total, comp = 1.0, 0.0

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hypersum.errors import (
     ConfigError,
@@ -22,7 +22,7 @@ from hypersum.series import (
     sum_series,
 )
 from hypersum.theorems import gauss_2f1
-from hypersum.verify import IdentityCase, IdentityId
+from hypersum.verify import IdentityCase, IdentityId, _summation_rel_tol, builtin_catalog
 
 from oracles import (
     random_terminating_spec,
@@ -271,6 +271,150 @@ class TestKernelMatchesReference:
             assert want.terms_used == first_small + 3
             assert want.status is SummationStatus.CONVERGED
             assert sum_series(spec, rel_tol=rel_tol, max_terms=max_terms) == want
+
+
+def _terms_and_sums(spec, n_max):
+    # (t_n, S_n) for n = 0..n_max, one term at a time in binary64: close
+    # enough to the kernel's values to place them against a rel_tol.
+    out = [(1.0, 1.0)]
+    term, total = 1.0, 1.0
+    for n in range(n_max):
+        ratio = 1.0 / (n + 1.0)
+        for a in spec.numerators:
+            ratio *= a + n
+        for b in spec.denominators:
+            ratio /= b + n
+        term *= ratio
+        total += term
+        out.append((term, total))
+    return out
+
+
+def _block_bound_ratio(ts, first, last, rel_tol):
+    # min |t_n| over the block t_first..t_last against rel_tol Y, Y the
+    # |partial sum| before the block plus the block's sum of |t_n|; the skip
+    # bound is 2 rel_tol Y.
+    mags = [abs(t) for t, _ in ts[first:last + 1]]
+    y = abs(ts[first - 1][1]) + math.fsum(mags)
+    return min(mags) / (rel_tol * y)
+
+
+def _step_spec(d1, d2):
+    # The lower parameter -1024 + d1 nearly vanishes at n = 1024, so the terms
+    # jump up by ~0.25 / d1 from t_1025 on; the upper -3072 + d2 nearly
+    # vanishes at n = 3072, so they drop by ~12 d2 from t_3073 on.  Each has
+    # a partner 0.25 or 1/12 away that keeps the terms smooth elsewhere, and
+    # the two cancel in c1, so the model index is 20.
+    b, a = -1024.0 + d1, -3072.0 + d2
+    return SeriesSpec((b + 0.25, a, 0.5, 0.5), (b, a + 0.25 / 3.0, 2.5))
+
+
+@st.composite
+def _skip_cases(draw):
+    # p <= q + 1 specs, convergent p = q + 1 ones down to margin 0.05, some
+    # terminating, with a rel_tol and a budget.
+    p = draw(st.integers(1, 4))
+    q = draw(st.sampled_from([p - 1, p - 1, p, p + 1]))
+    param = st.floats(-4.0, 8.0, allow_nan=False)
+    nums = draw(st.lists(param, min_size=p, max_size=p))
+    dens = draw(st.lists(param, min_size=q, max_size=q))
+    if 0 < q == p - 1:
+        margin = draw(st.floats(0.05, 4.0))
+        dens = dens[:-1] + [math.fsum(nums) - math.fsum(dens[:-1]) + margin]
+    if draw(st.booleans()):
+        nums[0] = -float(draw(st.integers(0, 3000)))
+    rel_tol = 10.0 ** -draw(st.floats(3.0, 14.0))
+    budget = draw(
+        st.sampled_from([200_000, 7169, 3073, 1026, 1025, 1024, 21, 2, 1])
+        | st.integers(1, 200_000)
+    )
+    return nums, dens, rel_tol, budget
+
+
+class TestTermTestSkip:
+    """A block skips the term test when every |t_n| in it exceeds 2 rel_tol Y,
+    Y = |sum before the block| + the block's sum of |t_n|.  Each case equals
+    the plain block loop, which always scans, bit for bit."""
+
+    @staticmethod
+    def check(spec, rel_tol, max_terms=DEFAULT_MAX_TERMS):
+        want = _outcome(reference_sum_series, spec, rel_tol, max_terms)
+        assert _outcome(sum_series, spec, rel_tol, max_terms) == want, (spec, rel_tol)
+        return want
+
+    def test_catalog_runs(self):
+        # Every builtin catalog case, and the two sweeps of
+        # scripts/run_catalog.py: the six eq2.2 points at margins 1.5 down to
+        # 0.05 (rel_tol 1e-8) and eq2.6 at p = 2..8 (rel_tol 1e-10).
+        cases = list(builtin_catalog())
+        pairs = ((1.3, 1),)
+        for off in (1.5, 0.8, 0.4, 0.2, 0.1, 0.05):
+            point = {"a": 0.4, "b": 0.3, "c": 1.7 + off, "pairs": pairs}
+            cases.append(IdentityCase(IdentityId.EQ_2_2, point, 1e-8))
+        for p in range(2, 9):
+            for f in (0.3, 1.7, 5.0):
+                cases.append(IdentityCase(IdentityId.EQ_2_6, {"p": p, "f": f}, 1e-10))
+        assert len(cases) == 12 + 6 + 21
+        for case in cases:
+            self.check(case.spec, _summation_rel_tol(case.rel_tol))
+
+    @pytest.mark.parametrize("d1,d2", [(1e-2, 1e-6), (1e-3, 1e-9), (1e-4, 1e-12)])
+    @pytest.mark.parametrize("max_terms", [DEFAULT_MAX_TERMS, 3073, 3074, 3076])
+    def test_carried_flags_before_a_skipped_block(self, d1, d2, max_terms):
+        # The first block ends with the term test holding at n = 1023 and 1024
+        # but not at 1022, so it carries (True, True).  The jump puts every
+        # term of the next block (t_1025..t_3072) past the skip bound, and the
+        # drop lets the test hold from t_3073 on.  The carry must be cleared
+        # by the skipped block: the stop is at t_3075, not at t_3073.
+        spec = _step_spec(d1, d2)
+        ts = _terms_and_sums(spec, 3075)
+        ratio = [abs(t / s) for t, s in ts]
+        rel_tol = math.sqrt(ratio[1022] * ratio[1023])
+        assert ratio[1022] > rel_tol >= max(ratio[1023], ratio[1024])
+        assert _block_bound_ratio(ts, 1025, 3072, rel_tol) > 2.0 * 5.0
+        assert max(ratio[3073:3076]) < rel_tol
+        status, _ = self.check(spec, rel_tol, max_terms)
+        if max_terms >= 3076:
+            assert status == "Converged"
+            assert sum_series(spec, rel_tol, max_terms).terms_used == 3076
+
+    @pytest.mark.parametrize("factor", [1.01, 1.5, 1.99])
+    @pytest.mark.parametrize("first,last", [(1, 1024), (1025, 3072)])
+    @pytest.mark.parametrize(
+        "uppers,lowers", [((0.5, 0.25), (1.25,)), ((0.5, 0.5), (2.5,)), ((1.0, 1.0), (2.1,))]
+    )
+    def test_first_candidate_inside_the_margin(self, uppers, lowers, first, last, factor):
+        # rel_tol puts the block's smallest |t_n| at factor * rel_tol Y, so
+        # it is under the skip bound 2 rel_tol Y and the block is scanned,
+        # although no term of it can pass the test.
+        spec = SeriesSpec(uppers, lowers)
+        ts = _terms_and_sums(spec, last)
+        rel_tol = _block_bound_ratio(ts, first, last, 1.0) / factor
+        assert _block_bound_ratio(ts, first, last, rel_tol) == pytest.approx(factor)
+        self.check(spec, rel_tol)
+        self.check(spec, rel_tol, last + 1)
+
+    @pytest.mark.parametrize("c,rel_tol", [(2.05, 2e-4), (2.1, 1e-4), (2.2, 1e-4)])
+    def test_sum_grows_inside_the_block(self, c, rel_tol):
+        # 2F1(1, 1; c; 1) is 6 to 21.  Its partial sum grows from 1 past
+        # those sizes inside the first block, and the term test stops there
+        # although every term of the block exceeds 2 rel_tol times the sum
+        # before it: only the block's own terms put the stop under the bound.
+        spec = SeriesSpec((1.0, 1.0), (c,))
+        ts = _terms_and_sums(spec, 1024)
+        assert min(t for t, _ in ts[1:]) > 2.0 * rel_tol
+        status, _ = self.check(spec, rel_tol)
+        assert status == "Converged" and sum_series(spec, rel_tol).terms_used <= 1024
+
+    @given(_skip_cases())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_specs(self, case):
+        nums, dens, rel_tol, budget = case
+        try:
+            spec = SeriesSpec(nums, dens)
+        except DegenerateError:
+            assume(False)
+        self.check(spec, rel_tol, budget)
 
 
 def _gauss_half_half(c: int) -> float:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,20 @@ class TestPochhammer:
     def test_bad_n(self):
         with pytest.raises(DomainError):
             specialfn.pochhammer(1.0, -1)
+
+    def test_overflow_ends_at_first_infinite_factor(self):
+        # The product is inf after ~170 factors; the other ~1e9 are not run.
+        start = time.perf_counter()
+        with pytest.raises(RangeError, match=r"pochhammer\(2\.0, 1000000000\) exceeds"):
+            specialfn.pochhammer(2.0, 10**9)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("x,n,sign", [(-200.0, 300, 1.0), (-3.0, 5, -1.0), (-2.0, 10**9, 1.0)])
+    def test_zero_factor(self, x, n, sign):
+        # A factor x + k is zero: the product is the signed zero of the
+        # factors before it, although (-200)_200 alone overflows.
+        value = specialfn.pochhammer(x, n)
+        assert value == 0.0 and math.copysign(1.0, value) == sign
 
 
 class TestGammaRatio:

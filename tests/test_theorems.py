@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -107,6 +108,18 @@ class TestContiguous:
         # b - c = -1 makes (b-c)_2 vanish
         with pytest.raises(DegenerateError):
             theorems.contiguous_3f2(0.3, 0.7, 1.7, 2)
+
+    def test_degenerate_gap_past_overflow(self):
+        # b - c = -200: (b-c)_300 has a zero factor after its first 200
+        # factors overflow.
+        with pytest.raises(DegenerateError, match=r"\(b-c\)_m vanishes"):
+            theorems.contiguous_3f2(0.3, 1.7, 201.7, 300)
+
+    def test_overflowing_pochhammer_is_quick(self):
+        start = time.perf_counter()
+        with pytest.raises(RangeError, match="exceeds binary64 range"):
+            theorems.contiguous_3f2(0.3, 1.7, 0.9, 10**9)
+        assert time.perf_counter() - start < 1.0
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
