@@ -12,23 +12,21 @@ in numpy blocks with compensated (Neumaier) accumulation across blocks and
 pairwise summation inside them.  A block skips the term test when each of its
 |t_n| exceeds 2 rel_tol (|sum before it| + sum of its |t_n|), which bounds what
 the test compares |t_n| with; no term there could pass, so the skip is exact.
-For non-terminating series with p = q + 1 the terms decay like n^(-1-s),
-where s is the convergence margin; the corrected value V(N) adds the
-Euler-Maclaurin estimate of the omitted tail, which pushes the truncation
-error from O(|t_N| * N / s) down to O(N^-(2+s)).  Without that correction a
-margin-1/2 series would need ~1e19 terms to reach ten digits.
 
-Because that remainder order is known, comparing V at two block ends gives a
-Richardson estimate of the error of V(N).  The kernel stops once that estimate
-meets the tolerance and returns the extrapolated value, so a margin-1/2 series
-at rel_tol 1e-12 takes ~1.5e4 terms rather than running into the 1e7 budget.
-``SummationResult.error_estimate`` reports that estimate.
+A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
+convergence margin, so the kernel adds the asymptotic tail (DLMF 2.10)
+sum_{n>N} t_n ~ t_N (N h(1/N) - 1), h(u) = sum_k e_k u^k.  The term ratio
+gives h(u) - R(u) h(u/(1+u)) = u, R(u) = prod(1 + a_i u) / prod(1 + b_j u),
+and matching powers of u gives e_0 = 1/s and each later e_k divided by s + k.
+The e_k grow like the largest |parameter|^k, so the tail is used only where
+its terms fall fast (see :func:`sum_series`).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -54,6 +52,14 @@ _BLOCK_MAX = 65536
 _MIN_STOP_INDEX = 20
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+# The tail's terms are checked against _TAIL_SHARE * rel_tol * |partial sum|,
+# at most _TAIL_TERMS of them; error_estimate counts _ROUNDING_MULTIPLE u
+# sum |t_n| for the rounding of the partial sum and of its terms.
+_TAIL_TERMS = 16
+_TAIL_SHARE = 2.0**-6
+_ROUNDING_MULTIPLE = 32.0
+_BINOMIAL = [[float(math.comb(m, k)) for k in range(m + 1)] for m in range(_TAIL_TERMS)]
 
 
 @dataclass(frozen=True)
@@ -111,11 +117,8 @@ class SummationStatus(str, enum.Enum):
 class SummationResult:
     """Outcome of :func:`sum_series`.
 
-    ``error_estimate`` is the result's one error figure.  It estimates the
-    error of the value before extrapolation: the tail-corrected value V(N),
-    or the partial sum where no correction applies.  Where ``value`` is the
-    extrapolation of V, it overstates the error of ``value`` (see
-    :func:`sum_series`).
+    ``error_estimate`` is the result's one error figure: an estimate of the
+    error of ``value`` (see :func:`sum_series`).
     """
 
     value: float
@@ -129,41 +132,99 @@ def convergence_margin(spec: SeriesSpec) -> float:
 
     For a non-terminating series with p = q + 1 the unit-argument series
     converges iff this margin is positive (terms decay like n^(-1-margin)).
-    Series with p <= q converge regardless.  Raises RangeError where a
-    parameter sum exceeds the binary64 range.
+    Series with p <= q converge regardless.  One correctly rounded sum over
+    the lower and the negated upper parameters, so no digits are lost where
+    they nearly cancel.  Raises RangeError where a partial sum overflows.
     """
     try:
-        return math.fsum(spec.denominators) - math.fsum(spec.numerators)
+        return math.fsum((*spec.denominators, *map(operator.neg, spec.numerators)))
     except OverflowError:  # fsum's intermediate overflow
         raise RangeError("parameter sum exceeds binary64 range") from None
 
 
-def _term_shape_coefficient(spec: SeriesSpec) -> float:
-    # First-order deviation of t_n from a pure power law:
-    # t_n = K n^(-1-s) (1 + c1/n + ...) with c1 from the parameter moments.
-    try:
-        upper = math.fsum(a * a - a for a in spec.numerators)
-        lower = math.fsum(b * b - b for b in spec.denominators)
-    except OverflowError:  # fsum's intermediate overflow
-        return math.inf
-    return 0.5 * (upper - lower)
+class _AsymptoticTail:
+    """The tail t_N (N h(1/N) - 1) of a non-terminating p = q + 1 series,
+    summed as -t_N plus T_k = t_N N e_k N^-k.  The e_k are solved once per
+    call of sum_series and lazily: e_0..e_3, all a term-test stop usually
+    needs, written out, then one at a time."""
 
+    def __init__(self, spec: SeriesSpec, margin: float):
+        self._spec, self._s, self._e, self._g = spec, margin, [], []
+        self._pq: tuple[float, list[float], list[float]] = (0.0, [], [])
+        self._alt: list[float] = []
 
-def _tail_correction(t_last: float, n_last: int, s: float, c1: float) -> float:
-    # Euler-Maclaurin sum of K n^(-1-s) (1 + c1/n) over n > n_last, with K
-    # inferred from the last computed term.
-    m = n_last + 1.0
-    base = t_last * (n_last / m) ** (1.0 + s) / (1.0 + c1 / n_last)
-    zeta_head = m / s + 0.5 + (1.0 + s) / (12.0 * m)
-    zeta_next = 1.0 / (1.0 + s) + 0.5 / m
-    return base * (zeta_head + c1 * zeta_next)
+    def __call__(self, t_n: float, n: int, floor: float) -> tuple[float, float] | None:
+        """(tail, error estimate), or None where the tail is unresolved.
 
+        Sums T_k through the first k >= 2 with |T_(k-1)|, |T_k| <= ``floor``
+        (a pair, as one e_k can be near zero where it changes sign) and
+        estimates the error by their sum.  Unresolved: no such pair by
+        k = _TAIL_TERMS - 1, or a term that is not finite.
+        """
+        if t_n == 0.0:
+            return 0.0, 0.0
+        e, term, tail, last = self._e, t_n * n, -t_n, math.inf
+        for k in range(_TAIL_TERMS):
+            if k == len(e):
+                self._solve(k)
+            step = term * e[k]
+            tail, size = tail + step, abs(step)
+            if not size < math.inf:
+                return None
+            if size <= floor and last <= floor and k >= 2:
+                return tail, size + last
+            last, term = size, term / n
+        return None
 
-def _early_tail_bound(t_abs, n, model_index: int, s: float):
-    # Tail after t_n for n below the model index M: at most M - n terms past
-    # their peak, each no larger than |t_n|, then the tail from M on, which
-    # the model puts at |t_M| (M+1) / s / (1 + c1/M) with 1 / (1 + c1/M) <= 4/3.
-    return t_abs * ((model_index - n) + 4.0 * (model_index + 1.0) / (3.0 * s))
+    def _solve(self, m: int) -> None:
+        # With P(u) = prod(1 + a_i u) and Q(u) = prod(1 + b_j u), h - R g = u
+        # for g(u) = h(u/(1+u)) reads Q h - P g = u Q.  Here g_0 = e_0 and,
+        # for m >= 1, g_m = e_m + B_m and g_{m+1} = e_{m+1} - m e_m - A_m with
+        #   A_m = sum_{k=1..m-1} (-1)^(m-k) C(m, k-1) e_k,
+        #   B_m = sum_{k=1..m-1} (-1)^(m-k) C(m-1, k-1) e_k,
+        # so the u^(m+1) coefficient, with Q_1 - P_1 = s, gives
+        #   (s + m) e_m = Q_m - A_m + P_1 B_m
+        #                 + sum_{j=2..m+1} (P_j g_{m+1-j} - Q_j e_{m+1-j}).
+        e, g, s, spec = self._e, self._g, self._s, self._spec
+        if m == 0:  # e_0..e_3 written out, from P_j and Q_j for j <= 4
+            first = []
+            for params in (spec.numerators, spec.denominators):
+                c1 = c2 = c3 = c4 = 0.0
+                for a in params:
+                    c1, c2, c3, c4 = c1 + a, c2 + a * c1, c3 + a * c2, c4 + a * c3
+                first.append((c1, c2, c3, c4))
+            (p1, p2, p3, p4), (q1, q2, q3, q4) = first
+            e0 = 1.0 / s
+            e1 = (q1 + (p2 - q2) * e0) / (s + 1.0)
+            e2 = (q2 + (1.0 - p1 + p2 - q2) * e1 + (p3 - q3) * e0) / (s + 2.0)
+            b3 = e1 - 2.0 * e2
+            e3 = q3 - e1 + 3.0 * e2 + p1 * b3 + p2 * (e2 - e1) - q2 * e2
+            e += [e0, e1, e2, (e3 + (p3 - q3) * e1 + (p4 - q4) * e0) / (s + 3.0)]
+            g += [e0, e1, e2 - e1, e[3] + b3]
+            # P_1, then P_j and Q_j from j = 2 on: complete unless p > 4.
+            self._pq = p1, [p2, p3, p4], [q2, q3, q4] + [0.0] * _TAIL_TERMS
+            return
+        if m == 4:
+            self._alt = [-e[1], e[2], -e[3]]  # (-1)^k e_k for k >= 1
+        if m == 4 and spec.order_p > 4:
+            size = _TAIL_TERMS + spec.order_p
+            big_p, big_q = [1.0] + [0.0] * size, [1.0] + [0.0] * size
+            for poly, params in ((big_p, spec.numerators), (big_q, spec.denominators)):
+                for j, a in enumerate(params, 1):
+                    for i in range(j, 0, -1):
+                        poly[i] += a * poly[i - 1]
+            self._pq = big_p[1], big_p[2:], big_q[2:]
+        p1, p_rest, q_rest = self._pq
+        alt = self._alt
+        sign = -1.0 if m % 2 else 1.0
+        a_m = sign * sum(map(operator.mul, _BINOMIAL[m], alt))
+        b_m = sign * sum(map(operator.mul, _BINOMIAL[m - 1], alt))
+        acc = q_rest[m - 2] - a_m + p1 * b_m
+        acc += sum(map(operator.mul, p_rest, reversed(g)))
+        acc -= sum(map(operator.mul, q_rest, reversed(e)))
+        e.append(acc / (s + m))
+        g.append(e[m] + b_m)
+        alt.append(-e[m] if m % 2 else e[m])
 
 
 def _accumulate(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -183,54 +244,39 @@ def sum_series(
 ) -> SummationResult:
     """Sum the series directly, term by term.
 
-    Stops in one of four ways:
+    Stops when the series terminates (status ``Terminated``), at
+    ``max_terms`` (``MaxTermsReached``), or ``Converged`` on one of two rules:
 
-    * the series terminates (status ``Terminated``);
-    * |t_n| <= rel_tol * |partial sum| for three consecutive indices n >= 20
-      (status ``Converged``);
-    * for a non-terminating p = q + 1 series, at a block end N where
-      err(N) <= rel_tol * |V(N)|, with err(N) defined below (status
-      ``Converged``);
-    * at ``max_terms`` (status ``MaxTermsReached``).
+    * term test: |t_n| <= rel_tol |partial sum| for three consecutive n >= 20;
+    * block end, for a non-terminating p = q + 1 series: at the end N of a
+      block (1024 terms, doubling to 65536, or the budget) where
+      err(N) <= rel_tol |V(N)|.  The first such N is 3072: no budget of 2,048
+      terms or less ends on this rule.
 
-    The terms of a non-terminating p = q + 1 series go like
-    t_n ~ K n^(-1-s) (1 + c1/n).  That tail model needs 1 + c1/n to be near 1,
-    so the tail correction and the check on err(N) wait for the model index
-    M = max(20, 4 |c1|).  In a block that reaches M the term test waits for
-    M, as those terms are computed anyway.  In a block that ends before M it
-    stops only where the bound
+    There V(N) is the partial sum S_N plus the asymptotic tail (module
+    docstring), -t_N + T_0 + T_1 + ..., T_k = t_N N e_k N^-k, summed through
+    the first k >= 2 with |T_(k-1)|, |T_k| <= rel_tol |S_N| / 64.  Where no
+    such pair comes by k = 15, or a term is not finite, the tail is
+    unresolved at N and neither rule stops there.  With N_ref <= N/2 the
+    latest earlier block end with a resolved tail and u the unit roundoff,
 
-        B(n) = |t_n| ((M - n) + 4 (M+1) / (3 s))
+        err(N) = |V(N) - V(N_ref)| + E(N),
+        E(N)   = |T_(k-1)| + |T_k| + N u |tail(N)| + 32 u sum |t_n|,
 
-    on the uncorrected tail also meets rel_tol * |partial sum|; B counts the
-    M - n terms up to M at |t_n| each and the model's tail from M on.
-    ``value`` is then the partial sum alone and ``error_estimate`` is B(N).
+    which adds to the tail's last two terms the rounding that t_N, a product
+    of N ratios, passes to the tail, and the rounding of the partial sum and
+    its terms (sum |t_n| over the blocks computed).
 
-    For non-terminating p = q + 1 series, V(N) is the partial sum up to t_N
-    plus the Euler-Maclaurin estimate of the omitted tail.  Its remaining
-    error is O(N^-(2+s)), so with the latest earlier block end N_ref <= N/2
-
-        err(N) = |d| + N u |tail correction|,
-        d      = (V(N) - V(N_ref)) / ((N/N_ref)^(2+s) - 1),
-
-    where u is the unit roundoff and the second part bounds the rounding that
-    t_N, a product of N ratios, passes on to the correction.  Whenever such
-    an N_ref exists for the last summed index N, whichever rule stopped the
-    sum, ``value`` is the Richardson extrapolation V(N) + d and
-    ``error_estimate`` is err(N), an estimate of the error of V(N) that the
-    extrapolation improves on.
-
-    In the remaining cases ``value`` is V(N), or the partial sum alone for
-    p <= q, and ``error_estimate`` falls back to a bound on the omitted tail:
-    B(N) below M, the integral-comparison bound |t_N| (N+1) / s for p = q + 1
-    series, and |t_N| for the rest.  For a terminated series it is 0.
+    ``value`` is V(N) at the last summed index N, or S_N where no tail is
+    resolved there.  ``error_estimate`` is err(N) where defined at N, else
+    E(N) with a resolved tail; without one, |t_N| (N+1) / s for a p = q + 1
+    series and |t_N| otherwise, plus 32 u sum |t_n|; 0 once terminated.
 
     Raises ConfigError for a rel_tol that is not positive or a max_terms
     that is not an integer or is below 1, DivergenceError for a
     non-terminating p = q + 1 series whose convergence margin is not
     positive, and RangeError when a term exceeds the binary64 range or, for
-    a non-terminating p = q + 1 series only, a parameter sum or the model
-    index 4 |c1| does.
+    a non-terminating p = q + 1 series only, a parameter sum does.
     """
     # Imported here so that callers which never sum, such as CLI calls that
     # end in a usage error or an n/a, do not pay numpy's import time.
@@ -247,9 +293,9 @@ def sum_series(
     limit = int(max_terms) if k_term is None else min(k_term + 1, int(max_terms))
     first_lower, *lowers = spec.denominators + (1.0,)
 
-    # Only a non-terminating p = q + 1 series can diverge or needs a tail model.
+    # Only a non-terminating p = q + 1 series can diverge or needs a tail.
     tail_series = k_term is None and spec.order_p == spec.order_q + 1
-    margin, c1, model_index = 0.0, 0.0, 0
+    margin, tail_at = 0.0, None
     if tail_series:
         margin = convergence_margin(spec)
         if margin <= 0.0:
@@ -257,22 +303,13 @@ def sum_series(
                 f"non-terminating series with margin {margin:.6g} <= 0 diverges "
                 "at unit argument"
             )
-        c1 = _term_shape_coefficient(spec)
-        if not math.isfinite(4.0 * c1):
-            raise RangeError(f"tail shape coefficient c1={c1!r} exceeds binary64 range")
-        # Index from which the tail model t_n ~ K n^(-1-s) (1 + c1/n) is used.
-        model_index = max(_MIN_STOP_INDEX, math.ceil(4.0 * abs(c1)))
-    lowest = min(spec.numerators + spec.denominators, default=math.inf)
+        tail_at = _AsymptoticTail(spec, margin)
 
-    total, comp = 1.0, 0.0  # t_0
-    t_last = 1.0
-    count = 1
-    # Term-test flags of the last two terms of the previous block.
-    carry = (False, False)
-    block = _BLOCK_START
-    converged = False
-    ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends
-    n_last, value, error = 0, 1.0, None
+    total, comp, abs_sum, t_last = 1.0, 0.0, 1.0, 1.0  # t_0; abs_sum is sum |t_n|
+    count, n_last, block, converged = 1, 0, _BLOCK_START, False
+    carry = (False, False)  # term-test flags of the previous block's last two terms
+    ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends with a resolved tail
+    tail = error = None  # tail_at's result and err(N) at the last summed index
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
@@ -293,79 +330,80 @@ def sum_series(
             terms *= t_last
             if not math.isfinite(terms[-1]):
                 raise RangeError("series terms exceed binary64 range")
+            mags = np.abs(terms, out=den)
+            block_abs = float(mags.sum())
+            abs_sum += block_abs
 
-            if k_term is None:
-                mags = np.abs(terms, out=den)
-                # No flag can be set where every |t_n| exceeds fl(2 Y rel_tol),
-                # Y = |total + comp| + fl(sum |t_n|): with w <= 2^16 terms the
-                # scan's |partial sums| are at most (1 + 2^18 u) Y < 2 Y,
-                # rounding is monotone and the masks only clear flags.  If 2 Y
-                # overflows the bound is inf and the scan runs.  A one-term
-                # block is the budget's last, so its carry is never read.
-                if mags.min() > 2.0 * (abs(total + comp) + mags.sum()) * rel_tol:
-                    carry = (False, False)
-                else:
-                    # rel_tol |partial sum| at each term.
-                    scaled = np.add.accumulate(terms)
-                    scaled += total + comp
-                    np.abs(scaled, out=scaled)
-                    scaled *= rel_tol
-                    # Term-test flags after the two carried over from the last
-                    # block, so one search finds a run of three wherever it starts.
-                    flags = np.empty(width + 2, dtype=bool)
-                    flags[:2] = carry
-                    small = np.less_equal(mags, scaled, out=flags[2:])
-                    if model_index - count >= width:
-                        # No tail correction is applied below the model index, so
-                        # a stop there must also bound the uncorrected tail.
-                        first = _MIN_STOP_INDEX
-                        # idx + 1 are the term indices, as floats: exact below
-                        # 2^53, and M may be past the int64 range.
-                        small &= _early_tail_bound(mags, idx + 1.0, model_index, margin) <= scaled
-                    else:
-                        # A block that reaches the model index waits for it: the
-                        # terms are computed anyway, and the stop gets the correction.
-                        first = max(_MIN_STOP_INDEX, model_index)
-                    small[: max(first - count, 0)] = False
-                    run = small & flags[1:-1]
-                    run &= flags[:-2]
+            # No flag can be set where every |t_n| exceeds fl(2 Y rel_tol),
+            # Y = |total + comp| + fl(sum |t_n|): with w <= 2^16 terms the
+            # scan's |partial sums| are at most (1 + 2^18 u) Y < 2 Y, rounding
+            # is monotone, and the first-index mask only clears flags (the
+            # tail check only drops stops).  If 2 Y overflows the bound is inf
+            # and the scan runs.  A one-term block is the budget's last, so
+            # its carry is never read.
+            if k_term is not None or mags.min() > 2.0 * (abs(total + comp) + block_abs) * rel_tol:
+                carry = (False, False)
+            else:
+                # rel_tol |partial sum| at each term.
+                scaled = np.add.accumulate(terms)
+                scaled += total + comp
+                np.abs(scaled, out=scaled)
+                scaled *= rel_tol
+                # Term-test flags after the two carried over from the last
+                # block, so one search finds a run of three wherever it starts.
+                flags = np.empty(width + 2, dtype=bool)
+                flags[:2] = carry
+                small = np.less_equal(mags, scaled, out=flags[2:])
+                small[: max(_MIN_STOP_INDEX - count, 0)] = False
+                run = small & flags[1:-1]
+                run &= flags[:-2]
+                stop = int(run.argmax())
+                while tail_series and run[stop]:
+                    floor = _TAIL_SHARE * float(scaled[stop])
+                    tail = tail_at(float(terms[stop]), count + stop, floor)
+                    if tail is not None:
+                        break
+                    run[stop] = False  # unresolved tail: try the next candidate
                     stop = int(run.argmax())
-                    if run[stop]:
-                        terms = terms[: stop + 1]
-                        converged = True
-                    carry = flags[-2:]
+                if run[stop]:
+                    terms = terms[: stop + 1]
+                    converged = True
+                carry = flags[-2:]
 
             total, comp = _accumulate(total, comp, float(terms.sum()))
             t_last = float(terms[-1])
             count += len(terms)
             n_last = count - 1
-            value, error = total + comp, None
-            if tail_series and n_last >= model_index and n_last + lowest > 1.0:
-                # The reference is at most N/2, so the divisor is at least
-                # 2^(2+s) - 1 > 3 and does not amplify rounding in V.  t_N
-                # comes from N rounded products, so the correction scaled
-                # from it carries a relative rounding error of up to ~N u.
-                correction = _tail_correction(t_last, n_last, margin, c1)
-                value += correction
-                ref = next((e for e in reversed(ends) if 2 * e[0] <= n_last), None)
-                ends.append((n_last, value))
-                if ref is not None:
-                    delta = (value - ref[1]) / ((n_last / ref[0]) ** (2.0 + margin) - 1.0)
-                    error = abs(delta) + n_last * _UNIT_ROUNDOFF * abs(correction)
-                    converged = converged or error <= rel_tol * abs(value)
-                    value += delta
+            error = None
             if converged:
                 break
+            if not tail_series or n_last < _MIN_STOP_INDEX:
+                continue
+            partial = total + comp
+            tail = tail_at(t_last, n_last, _TAIL_SHARE * (rel_tol * abs(partial)))
+            if tail is None:
+                continue
+            value = partial + tail[0]
+            ref = next((e for e in reversed(ends) if 2 * e[0] <= n_last), None)
+            ends.append((n_last, value))
+            if ref is not None:
+                error = abs(value - ref[1]) + tail[1] + n_last * _UNIT_ROUNDOFF * abs(tail[0])
+                error += _ROUNDING_MULTIPLE * _UNIT_ROUNDOFF * abs_sum
+                if error <= rel_tol * abs(value):
+                    converged = True
+                    break
 
+    value = total + comp
     if k_term is not None and count == k_term + 1:
         return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
-
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
-    if error is None:
-        if n_last < model_index:
-            error = _early_tail_bound(abs(t_last), n_last, model_index, margin)
-        elif tail_series:
-            error = abs(t_last) * (n_last + 1) / margin
-        else:
-            error = abs(t_last)
+    rounding = _ROUNDING_MULTIPLE * _UNIT_ROUNDOFF * abs_sum
+    if tail is not None:
+        value += tail[0]
+        if error is None:
+            error = tail[1] + n_last * _UNIT_ROUNDOFF * abs(tail[0]) + rounding
+    elif tail_series:
+        error = abs(t_last) * (n_last + 1) / margin + rounding
+    else:
+        error = abs(t_last) + rounding
     return SummationResult(value, count, status, error)

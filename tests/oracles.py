@@ -4,10 +4,11 @@ The rational oracles sum terminating series exactly in Fraction arithmetic,
 term by term from the definition.  They share no code with the package and
 are deliberately naive: correctness over speed.
 
-``reference_sum_series`` is the exception: it is the earlier, plainer block
-loop of ``hypersum.series.sum_series``, kept to pin the optimised kernel to
-it bit for bit.  It reuses the kernel's scalar helpers (tail model, Neumaier
-update), so it checks the block body only.
+``reference_sum_series`` is the exception: it is a plain block loop of the
+stop rules of ``hypersum.series.sum_series``, kept to pin the optimised
+kernel to it bit for bit.  It reuses the kernel's asymptotic tail, whose
+accuracy is pinned against mpmath separately, and its Neumaier update, so it
+checks the block body and the stop rules only.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ import numpy as np
 
 from hypersum.errors import ConfigError, DivergenceError, RangeError
 from hypersum.series import (
+    _TAIL_SHARE,
     SummationResult,
     SummationStatus,
+    _AsymptoticTail,
     _accumulate,
-    _early_tail_bound,
-    _tail_correction,
-    _term_shape_coefficient,
     convergence_margin,
 )
 from hypersum.specialfn import _is_integer
@@ -115,9 +115,10 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     """``sum_series`` as a straightforward numpy block loop.
 
     Same block widths, stop rules and floating-point operations as the
-    package kernel, written without in-place buffers: the ratios come from
-    separate numerator and denominator products, the term test concatenates
-    the carried flags and searches with ``flatnonzero``.
+    package kernel, written without in-place buffers and without the skip:
+    every block of a non-terminating series runs the term test.  The ratios
+    come from separate numerator and denominator products, the term test
+    concatenates the carried flags, and its candidates are tried in order.
     """
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
@@ -129,28 +130,24 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     uppers = np.asarray(spec.numerators, dtype=np.float64)
     lowers = np.asarray(spec.denominators + (1.0,), dtype=np.float64)
 
-    # Margin, c1 and M belong to the tail model of a non-terminating
-    # p = q + 1 series and are formed for no other.
+    # The margin and the tail belong to a non-terminating p = q + 1 series.
     tail_series = k_term is None and spec.order_p == spec.order_q + 1
-    margin, c1, model_index = 0.0, 0.0, 0
+    margin = 0.0
     if tail_series:
         margin = convergence_margin(spec)
         if margin <= 0.0:
             raise DivergenceError("diverges at unit argument")
-        c1 = _term_shape_coefficient(spec)
-        if not math.isfinite(4.0 * c1):
-            raise RangeError("tail shape coefficient exceeds binary64 range")
-        model_index = max(20, math.ceil(4.0 * abs(c1)))
-    lowest = min(spec.numerators + spec.denominators, default=math.inf)
+        tail_at = _AsymptoticTail(spec, margin)
+    rounding_unit = 32.0 * 2.0**-53
 
-    total, comp = 1.0, 0.0
+    total, comp, abs_sum = 1.0, 0.0, 1.0
     t_last = 1.0
-    count = 1
+    count, n_last = 1, 0
     carry = np.array([False, False])
     block = 1024
     converged = False
     ends = []
-    n_last, value, error = 0, 1.0, None
+    tail = error = None
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
@@ -166,56 +163,59 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
             terms = t_last * np.cumprod(num / den)
             if not np.isfinite(terms[-1]):
                 raise RangeError("series terms exceed binary64 range")
+            abs_sum += float(np.sum(np.abs(terms)))
 
             if k_term is None:
-                partials = (total + comp) + np.cumsum(terms)
-                small = np.abs(terms) <= rel_tol * np.abs(partials)
+                bound = rel_tol * np.abs((total + comp) + np.cumsum(terms))
+                small = np.abs(terms) <= bound
                 if count < 20:
                     small[: 20 - count] = False
-                ahead = model_index - count
-                if 0 < ahead < width:
-                    small[:ahead] = False
-                elif ahead >= width:
-                    n = count + np.arange(width)
-                    bound = _early_tail_bound(np.abs(terms), n, model_index, margin)
-                    small &= bound <= rel_tol * np.abs(partials)
                 ext = np.concatenate((carry, small))
                 run = ext[:-2] & ext[1:-1] & ext[2:]
-                hits = np.flatnonzero(run)
-                if hits.size:
-                    terms = terms[: int(hits[0]) + 1]
+                for i in np.flatnonzero(run):
+                    if tail_series:
+                        tail = tail_at(float(terms[i]), count + int(i), _TAIL_SHARE * float(bound[i]))
+                        if tail is None:
+                            continue
+                    terms = terms[: int(i) + 1]
                     converged = True
+                    break
                 carry = ext[-2:].copy()
 
             total, comp = _accumulate(total, comp, float(np.sum(terms)))
             t_last = float(terms[-1])
             count += len(terms)
             n_last = count - 1
-            value, error = total + comp, None
-            if tail_series and n_last >= model_index and n_last + lowest > 1.0:
-                correction = _tail_correction(t_last, n_last, margin, c1)
-                value += correction
-                ref = next((e for e in reversed(ends) if 2 * e[0] <= n_last), None)
-                ends.append((n_last, value))
-                if ref is not None:
-                    delta = (value - ref[1]) / ((n_last / ref[0]) ** (2.0 + margin) - 1.0)
-                    error = abs(delta) + n_last * 2.0**-53 * abs(correction)
-                    converged = converged or error <= rel_tol * abs(value)
-                    value += delta
+            error = None
             if converged:
                 break
+            if tail_series and n_last >= 20:
+                partial = total + comp
+                tail = tail_at(t_last, n_last, _TAIL_SHARE * (rel_tol * abs(partial)))
+                if tail is not None:
+                    value = partial + tail[0]
+                    ref = [e for e in ends if 2 * e[0] <= n_last]
+                    ends.append((n_last, value))
+                    if ref:
+                        error = abs(value - ref[-1][1]) + tail[1]
+                        error += n_last * 2.0**-53 * abs(tail[0])
+                        error += rounding_unit * abs_sum
+                        if error <= rel_tol * abs(value):
+                            converged = True
+                            break
 
+    value = total + comp
     if k_term is not None and count == k_term + 1:
         return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
 
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
-    if tail_series and n_last >= 20:
-        tail = abs(t_last) * (n_last + 1) / margin
+    rounding = rounding_unit * abs_sum
+    if tail is not None:
+        value += tail[0]
+        if error is None:
+            error = tail[1] + n_last * 2.0**-53 * abs(tail[0]) + rounding
+    elif tail_series:
+        error = abs(t_last) * (n_last + 1) / margin + rounding
     else:
-        tail = abs(t_last)
-    if error is None:
-        if n_last < model_index:
-            error = _early_tail_bound(abs(t_last), n_last, model_index, margin)
-        else:
-            error = tail
+        error = abs(t_last) + rounding
     return SummationResult(value, count, status, error)

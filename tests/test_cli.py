@@ -30,11 +30,13 @@ def run_python(*argv):
 
 
 class TestEval:
-    def test_model_index_past_int64(self, capsys):
+    def test_huge_parameters(self, capsys):
+        # 2F1(1/2, 1e10; 2e10; 1) = 1.41421356239961155310 (mpmath, 30 digits).
         code, out, _ = run(capsys, "eval", "0.5,1e10;2e10", "--format", "csv")
         assert code == 0
-        value, _, _, status = out.splitlines()[1].split(",")
-        assert (float(value), status) == (1.4142135623996115, "Converged")
+        value, _, error, status = out.splitlines()[1].split(",")
+        assert status == "Converged"
+        assert abs(float(value) - 1.4142135623996115531) <= float(error) <= 1e-10
 
     def test_gauss_series(self, capsys):
         code, out, _ = run(capsys, "eval", "0.5,0.25;1.25")
@@ -88,9 +90,9 @@ class TestEval:
         assert "nonpositive integer" in err
 
     def test_max_terms_reached_exits_2(self, capsys):
-        # A budget of 1000 at the default tolerance is one block of 999 terms,
-        # which leaves no block end to extrapolate from.
-        for limits in (("--rel-tol", "1e-14", "--max-terms", "10000"), ("--max-terms", "1000")):
+        # A budget of at most 2,048 terms leaves no block end N_ref <= N/2 to
+        # stop on, and the term test needs far more terms.
+        for limits in (("--rel-tol", "1e-14", "--max-terms", "2000"), ("--max-terms", "1000")):
             code, out, _ = run(capsys, "eval", "0.5,0.25;1.25", *limits)
             assert code == 2
             assert "MaxTermsReached" in out
@@ -153,14 +155,16 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "not applicable: gamma(301.0) exceeds binary64 range" in proc.stdout
 
-    def test_shape_coefficient_overflow_exit_2_without_traceback(self):
+    def test_huge_lower_parameter_verifies_without_traceback(self):
+        # The tail's coefficients overflow at c = 1e200, but the terms vanish
+        # after t_1, so the series sums to 1 like the closed form.
         proc = run_python(
             "-m", "hypersum.cli", "verify", "--identity", "eq2.2",
             "--a", "0.3", "--b", "0.2", "--c", "1e200", "--pairs", "1.3:1",
         )
-        assert proc.returncode == 2
+        assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
-        assert proc.stdout.startswith("not applicable: tail shape coefficient")
+        assert "passed         yes" in proc.stdout.splitlines()
 
     @pytest.mark.parametrize(
         ("argv", "message"),
@@ -181,8 +185,9 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == f"not applicable: {message}\n"
 
-    def test_model_index_past_int64_without_traceback(self):
-        # c = 1e17 puts the kernel's model index 4|c1| past the int64 range.
+    def test_huge_lower_parameter_sweep_without_traceback(self):
+        # At c = 1e17 the tail stays unresolved until the terms have fallen
+        # to nothing.
         proc = run_python(
             "-m", "hypersum.cli", "sweep", "--identity", "eq2.2",
             "--a", "0.4", "--b", "0.3", "--c", "6,1e17", "--pairs", "1.3:1",

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,6 +22,7 @@ from hypersum.series import (
     convergence_margin,
     sum_series,
 )
+from hypersum.specialfn import _is_nonpositive_integer
 from hypersum.theorems import gauss_2f1
 from hypersum.verify import IdentityCase, IdentityId, _summation_rel_tol, builtin_catalog
 
@@ -128,16 +130,17 @@ class TestConvergence:
         assert result.terms_used >= 22
 
     def test_max_terms_cap(self):
-        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-12, max_terms=5000)
+        # A budget of at most 2,048 terms leaves no block end N_ref <= N/2.
+        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-12, max_terms=2000)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
-        assert result.terms_used == 5000
+        assert result.terms_used == 2000
         assert result.error_estimate > 0.0
 
 
-class TestRichardsonStop:
-    def test_extrapolated_value_beats_the_tolerance(self):
-        # The stop rule fires at err(N) <= 1e-10; the returned extrapolation
-        # is far better than V(N) itself (~10.5 digits here).
+class TestBlockEndStop:
+    def test_value_beats_the_tolerance(self):
+        # The stop rule fires at err(N) <= 1e-10, and err(N) is mostly the
+        # error of V(N_ref); V(N) itself is far better.
         result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-10)
         assert result.status is SummationStatus.CONVERGED
         assert result.terms_used <= 10_000
@@ -150,19 +153,18 @@ class TestRichardsonStop:
         assert result.error_estimate <= 1e-12 * result.value
         assert abs(result.value - FOUR_OVER_PI) <= result.error_estimate
 
-    @pytest.mark.parametrize("max_terms", [15_362, 31_746])
-    def test_budget_just_past_a_block_end_is_not_converged(self, max_terms):
-        # Block ends fall at N = 1024, 3072, 7168, 15360, 31744, ...  These
-        # budgets end on a block of one term.  Against the block end just
-        # before it, V(N) moves by less than its rounding, so err(N) would
-        # read ~3e-15 while the error is ~1e-13 to 6e-13.
+    @pytest.mark.parametrize("max_terms", [1025, 1026, 1536, 2047, 2048])
+    def test_budget_of_at_most_2048_terms_is_not_converged(self, max_terms):
+        # Block ends fall at N = 1024 and at the budget, N = max_terms - 1 <
+        # 2048, so no block end has an earlier one at N/2 or below to stop
+        # on.  The term test needs ~1e9 terms here.
         result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-13, max_terms=max_terms)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
         assert abs(result.value - RAMANUJAN_INVERSE) <= result.error_estimate
 
     def test_error_estimate_covers_rounding_of_last_term(self):
         # At margin 0.05, t_N after ~2e5 rounded products is off by enough
-        # that the error (~8e-13) exceeds the Richardson part (~2e-13).
+        # that the error (~8e-13) would exceed |V(N) - V(N_ref)| alone.
         spec = SeriesSpec((0.5, 0.45), (1.0,))
         result = sum_series(spec, rel_tol=1e-13, max_terms=195_586)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
@@ -170,9 +172,9 @@ class TestRichardsonStop:
 
     @pytest.mark.parametrize("c", [171, 1001, 5000])
     def test_large_lower_parameter_stops_on_the_term_test(self, c):
-        # c1 ~ -c^2/2 puts 4|c1| past the first block, and at c = 5000 past
-        # the whole budget, but the terms fall like n!/(c)_n and the bound on
-        # the uncorrected tail meets the tolerance after ~20 terms.
+        # The tail's coefficients grow like c^k, but the terms fall like
+        # n!/(c)_n, so at the term test t_N is far below the floor the tail
+        # terms are checked against, and the stop comes after ~20 terms.
         result = sum_series(SeriesSpec((0.5, 0.5), (float(c),)), rel_tol=1e-12)
         assert result.status is SummationStatus.CONVERGED
         assert result.terms_used <= 100
@@ -181,9 +183,9 @@ class TestRichardsonStop:
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("a,b,c", [(11, 12, 32), (6, 7, 20)])
     def test_stop_before_tail_model_bounds_the_tail(self, a, b, c, rel_tol):
-        # c1 = -375 and -154: the term test can fire between |c1| and 4|c1|,
-        # where the terms fall slower than n^(-1-s) and |t_n| (n+1) / s
-        # understates the uncorrected tail.
+        # Parameters of 20-32 make the tail coefficients grow fast, and the
+        # term test can fire at a few hundred terms, where the tail needs
+        # several of them.
         f = math.factorial
         exact = f(c - 1) * f(c - a - b - 1) / (f(c - a - 1) * f(c - b - 1))
         result = sum_series(SeriesSpec((a, b), (c,)), rel_tol=rel_tol)
@@ -191,6 +193,106 @@ class TestRichardsonStop:
         error = abs(result.value - exact)
         assert error <= rel_tol * exact
         assert error <= result.error_estimate
+
+
+def _mp_hyper(uppers, lowers):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return mpmath.hyper(uppers, lowers, 1)
+
+
+def _gauss_mp(a, b, c):
+    # 2F1(a, b; c; 1) by Gauss's theorem, at 30 digits.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        return mpmath.gamma(c) * mpmath.gamma(c - a - b) / (mpmath.gamma(c - a) * mpmath.gamma(c - b))
+
+
+class TestHardCases:
+    """Small margins, large parameters and tight tolerances against 30-digit
+    mpmath.hyper: each ends ``Converged`` within its own error estimate."""
+
+    @pytest.mark.parametrize(
+        "uppers,lowers,rel_tol,max_terms,max_error",
+        [
+            # A term-test stop the first-order tail put at error 1.87e-8.
+            ((12.0, 12.0), (28.0,), 1e-8, 2_000, 1e-13),
+            ((8.0, 13.0), (26.0,), 1e-8, 1_000, 1e-13),
+            ((200.0, 0.5, 0.5), (201.0, 1.05), 1e-12, 3_073, 1e-14),
+            # Margin 0.05, which ran the whole 1e7-term budget.
+            ((0.5, 0.45), (1.0,), 1e-12, 3_073, 1e-13),
+            # eq1.3 at a tolerance near the rounding floor.
+            ((0.5, 0.25), (1.25,), 1e-14, 3_073, 1e-15),
+            # Parameters of 50-110: the tail resolves from N = 15360 on.
+            ((50.0, 60.0), (110.5,), 1e-12, 15_361, 1e-14),
+        ],
+    )
+    def test_against_mpmath(self, uppers, lowers, rel_tol, max_terms, max_error):
+        result = sum_series(SeriesSpec(uppers, lowers), rel_tol=rel_tol)
+        want = _mp_hyper(uppers, lowers)
+        error = abs(result.value - want)
+        assert result.status is SummationStatus.CONVERGED
+        assert result.terms_used <= max_terms
+        assert error <= result.error_estimate <= rel_tol * abs(result.value)
+        assert error <= max_error * abs(want)
+
+    def test_eq2_8_at_p_11(self):
+        # The first-order tail divided by 1 + c1/N with c1 = -58.88 at the
+        # term-test stop N = 59.
+        spec = IdentityCase(IdentityId.EQ_2_8, {"p": 11, "f1": 3.47, "f2": 3.77}).spec
+        result = sum_series(spec, rel_tol=1e-12)
+        want = _mp_hyper(spec.numerators, spec.denominators)
+        assert result.status is SummationStatus.CONVERGED
+        assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
+
+    def test_error_estimate_states_the_error(self):
+        # A term-test stop inside the first block, where the tail is ~70% of
+        # the value: the estimate is of the value's error, not of rel_tol.
+        result = sum_series(SeriesSpec((1.0, 1.0), (2.05,)), rel_tol=2e-4)
+        error = abs(result.value - _gauss_mp(1.0, 1.0, 2.05))
+        assert result.status is SummationStatus.CONVERGED
+        assert result.terms_used <= 1024
+        assert error <= result.error_estimate <= 1e-12 * result.value
+
+
+@st.composite
+def _positive_cases(draw):
+    # Non-cancelling specs with known sums: 2F1(a, b; c) and the contiguous
+    # 3F2(a, b, e + 1; d, e), both by Gauss's theorem, with margins 0.05-4,
+    # and p <= q series for mpmath.hyper.
+    param = st.floats(0.05, 8.0)
+    a, b = draw(param), draw(param)
+    margin = draw(st.floats(0.05, 4.0))
+    rel_tol = 10.0 ** -draw(st.floats(3.0, 14.0))
+    kind = draw(st.sampled_from(["2F1", "3F2", "p<=q"]))
+    if kind == "2F1":
+        c = a + b + margin
+        return (a, b), (c,), rel_tol, lambda: _gauss_mp(a, b, c)
+    if kind == "3F2":
+        e = draw(param)
+        d = a + b + 1.0 + margin
+
+        def want():
+            mpmath = pytest.importorskip("mpmath")
+            with mpmath.workdps(30):
+                ratio = mpmath.mpf(a) * b / (mpmath.mpf(e) * d)
+                return _gauss_mp(a, b, d) + ratio * _gauss_mp(a + 1, b + 1, d + 1)
+
+        return (a, b, e + 1.0), (d, e), rel_tol, want
+    p = draw(st.integers(1, 3))
+    uppers = tuple(draw(st.lists(param, min_size=p, max_size=p)))
+    lowers = tuple(draw(st.lists(param, min_size=p, max_size=p + 1)))
+    return uppers, lowers, rel_tol, lambda: _mp_hyper(uppers, lowers)
+
+
+@given(_positive_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_value_is_within_its_error_estimate(case):
+    uppers, lowers, rel_tol, want = case
+    result = sum_series(SeriesSpec(uppers, lowers), rel_tol=rel_tol)
+    if result.status is SummationStatus.CONVERGED:
+        assert abs(result.value - want()) <= result.error_estimate, result
 
 
 def _outcome(kernel, spec, rel_tol, max_terms):
@@ -204,8 +306,8 @@ def _outcome(kernel, spec, rel_tol, max_terms):
 
 def _random_kernel_spec(rng: random.Random) -> SeriesSpec:
     # Mostly convergent p = q + 1 series with margins 0.05-8, plus p <= q
-    # series, terminating ones, large parameters (4|c1| past the first
-    # block), divergent ones and ones whose terms overflow.
+    # series, terminating ones, large parameters (tail unresolved through
+    # the first blocks), divergent ones and ones whose terms overflow.
     p = rng.randint(1, 4)
     spread = 40.0 if rng.random() < 0.1 else 6.0
     nums = [rng.uniform(-4.0, spread) for _ in range(p)]
@@ -304,7 +406,7 @@ def _step_spec(d1, d2):
     # jump up by ~0.25 / d1 from t_1025 on; the upper -3072 + d2 nearly
     # vanishes at n = 3072, so they drop by ~12 d2 from t_3073 on.  Each has
     # a partner 0.25 or 1/12 away that keeps the terms smooth elsewhere, and
-    # the two cancel in c1, so the model index is 20.
+    # from t_3073 on they are small enough for the tail to be resolved.
     b, a = -1024.0 + d1, -3072.0 + d2
     return SeriesSpec((b + 0.25, a, 0.5, 0.5), (b, a + 0.25 / 3.0, 2.5))
 
@@ -430,38 +532,56 @@ def test_term_overflow_is_typed():
         sum_series(SeriesSpec((1e200,), (1e-200,)))
 
 
-@pytest.mark.parametrize(
-    "uppers,lowers",
-    [((1.0, 1.0), (1e200,)), ((1e160, 1.0), (2e160,))],
-)
-def test_shape_coefficient_overflow_is_typed(uppers, lowers):
-    # Convergent series whose c1 is -inf (first) or inf - inf = nan (second).
-    with pytest.raises(RangeError):
-        sum_series(SeriesSpec(uppers, lowers))
-
-
-@pytest.mark.parametrize(
-    "uppers,lowers", [((0.5, 1e10), (2e10,)), ((0.25, 1.0, 2e9), (1.5, 4e9))]
-)
-def test_model_index_past_int64(uppers, lowers):
-    # |c1| is ~1.5e20 and ~6e18, so the model index M = 4|c1| is past the int64
-    # range while the terms are tiny after a few dozen.
+def _direct_sum(uppers, lowers):
+    # The series summed term by term at 40 digits, for specs whose terms
+    # fall at least geometrically; mpmath.hyper returns garbage for some of
+    # these parameter sizes.
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        want = float(mpmath.hyper(uppers, lowers, 1))
+    with mpmath.workdps(40):
+        term = total = mpmath.mpf(1)
+        for n in range(2000):
+            term *= mpmath.fprod(mpmath.mpf(a) + n for a in uppers)
+            term /= mpmath.fprod(mpmath.mpf(b) + n for b in lowers) * (n + 1)
+            total += term
+            if abs(term) < mpmath.mpf(10) ** -40 * abs(total):
+                return float(total)
+    raise AssertionError("direct sum did not converge")
+
+
+# Huge parameters make the tail's coefficients grow like the largest one to
+# the k: they overflow (first three), or the tail stays unresolved until the
+# terms have fallen far (last two).  The first four were a RangeError on the
+# old first-order tail model.  The overflow spec's terms exceed the binary64
+# range.
+@pytest.mark.parametrize(
+    "uppers,lowers,overflows",
+    [
+        ((1.0, 1.0), (1e200,), False),
+        ((1e160, 1.0), (2e160,), False),
+        ((1.34e154, 0.5, 0.5, 0.5), (4.4666666666666674e153,) * 3, False),
+        ((1.2e154, 1.2e154), (2.5e154,), True),
+        ((0.5, 1e10), (2e10,), False),
+        ((0.25, 1.0, 2e9), (1.5, 4e9), False),
+    ],
+)
+def test_huge_parameters_are_accurate_or_typed(uppers, lowers, overflows):
+    # Never nan and never a raw OverflowError: a value within its estimate
+    # of the direct sum, or a typed RangeError.
+    if overflows:
+        with pytest.raises(RangeError, match="binary64 range"):
+            sum_series(SeriesSpec(uppers, lowers))
+        return
     result = sum_series(SeriesSpec(uppers, lowers))
     assert result.status is SummationStatus.CONVERGED
-    assert abs(result.value - want) <= 1e-12 * abs(want)
+    assert result.terms_used <= 100
+    assert abs(result.value - _direct_sum(uppers, lowers)) <= result.error_estimate
 
 
-# The upper parameter sum overflows inside fsum (first), c1 is finite but
-# the model index 4|c1| is not (second), the sum of a^2 - a overflows inside
-# fsum although the margin is finite (third), or the lower parameter sum of
-# a p = q + 1 series overflows inside fsum (fourth).
+# The upper parameter sum of a terminating series overflows inside the term
+# recurrence (first), or the lower parameter sum of a p = q + 1 series
+# overflows inside the margin's fsum (second).
 PRELUDE_OVERFLOW_SPECS = [
     ((-1e308, -1e308), (0.5,)),
-    ((1.34e154, 0.5, 0.5, 0.5), (4.4666666666666674e153,) * 3),
-    ((1.2e154, 1.2e154), (2.5e154,)),
     ((0.5, 0.5, 0.5), (1e308, 1e308)),
 ]
 
@@ -517,6 +637,33 @@ def test_margin_matches_sums(extra_dens, num):
     spec = SeriesSpec((num,), tuple(extra_dens) + (num + 1.0,))
     expected = math.fsum(spec.denominators) - num
     assert convergence_margin(spec) == pytest.approx(expected, rel=1e-15)
+
+
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=5),
+    st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=5),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_margin_is_correctly_rounded(uppers, lowers):
+    # One correctly rounded sum: the binary64 value nearest the exact margin.
+    assume(not any(_is_nonpositive_integer(b) for b in lowers))
+    assume(len(uppers) <= len(lowers) + 1)
+    exact = sum(map(Fraction, lowers), Fraction(0)) - sum(map(Fraction, uppers), Fraction(0))
+    assert convergence_margin(SeriesSpec(uppers, lowers)) == float(exact)
+
+
+@pytest.mark.parametrize(
+    "uppers,lowers,exact",
+    [
+        ((0.1, 0.2), (0.3,), Fraction(0.3) - Fraction(0.1) - Fraction(0.2)),
+        ((0.4, 0.3, 2.3), (1.75, 1.3), Fraction(1.75) + Fraction(1.3) - Fraction(0.4)
+         - Fraction(0.3) - Fraction(2.3)),
+    ],
+)
+def test_margin_does_not_cancel(uppers, lowers, exact):
+    # Two rounded sums and a subtraction put 2F1(0.1, 0.2; 0.3) at -5.55e-17
+    # (100% off) and the boundary.0.05 3F2 7.8e-15 off.
+    assert convergence_margin(SeriesSpec(uppers, lowers)) == float(exact)
 
 
 def mu_spec(b, mu):

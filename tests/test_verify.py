@@ -80,14 +80,15 @@ class TestVerifyIdentity:
 
     @pytest.mark.parametrize("f1,f2", [(3.47, 3.77), (4.2093, 3.159)])
     def test_eq28_no_stop_where_tail_model_breaks(self, f1, f2):
-        # c1 ~ -59 puts 1 + c1/n ~ 0 at n = 59, where the kernel used to stop
-        # and divide the tail correction by it (rel_err ~3e-9)
+        # The term test fires at n ~ 59, where a first-order tail model with
+        # c1 ~ -59 divided by 1 + c1/n ~ 0 (rel_err ~3e-9)
         report = verify_identity(IdentityCase(IdentityId.EQ_2_8, {"p": 11, "f1": f1, "f2": f2}))
         assert report.passed is True
         assert report.rel_err <= 1e-13
 
     def test_eq_2_5_large_p_stops_early(self):
-        # c1 ~ -14,500 here; the term test must not wait for 4|c1| terms
+        # Parameters near 170 make the tail unresolved for a while; the terms
+        # fall fast, so the term test must still stop within 100 terms
         report = verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 170}))
         assert report.passed is True
         assert report.summation.status is SummationStatus.CONVERGED
@@ -386,7 +387,7 @@ class TestSweep:
         assert as_json == again
 
     def test_boundary_margin_slow_convergence(self):
-        # c - a - b = m + 0.05: barely applicable; the Richardson stop on the
+        # c - a - b = m + 0.05: barely applicable; the block-end stop on the
         # tail-corrected value still converges well inside the term budget
         pairs = (ShiftedPair(1.3, 1),)
         reports = sweep(
