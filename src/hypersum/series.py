@@ -14,12 +14,8 @@ pairwise summation inside them.  A block skips the term test when each of its
 the test compares |t_n| with; no term there could pass, so the skip is exact.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
-convergence margin, so the kernel adds the asymptotic tail (DLMF 2.10)
-sum_{n>N} t_n ~ t_N (N h(1/N) - 1), h(u) = sum_k e_k u^k.  The term ratio
-gives h(u) - R(u) h(u/(1+u)) = u, R(u) = prod(1 + a_i u) / prod(1 + b_j u),
-and matching powers of u gives e_0 = 1/s and each later e_k divided by s + k.
-The e_k grow like the largest |parameter|^k, so the tail is used only where
-its terms fall fast (see :func:`sum_series`).
+convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
+t_N (N h(1/N) - 1), with h(u) = sum_k e_k u^k solved from the term ratio.
 """
 
 from __future__ import annotations
@@ -53,12 +49,11 @@ _MIN_STOP_INDEX = 20
 
 _UNIT_ROUNDOFF = 2.0**-53
 
-# The tail's terms are checked against _TAIL_SHARE * rel_tol * |partial sum|,
-# at most _TAIL_TERMS of them; error_estimate counts _ROUNDING_MULTIPLE u
-# sum |t_n| for the rounding of the partial sum and of its terms.
+# Tail terms are checked against _TAIL_SHARE rel_tol |S_N|, at most _TAIL_TERMS of
+# them; error_estimate adds _SUM_ROUNDING sum |t_n| for the rounding of S_N.
 _TAIL_TERMS = 16
 _TAIL_SHARE = 2.0**-6
-_ROUNDING_MULTIPLE = 32.0
+_SUM_ROUNDING = 32.0 * _UNIT_ROUNDOFF
 _BINOMIAL = [[float(math.comb(m, k)) for k in range(m + 1)] for m in range(_TAIL_TERMS)]
 
 
@@ -103,8 +98,7 @@ class SeriesSpec:
     @property
     def termination_index(self) -> int | None:
         """Index k of the last nonzero term, or None if non-terminating."""
-        hits = [int(-a) for a in self.numerators if _is_nonpositive_integer(a)]
-        return min(hits) if hits else None
+        return min((int(-a) for a in self.numerators if _is_nonpositive_integer(a)), default=None)
 
 
 class SummationStatus(str, enum.Enum):
@@ -115,11 +109,7 @@ class SummationStatus(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SummationResult:
-    """Outcome of :func:`sum_series`.
-
-    ``error_estimate`` is the result's one error figure: an estimate of the
-    error of ``value`` (see :func:`sum_series`).
-    """
+    """Outcome of :func:`sum_series`; ``error_estimate`` estimates the error of ``value``."""
 
     value: float
     terms_used: int
@@ -128,13 +118,12 @@ class SummationResult:
 
 
 def convergence_margin(spec: SeriesSpec) -> float:
-    """Sum of lower parameters minus sum of upper parameters.
+    """Sum of lower parameters minus sum of upper parameters, correctly rounded.
 
     For a non-terminating series with p = q + 1 the unit-argument series
     converges iff this margin is positive (terms decay like n^(-1-margin)).
-    Series with p <= q converge regardless.  One correctly rounded sum over
-    the lower and the negated upper parameters, so no digits are lost where
-    they nearly cancel.  Raises RangeError where a partial sum overflows.
+    Series with p <= q converge regardless.  Raises RangeError where a
+    partial sum overflows.
     """
     try:
         return math.fsum((*spec.denominators, *map(operator.neg, spec.numerators)))
@@ -144,85 +133,74 @@ def convergence_margin(spec: SeriesSpec) -> float:
 
 class _AsymptoticTail:
     """The tail t_N (N h(1/N) - 1) of a non-terminating p = q + 1 series,
-    summed as -t_N plus T_k = t_N N e_k N^-k.  The e_k are solved once per
-    call of sum_series and lazily: e_0..e_3, all a term-test stop usually
-    needs, written out, then one at a time."""
+    summed as -t_N plus T_k = t_N N e_k N^-k.  e_0..e_3, all a term-test stop
+    usually needs, are written out; each later e_k is solved when first used.
 
-    def __init__(self, spec: SeriesSpec, margin: float):
-        self._spec, self._s, self._e, self._g = spec, margin, [], []
-        self._pq: tuple[float, list[float], list[float]] = (0.0, [], [])
-        self._alt: list[float] = []
+    With P(u) = prod(1 + a_i u), Q(u) = prod(1 + b_j u) and g(u) = h(u/(1+u)),
+    the ratio t_(N+1) / t_N = P(u) / ((1 + u) Q(u)), u = 1/N, gives h - (P/Q) g = u,
+    that is Q h - P g = u Q.  With g_0 = e_0, g_m = e_m + B_m and
+    g_{m+1} = e_{m+1} - m e_m - A_m, where A_m and B_m are the sums over
+    k = 1..m-1 of (-1)^(m-k) e_k times C(m, k-1) and C(m-1, k-1), its u^(m+1)
+    coefficient gives e_0 = 1/s and, for m >= 1 and as Q_1 - P_1 = s,
+      (s + m) e_m = Q_m - A_m + P_1 B_m + sum_{j=2..m+1} (P_j g_{m+1-j} - Q_j e_{m+1-j}).
+    """
 
-    def __call__(self, t_n: float, n: int, floor: float) -> tuple[float, float] | None:
-        """(tail, error estimate), or None where the tail is unresolved.
+    def __init__(self, spec: SeriesSpec, s: float):
+        first = []
+        for params in (spec.numerators, spec.denominators):
+            c1 = c2 = c3 = c4 = 0.0
+            for a in params:
+                c1, c2, c3, c4 = c1 + a, c2 + a * c1, c3 + a * c2, c4 + a * c3
+            first.append((c1, c2, c3, c4))
+        (p1, p2, p3, p4), (q1, q2, q3, q4) = first
+        e0 = 1.0 / s
+        e1 = (q1 + (p2 - q2) * e0) / (s + 1.0)
+        e2 = (q2 + (1.0 - p1 + p2 - q2) * e1 + (p3 - q3) * e0) / (s + 2.0)
+        b3 = e1 - 2.0 * e2
+        e3 = q3 - e1 + 3.0 * e2 + p1 * b3 + p2 * (e2 - e1) - q2 * e2
+        e3 = (e3 + (p3 - q3) * e1 + (p4 - q4) * e0) / (s + 3.0)
+        self._spec, self._s, self._p1 = spec, s, p1
+        self._p, self._q = [p2, p3, p4], [q2, q3, q4] + [0.0] * _TAIL_TERMS
+        self._e, self._g = [e0, e1, e2, e3], [e0, e1, e2 - e1, e3 + b3]
+        self._alt = [-e1, e2, -e3]  # (-1)^k e_k for k >= 1
 
-        Sums T_k through the first k >= 2 with |T_(k-1)|, |T_k| <= ``floor``
-        (a pair, as one e_k can be near zero where it changes sign) and
-        estimates the error by their sum.  Unresolved: no such pair by
-        k = _TAIL_TERMS - 1, or a term that is not finite.
-        """
+    def __call__(self, t_n: float, n: int, scale: float) -> tuple[float, float] | None:
+        """(tail, error estimate), or None where the tail is unresolved: a term
+        is not finite, or no k < _TAIL_TERMS has k >= 2 and |T_(k-1)|, |T_k| <=
+        _TAIL_SHARE ``scale``.  T_k are summed through that pair (one e_k alone
+        can be near zero where it changes sign); the estimate is their sum plus
+        n u |tail|, the rounding passed on by t_n, a product of n ratios."""
         if t_n == 0.0:
             return 0.0, 0.0
-        e, term, tail, last = self._e, t_n * n, -t_n, math.inf
+        e, term, tail, last, floor = self._e, t_n * n, -t_n, math.inf, _TAIL_SHARE * scale
         for k in range(_TAIL_TERMS):
             if k == len(e):
                 self._solve(k)
             step = term * e[k]
             tail, size = tail + step, abs(step)
-            if not size < math.inf:
-                return None
             if size <= floor and last <= floor and k >= 2:
-                return tail, size + last
+                error = size + last + n * _UNIT_ROUNDOFF * abs(tail)
+                return (tail, error) if math.isfinite(tail) else None
             last, term = size, term / n
         return None
 
     def _solve(self, m: int) -> None:
-        # With P(u) = prod(1 + a_i u) and Q(u) = prod(1 + b_j u), h - R g = u
-        # for g(u) = h(u/(1+u)) reads Q h - P g = u Q.  Here g_0 = e_0 and,
-        # for m >= 1, g_m = e_m + B_m and g_{m+1} = e_{m+1} - m e_m - A_m with
-        #   A_m = sum_{k=1..m-1} (-1)^(m-k) C(m, k-1) e_k,
-        #   B_m = sum_{k=1..m-1} (-1)^(m-k) C(m-1, k-1) e_k,
-        # so the u^(m+1) coefficient, with Q_1 - P_1 = s, gives
-        #   (s + m) e_m = Q_m - A_m + P_1 B_m
-        #                 + sum_{j=2..m+1} (P_j g_{m+1-j} - Q_j e_{m+1-j}).
-        e, g, s, spec = self._e, self._g, self._s, self._spec
-        if m == 0:  # e_0..e_3 written out, from P_j and Q_j for j <= 4
-            first = []
-            for params in (spec.numerators, spec.denominators):
-                c1 = c2 = c3 = c4 = 0.0
-                for a in params:
-                    c1, c2, c3, c4 = c1 + a, c2 + a * c1, c3 + a * c2, c4 + a * c3
-                first.append((c1, c2, c3, c4))
-            (p1, p2, p3, p4), (q1, q2, q3, q4) = first
-            e0 = 1.0 / s
-            e1 = (q1 + (p2 - q2) * e0) / (s + 1.0)
-            e2 = (q2 + (1.0 - p1 + p2 - q2) * e1 + (p3 - q3) * e0) / (s + 2.0)
-            b3 = e1 - 2.0 * e2
-            e3 = q3 - e1 + 3.0 * e2 + p1 * b3 + p2 * (e2 - e1) - q2 * e2
-            e += [e0, e1, e2, (e3 + (p3 - q3) * e1 + (p4 - q4) * e0) / (s + 3.0)]
-            g += [e0, e1, e2 - e1, e[3] + b3]
-            # P_1, then P_j and Q_j from j = 2 on: complete unless p > 4.
-            self._pq = p1, [p2, p3, p4], [q2, q3, q4] + [0.0] * _TAIL_TERMS
-            return
-        if m == 4:
-            self._alt = [-e[1], e[2], -e[3]]  # (-1)^k e_k for k >= 1
-        if m == 4 and spec.order_p > 4:
-            size = _TAIL_TERMS + spec.order_p
-            big_p, big_q = [1.0] + [0.0] * size, [1.0] + [0.0] * size
-            for poly, params in ((big_p, spec.numerators), (big_q, spec.denominators)):
+        e, g, alt, spec = self._e, self._g, self._alt, self._spec
+        if m == 4 and spec.order_p > 4:  # P_j, Q_j past j = 4, from j = 2 on
+            self._p, self._q = [], []
+            for poly, params in ((self._p, spec.numerators), (self._q, spec.denominators)):
+                poly += [1.0] + [0.0] * (len(params) + _TAIL_TERMS)
                 for j, a in enumerate(params, 1):
                     for i in range(j, 0, -1):
                         poly[i] += a * poly[i - 1]
-            self._pq = big_p[1], big_p[2:], big_q[2:]
-        p1, p_rest, q_rest = self._pq
-        alt = self._alt
+                del poly[:2]
         sign = -1.0 if m % 2 else 1.0
         a_m = sign * sum(map(operator.mul, _BINOMIAL[m], alt))
         b_m = sign * sum(map(operator.mul, _BINOMIAL[m - 1], alt))
-        acc = q_rest[m - 2] - a_m + p1 * b_m
-        acc += sum(map(operator.mul, p_rest, reversed(g)))
-        acc -= sum(map(operator.mul, q_rest, reversed(e)))
-        e.append(acc / (s + m))
+        acc = self._q[m - 2] - a_m + self._p1 * b_m
+        acc += sum(map(operator.mul, self._p, reversed(g)))
+        acc -= sum(map(operator.mul, self._q, reversed(e)))
+        e.append(acc / (self._s + m))
         g.append(e[m] + b_m)
         alt.append(-e[m] if m % 2 else e[m])
 
@@ -244,39 +222,30 @@ def sum_series(
 ) -> SummationResult:
     """Sum the series directly, term by term.
 
-    Stops when the series terminates (status ``Terminated``), at
-    ``max_terms`` (``MaxTermsReached``), or ``Converged`` on one of two rules:
+    Stops when the series terminates (``Terminated``), at ``max_terms``
+    (``MaxTermsReached``), or ``Converged`` on one of two rules:
 
-    * term test: |t_n| <= rel_tol |partial sum| for three consecutive n >= 20;
+    * term test: |t_n| <= rel_tol |partial sum| for three consecutive n >= 20,
+      of which only a block's first such n is tried;
     * block end, for a non-terminating p = q + 1 series: at the end N of a
       block (1024 terms, doubling to 65536, or the budget) where
-      err(N) <= rel_tol |V(N)|.  The first such N is 3072: no budget of 2,048
-      terms or less ends on this rule.
+      err(N) = |V(N) - V(N_ref)| + E(N) <= rel_tol |V(N)|, N_ref <= N/2 the
+      latest earlier block end with a resolved tail.  The first such N is
+      3072, so no budget of 2,048 terms or less ends on this rule.
 
-    There V(N) is the partial sum S_N plus the asymptotic tail (module
-    docstring), -t_N + T_0 + T_1 + ..., T_k = t_N N e_k N^-k, summed through
-    the first k >= 2 with |T_(k-1)|, |T_k| <= rel_tol |S_N| / 64.  Where no
-    such pair comes by k = 15, or a term is not finite, the tail is
-    unresolved at N and neither rule stops there.  With N_ref <= N/2 the
-    latest earlier block end with a resolved tail and u the unit roundoff,
+    V(N) is the partial sum S_N plus the tail (module docstring), summed by
+    :class:`_AsymptoticTail` with scale rel_tol |S_N|; where it is unresolved
+    at N, neither rule stops there.  E(N) is the tail's estimate plus
+    32 u sum |t_n|, u the unit roundoff, for the rounding of S_N.  ``value``
+    is V(N) at the last summed index N, or S_N where no tail is resolved
+    there.  ``error_estimate`` is err(N) where formed at N, else E(N); without
+    a tail, |t_N| (N+1) / s for a p = q + 1 series and |t_N| otherwise, plus
+    32 u sum |t_n|; 0 once terminated.
 
-        err(N) = |V(N) - V(N_ref)| + E(N),
-        E(N)   = |T_(k-1)| + |T_k| + N u |tail(N)| + 32 u sum |t_n|,
-
-    which adds to the tail's last two terms the rounding that t_N, a product
-    of N ratios, passes to the tail, and the rounding of the partial sum and
-    its terms (sum |t_n| over the blocks computed).
-
-    ``value`` is V(N) at the last summed index N, or S_N where no tail is
-    resolved there.  ``error_estimate`` is err(N) where defined at N, else
-    E(N) with a resolved tail; without one, |t_N| (N+1) / s for a p = q + 1
-    series and |t_N| otherwise, plus 32 u sum |t_n|; 0 once terminated.
-
-    Raises ConfigError for a rel_tol that is not positive or a max_terms
-    that is not an integer or is below 1, DivergenceError for a
-    non-terminating p = q + 1 series whose convergence margin is not
-    positive, and RangeError when a term exceeds the binary64 range or, for
-    a non-terminating p = q + 1 series only, a parameter sum does.
+    Raises ConfigError for a rel_tol that is not positive or a max_terms that
+    is not an integer >= 1, DivergenceError for a non-terminating p = q + 1
+    series whose margin is not positive, and RangeError when a term, or for
+    such a series a parameter sum, exceeds the binary64 range.
     """
     # Imported here so that callers which never sum, such as CLI calls that
     # end in a usage error or an n/a, do not pay numpy's import time.
@@ -295,24 +264,22 @@ def sum_series(
 
     # Only a non-terminating p = q + 1 series can diverge or needs a tail.
     tail_series = k_term is None and spec.order_p == spec.order_q + 1
-    margin, tail_at = 0.0, None
     if tail_series:
         margin = convergence_margin(spec)
         if margin <= 0.0:
-            raise DivergenceError(
-                f"non-terminating series with margin {margin:.6g} <= 0 diverges "
-                "at unit argument"
-            )
+            msg = f"non-terminating series with margin {margin:.6g} <= 0 diverges at unit argument"
+            raise DivergenceError(msg)
         tail_at = _AsymptoticTail(spec, margin)
 
     total, comp, abs_sum, t_last = 1.0, 0.0, 1.0, 1.0  # t_0; abs_sum is sum |t_n|
     count, n_last, block, converged = 1, 0, _BLOCK_START, False
     carry = (False, False)  # term-test flags of the previous block's last two terms
-    ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends with a resolved tail
-    tail = error = None  # tail_at's result and err(N) at the last summed index
+    ends: list[tuple[int, float, float]] = []  # (N, S_N, t_N) at block ends
+    tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
+            tail, drift = None, 0.0
             width = min(block, limit - count)
             block = min(2 * block, _BLOCK_MAX)
             # Ratios t_{n+1}/t_n for n = count-1 .. count+width-2, built in
@@ -335,17 +302,16 @@ def sum_series(
             abs_sum += block_abs
 
             # No flag can be set where every |t_n| exceeds fl(2 Y rel_tol),
-            # Y = |total + comp| + fl(sum |t_n|): with w <= 2^16 terms the
-            # scan's |partial sums| are at most (1 + 2^18 u) Y < 2 Y, rounding
-            # is monotone, and the first-index mask only clears flags (the
-            # tail check only drops stops).  If 2 Y overflows the bound is inf
-            # and the scan runs.  A one-term block is the budget's last, so
-            # its carry is never read.
-            if k_term is not None or mags.min() > 2.0 * (abs(total + comp) + block_abs) * rel_tol:
+            # Y = |total + comp| + fl(sum |t_n|): with w <= 2^16 terms the scan's
+            # |partial sums| are at most (1 + 2^18 u) Y < 2 Y, rounding is
+            # monotone, and the masks and the tail check only clear stops.  If
+            # 2 Y overflows the bound is inf and the scan runs.  A one-term
+            # block is the budget's last, so its carry is never read.
+            bound = 2.0 * (abs(total + comp) + block_abs) * rel_tol
+            if k_term is not None or (mags[-1] > bound and mags.min() > bound):
                 carry = (False, False)
             else:
-                # rel_tol |partial sum| at each term.
-                scaled = np.add.accumulate(terms)
+                scaled = np.add.accumulate(terms)  # then rel_tol |partial sum|
                 scaled += total + comp
                 np.abs(scaled, out=scaled)
                 scaled *= rel_tol
@@ -358,13 +324,10 @@ def sum_series(
                 run = small & flags[1:-1]
                 run &= flags[:-2]
                 stop = int(run.argmax())
-                while tail_series and run[stop]:
-                    floor = _TAIL_SHARE * float(scaled[stop])
-                    tail = tail_at(float(terms[stop]), count + stop, floor)
-                    if tail is not None:
-                        break
-                    run[stop] = False  # unresolved tail: try the next candidate
-                    stop = int(run.argmax())
+                if run[stop] and tail_series:
+                    # Only the first candidate: an unresolved tail runs the block on.
+                    tail = tail_at(float(terms[stop]), count + stop, float(scaled[stop]))
+                    run[stop] = tail is not None
                 if run[stop]:
                     terms = terms[: stop + 1]
                     converged = True
@@ -374,22 +337,23 @@ def sum_series(
             t_last = float(terms[-1])
             count += len(terms)
             n_last = count - 1
-            error = None
             if converged:
                 break
             if not tail_series or n_last < _MIN_STOP_INDEX:
                 continue
+            # V(N) is formed only once a V(N_ref) is: the first end's waits for the third.
             partial = total + comp
-            tail = tail_at(t_last, n_last, _TAIL_SHARE * (rel_tol * abs(partial)))
-            if tail is None:
+            ends.append((n_last, partial, t_last))
+            for n_ref, s_ref, t_ref in reversed(ends):
+                ref = tail_at(t_ref, n_ref, rel_tol * abs(s_ref)) if 2 * n_ref <= n_last else None
+                if ref is not None:
+                    break
+            else:
                 continue
-            value = partial + tail[0]
-            ref = next((e for e in reversed(ends) if 2 * e[0] <= n_last), None)
-            ends.append((n_last, value))
-            if ref is not None:
-                error = abs(value - ref[1]) + tail[1] + n_last * _UNIT_ROUNDOFF * abs(tail[0])
-                error += _ROUNDING_MULTIPLE * _UNIT_ROUNDOFF * abs_sum
-                if error <= rel_tol * abs(value):
+            tail = tail_at(t_last, n_last, rel_tol * abs(partial))
+            if tail is not None:
+                drift = abs(partial + tail[0] - (s_ref + ref[0]))
+                if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(partial + tail[0]):
                     converged = True
                     break
 
@@ -397,13 +361,11 @@ def sum_series(
     if k_term is not None and count == k_term + 1:
         return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
-    rounding = _ROUNDING_MULTIPLE * _UNIT_ROUNDOFF * abs_sum
+    if tail is None and tail_series and n_last >= _MIN_STOP_INDEX:
+        tail = tail_at(t_last, n_last, rel_tol * abs(value))
     if tail is not None:
-        value += tail[0]
-        if error is None:
-            error = tail[1] + n_last * _UNIT_ROUNDOFF * abs(tail[0]) + rounding
-    elif tail_series:
-        error = abs(t_last) * (n_last + 1) / margin + rounding
+        value, error = value + tail[0], drift + tail[1]
     else:
-        error = abs(t_last) + rounding
+        error = abs(t_last) * (n_last + 1) / margin if tail_series else abs(t_last)
+    error += _SUM_ROUNDING * abs_sum
     return SummationResult(value, count, status, error)

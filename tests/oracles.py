@@ -21,7 +21,6 @@ import numpy as np
 
 from hypersum.errors import ConfigError, DivergenceError, RangeError
 from hypersum.series import (
-    _TAIL_SHARE,
     SummationResult,
     SummationStatus,
     _AsymptoticTail,
@@ -118,7 +117,7 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     package kernel, written without in-place buffers and without the skip:
     every block of a non-terminating series runs the term test.  The ratios
     come from separate numerator and denominator products, the term test
-    concatenates the carried flags, and its candidates are tried in order.
+    concatenates the carried flags, and only its first candidate is tried.
     """
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
@@ -147,7 +146,7 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     block = 1024
     converged = False
     ends = []
-    tail = error = None
+    tail, drift = None, 0.0
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
@@ -172,35 +171,33 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
                     small[: 20 - count] = False
                 ext = np.concatenate((carry, small))
                 run = ext[:-2] & ext[1:-1] & ext[2:]
-                for i in np.flatnonzero(run):
+                hits = np.flatnonzero(run)
+                if len(hits):
+                    i = int(hits[0])
                     if tail_series:
-                        tail = tail_at(float(terms[i]), count + int(i), _TAIL_SHARE * float(bound[i]))
-                        if tail is None:
-                            continue
-                    terms = terms[: int(i) + 1]
-                    converged = True
-                    break
+                        tail = tail_at(float(terms[i]), count + i, float(bound[i]))
+                    if not tail_series or tail is not None:
+                        terms = terms[: i + 1]
+                        converged = True
                 carry = ext[-2:].copy()
 
             total, comp = _accumulate(total, comp, float(np.sum(terms)))
             t_last = float(terms[-1])
             count += len(terms)
             n_last = count - 1
-            error = None
+            drift = 0.0
             if converged:
                 break
             if tail_series and n_last >= 20:
                 partial = total + comp
-                tail = tail_at(t_last, n_last, _TAIL_SHARE * (rel_tol * abs(partial)))
+                tail = tail_at(t_last, n_last, rel_tol * abs(partial))
                 if tail is not None:
                     value = partial + tail[0]
                     ref = [e for e in ends if 2 * e[0] <= n_last]
                     ends.append((n_last, value))
                     if ref:
-                        error = abs(value - ref[-1][1]) + tail[1]
-                        error += n_last * 2.0**-53 * abs(tail[0])
-                        error += rounding_unit * abs_sum
-                        if error <= rel_tol * abs(value):
+                        drift = abs(value - ref[-1][1])
+                        if drift + tail[1] + rounding_unit * abs_sum <= rel_tol * abs(value):
                             converged = True
                             break
 
@@ -209,13 +206,9 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
         return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
 
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
-    rounding = rounding_unit * abs_sum
     if tail is not None:
-        value += tail[0]
-        if error is None:
-            error = tail[1] + n_last * 2.0**-53 * abs(tail[0]) + rounding
-    elif tail_series:
-        error = abs(t_last) * (n_last + 1) / margin + rounding
+        value, error = value + tail[0], drift + tail[1]
     else:
-        error = abs(t_last) + rounding
+        error = abs(t_last) * (n_last + 1) / margin if tail_series else abs(t_last)
+    error += rounding_unit * abs_sum
     return SummationResult(value, count, status, error)

@@ -36,7 +36,7 @@ class TestEval:
         assert code == 0
         value, _, error, status = out.splitlines()[1].split(",")
         assert status == "Converged"
-        assert abs(float(value) - 1.4142135623996115531) <= float(error) <= 1e-10
+        assert abs(float(value) - 1.4142135623996115531) <= float(error) <= 1e-12 * float(value)
 
     def test_gauss_series(self, capsys):
         code, out, _ = run(capsys, "eval", "0.5,0.25;1.25")

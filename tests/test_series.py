@@ -237,6 +237,19 @@ class TestHardCases:
         assert error <= result.error_estimate <= rel_tol * abs(result.value)
         assert error <= max_error * abs(want)
 
+    def test_unresolved_candidate_passes_the_block_on(self):
+        # At rel_tol 1e-3 the term test first holds near n = 20, where the
+        # tail's e_k ~ 200^k leave it unresolved.  Only that candidate is
+        # tried: the block runs to its end, and the next block's first
+        # candidate stops the sum.
+        spec = SeriesSpec((200.0, 0.5, 0.5), (201.0, 1.05))
+        result = sum_series(spec, rel_tol=1e-3)
+        want = _mp_hyper(spec.numerators, spec.denominators)
+        assert result == reference_sum_series(spec, rel_tol=1e-3)
+        assert result.status is SummationStatus.CONVERGED
+        assert 1024 < result.terms_used <= 1030
+        assert abs(result.value - want) <= result.error_estimate <= 1e-3 * abs(result.value)
+
     def test_eq2_8_at_p_11(self):
         # The first-order tail divided by 1 + c1/N with c1 = -58.88 at the
         # term-test stop N = 59.
@@ -566,15 +579,17 @@ def _direct_sum(uppers, lowers):
 )
 def test_huge_parameters_are_accurate_or_typed(uppers, lowers, overflows):
     # Never nan and never a raw OverflowError: a value within its estimate
-    # of the direct sum, or a typed RangeError.
+    # of the direct sum and within the default rel_tol, or a typed RangeError.
     if overflows:
         with pytest.raises(RangeError, match="binary64 range"):
             sum_series(SeriesSpec(uppers, lowers))
         return
     result = sum_series(SeriesSpec(uppers, lowers))
+    want = _direct_sum(uppers, lowers)
     assert result.status is SummationStatus.CONVERGED
     assert result.terms_used <= 100
-    assert abs(result.value - _direct_sum(uppers, lowers)) <= result.error_estimate
+    assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
+    assert abs(result.value - want) <= 1e-12 * abs(want)
 
 
 # The upper parameter sum of a terminating series overflows inside the term
