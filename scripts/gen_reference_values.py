@@ -67,6 +67,8 @@ def main() -> None:
     emit("f32_contig_m1", hyper([mpf(0.3), mpf(1.7), mpf(0.9)], [mpf(2.7), mpf(1.9)], 1))
     emit("f32_contig_m2", hyper([mpf(0.3), mpf(1.7), mpf(0.9)], [mpf(3.7), mpf(1.9)], 1))
     emit("f32_contig_m3", hyper([mpf(0.3), mpf(1.7), mpf(0.9)], [mpf(4.7), mpf(1.9)], 1))
+    emit("f32_contig_0.7425_6", hyper(
+        [mpf(0.7425), mpf(1.8375), mpf(0.9927)], [mpf(1.8375) + 6, mpf(0.9927) + 1], 1))
     emit("f54_km", hyper(
         [mpf(0.4), mpf(0.3), mpf(2.3), mpf(4.1)],
         [mpf(6), mpf(1.3), mpf(2.1)], 1))
@@ -74,11 +76,13 @@ def main() -> None:
     # ratio-sum values (both branches)
     emit("ratio_sum_1_1", ratio_sum(mpf(1), mpf(1)))
     emit("ratio_sum_3_3", ratio_sum(mpf(3), mpf(3)))
+    emit("ratio_sum_40.5_45.25", ratio_sum(mpf(40.5), mpf(45.25)))
 
     # weighted sums
     emit("weighted_s2_3_0.7", s_p(3) * (mpf(0.7) * mpf(1.7) + mpf(1.7) / 4 + mpf(9) / 32))
     emit("weighted_pair_4_0.3_2.2", s_p(4) * (
         mpf(0.3) * mpf(2.2) + (mpf(0.3) + mpf(2.2) + 1) / 12 + mpf(9) / 96))
+    emit("telescope_15_0.3", s_p(14) + (mpf(0.3) - 15) * s_p(15))
 
     # mu-spaced sums
     emit("mu_sum_0.5_0.5", mu_sum(mpf(0.5), mpf(0.5)))

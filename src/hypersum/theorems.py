@@ -40,6 +40,13 @@ __all__ = [
 _DIGAMMA_BRANCH_GAP = 1e-8
 
 
+def _gamma_quotient(x: float, y: float) -> float:
+    # Within a few ulp in range, for quotients that get subtracted: not ~u |lgamma|.
+    if 1e-300 < min(x, y) and max(x, y) < 171.0:
+        return math.gamma(x) / math.gamma(y)
+    return gamma_ratio([x], [y])
+
+
 def _finite(name: str, value: float) -> float:
     # A product of finite factors can still overflow to inf, or meet inf - inf
     # or 0 * inf on the way and end as nan.
@@ -129,8 +136,8 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     u = 1.0
     for k in range(m):
         inner += u
-        u *= (1.0 - a + k) * (b - c + k) / ((1.0 + b - a + k) * (k + 1.0))
-    braces = gamma_ratio([c], [1.0 + c - a]) - gamma_ratio([b], [1.0 + b - a]) * inner
+        u *= ((k + 1.0) - a) * (b - c + k) / ((1.0 + b - a + k) * (k + 1.0))
+    braces = _gamma_quotient(c, 1.0 + c - a) - _gamma_quotient(b, 1.0 + b - a) * inner
     value = c * gamma(1.0 - a) * pochhammer(b, m) / shift_poch * braces
     return _finite("contiguous_3f2", value)
 
@@ -155,7 +162,7 @@ def ratio_sum_extension(b: float, c: float) -> float:
         x = 0.5 * (b + c)
         ratio = gamma_ratio([x], [x + 0.5])
         return math.sqrt(math.pi) * x * x * ratio * (digamma(x + 0.5) - digamma(x))
-    diff = gamma_ratio([c], [c + 0.5]) - gamma_ratio([b], [b + 0.5])
+    diff = _gamma_quotient(c, c + 0.5) - _gamma_quotient(b, b + 0.5)
     return math.sqrt(math.pi) * b * c / (b - c) * diff
 
 

@@ -329,9 +329,8 @@ def _eq2_8(params: Mapping[str, Any]) -> _Assembled:
 
 @_identity(IdentityId.TELESCOPE, p=3, f=1.0)
 def _telescope(params: Mapping[str, Any]) -> _Assembled:
-    return _weighted(
-        params, 2, {"f": 1}, lambda p, f: theorems.s_p(p - 1) + (f - p) * theorems.s_p(p)
-    )
+    # S_{p-1} = S_p (p-1/2)^2/(p-1): S_{p-1} + (f-p) S_p = S_p (f + 1/(4(p-1))), uncancelled.
+    return _weighted(params, 2, {"f": 1}, lambda p, f: theorems.s_p(p) * (f + 0.25 / (p - 1.0)))
 
 
 def _summation_rel_tol(rel_tol: float) -> float:

@@ -30,9 +30,11 @@ REF = {
     "f32_contig_m1": 1.153108343670829,
     "f32_contig_m2": 1.09407825707972,
     "f32_contig_m3": 1.067800628898144,
+    "f32_contig_0.7425_6": 1.1097003499570468,
     "f54_km": 1.1157702356196448,
     "ratio_sum_1_1": 1.2274112777602189,
     "ratio_sum_3_3": 1.73157413324905,
+    "ratio_sum_40.5_45.25": 5.847188525564965,
     "weighted_s2_3_0.7": 0.34337855810902074,
     "weighted_pair_4_0.3_2.2": 0.0463609326837627,
     "mu_sum_0.5_0.5": 4.0,
@@ -100,6 +102,12 @@ class TestContiguous:
         got = theorems.contiguous_3f2(0.5, 0.5, 0.25, 1)
         assert got == pytest.approx(REF["f32_half_half_quarter"], rel=1e-13)
 
+    def test_cancelling_braces(self):
+        # The braces keep 1/28 of either gamma quotient, so a quotient from
+        # lgamma terms near 1 and 2, which err by ~1e-15, would miss this bound.
+        got = theorems.contiguous_3f2(0.7425, 1.8375, 0.9927, 6)
+        assert got == pytest.approx(REF["f32_contig_0.7425_6"], rel=3e-14, abs=0)
+
     def test_degenerate_b_equals_c(self):
         with pytest.raises(DegenerateError):
             theorems.contiguous_3f2(0.3, 1.7, 1.7, 1)
@@ -161,6 +169,12 @@ class TestRatioSumExtension:
     def test_two_gamma_branch(self):
         got = theorems.ratio_sum_extension(0.5, 0.25)
         assert got == pytest.approx(REF["f32_half_half_quarter"], rel=1e-13)
+
+    def test_two_gamma_branch_at_larger_arguments(self):
+        # The difference keeps 1/18 of either quotient, so quotients from
+        # lgamma terms, which err by ~u lgamma(45), would miss this bound.
+        got = theorems.ratio_sum_extension(40.5, 45.25)
+        assert got == pytest.approx(REF["ratio_sum_40.5_45.25"], rel=2e-14, abs=0)
 
     def test_digamma_branch_quarter(self):
         got = theorems.ratio_sum_extension(0.25, 0.25)

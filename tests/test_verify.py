@@ -78,6 +78,15 @@ class TestVerifyIdentity:
         assert r1.passed is True
         assert r1.rhs == pytest.approx(s_p(3) + (1.5 - 4) * s_p(4), rel=1e-15)
 
+    def test_telescope_closed_form_does_not_cancel(self):
+        # S_14 + (0.3 - 15) S_15 is 1/47 of S_14: formed that way, the closed
+        # form is off by ~1e-12 and the exact identity fails at rel_tol 1e-13.
+        case = IdentityCase(IdentityId.TELESCOPE, {"p": 15, "f": 0.3}, rel_tol=1e-13)
+        report = verify_identity(case)
+        assert report.passed is True
+        # telescope_15_0.3 of scripts/gen_reference_values.py
+        assert report.rhs == pytest.approx(2.4715492382771203e-13, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("f1,f2", [(3.47, 3.77), (4.2093, 3.159)])
     def test_eq28_no_stop_where_tail_model_breaks(self, f1, f2):
         # The term test fires at n ~ 59, where a first-order tail model with
