@@ -47,7 +47,8 @@ BENCHMARK = (
 # Every identity at a valid point, then at points outside its validity
 # region (eq1.1-eq1.3 take no parameters, so they have none).  In the last
 # two eq2.1 points (b-c)_m overflows at m = 1e7, and is an exact zero at
-# b-c = -200, m = 300, although its first 200 factors overflow.
+# b-c = -200, m = 300, although its first 200 factors overflow.  The last
+# two eq2.3 points have b and c within a relative 1.5e-8 and 2e-8.
 VERIFY = (
     ("eq1.1",),
     ("eq1.2",),
@@ -70,6 +71,8 @@ VERIFY = (
     ("eq2.3", "--b", "0.5", "--c", "0.25"),
     ("eq2.3", "--b", "-0.5", "--c", "0.25"),
     ("eq2.3", "--b", "1e160", "--c", "0.25"),
+    ("eq2.3", "--b", "0.25", "--c", "0.25000000375"),
+    ("eq2.3", "--b", "3", "--c", "3.00000006"),
     ("eq2.5", "--p", "1"),
     ("eq2.5", "--p", "0"),
     ("eq2.5", "--p", "200"),

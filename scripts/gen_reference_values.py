@@ -83,6 +83,7 @@ def main() -> None:
     emit("weighted_pair_4_0.3_2.2", s_p(4) * (
         mpf(0.3) * mpf(2.2) + (mpf(0.3) + mpf(2.2) + 1) / 12 + mpf(9) / 96))
     emit("telescope_15_0.3", s_p(14) + (mpf(0.3) - 15) * s_p(15))
+    emit("telescope_4_1.5", s_p(3) + (mpf(1.5) - 4) * s_p(4))
 
     # mu-spaced sums
     emit("mu_sum_0.5_0.5", mu_sum(mpf(0.5), mpf(0.5)))

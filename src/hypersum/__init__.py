@@ -1,94 +1,18 @@
 """Unit-argument generalized hypergeometric series: direct summation,
 classical closed-form summation theorems, and numerical identity
-verification."""
+verification.
 
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    DivergenceError,
-    DomainError,
-    HypersumError,
-    NotApplicableError,
-    PoleError,
-    PreconditionError,
-    RangeError,
-)
-from .specialfn import digamma, gamma, gamma_ratio, log_gamma, pochhammer
-from .series import (
-    DEFAULT_MAX_TERMS,
-    SeriesSpec,
-    SummationResult,
-    SummationStatus,
-    convergence_margin,
-    sum_series,
-)
-from .theorems import (
-    ShiftedPair,
-    contiguous_3f2,
-    dixon_3f2,
-    gauss_2f1,
-    karlsson_minton,
-    mu_spaced_sum,
-    ratio_sum_extension,
-    s_p,
-    weighted_pair,
-    weighted_s1,
-    weighted_s2,
-)
-from .verify import (
-    DEFAULT_REL_TOL,
-    IdentityCase,
-    IdentityId,
-    VerificationReport,
-    builtin_catalog,
-    identity_signature,
-    report_to_dict,
-    sweep,
-    verify_identity,
-)
+Each module's ``__all__`` declares the names it exports; this package
+re-exports them all, and ``__version__`` is the version pyproject.toml reads.
+"""
+
+from .errors import *
+from .specialfn import *
+from .series import *
+from .theorems import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "HypersumError",
-    "ConfigError",
-    "NotApplicableError",
-    "PoleError",
-    "DomainError",
-    "DivergenceError",
-    "PreconditionError",
-    "DegenerateError",
-    "RangeError",
-    "gamma",
-    "log_gamma",
-    "digamma",
-    "pochhammer",
-    "gamma_ratio",
-    "SeriesSpec",
-    "SummationResult",
-    "SummationStatus",
-    "convergence_margin",
-    "sum_series",
-    "DEFAULT_MAX_TERMS",
-    "ShiftedPair",
-    "gauss_2f1",
-    "dixon_3f2",
-    "contiguous_3f2",
-    "ratio_sum_extension",
-    "karlsson_minton",
-    "mu_spaced_sum",
-    "s_p",
-    "weighted_s1",
-    "weighted_s2",
-    "weighted_pair",
-    "IdentityId",
-    "IdentityCase",
-    "VerificationReport",
-    "verify_identity",
-    "sweep",
-    "builtin_catalog",
-    "identity_signature",
-    "report_to_dict",
-    "DEFAULT_REL_TOL",
-    "__version__",
-]
+__all__ = (errors.__all__ + specialfn.__all__ + series.__all__ + theorems.__all__
+           + verify.__all__ + ["__version__"])

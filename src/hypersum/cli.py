@@ -178,14 +178,6 @@ def _parameter_values(identity: IdentityId, args: argparse.Namespace, listy: boo
     return params
 
 
-def _lookup_identity(name: str) -> IdentityId:
-    try:
-        return IdentityId(name)
-    except ValueError:
-        valid = ", ".join(i.value for i in IdentityId)
-        raise ConfigError(f"unknown identity {name!r}; valid ids: {valid}") from None
-
-
 def _finish(args: argparse.Namespace, command: str, inputs: dict[str, Any], results: list[Any],
             summary: dict[str, Any], csv_lines: Sequence[str], human_lines: Sequence[str]) -> int:
     """Print a command's result in the chosen format; return its exit code."""
@@ -254,7 +246,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    identity = _lookup_identity(args.identity)
+    identity = IdentityId(args.identity)
     params = _parameter_values(identity, args, listy=False)
     inputs = {"identity": identity.value, "parameters": _encode_parameters(params)}
     case = IdentityCase(identity, params, rel_tol=args.rel_tol)
@@ -322,7 +314,7 @@ def _report_csv_row(report: VerificationReport) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    identity = _lookup_identity(args.identity)
+    identity = IdentityId(args.identity)
     grid = _parameter_values(identity, args, listy=True)
     reports = sweep(identity, grid, rel_tol=args.rel_tol, max_terms=args.max_terms)
     n_pass = sum(1 for r in reports if r.passed is True)

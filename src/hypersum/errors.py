@@ -10,6 +10,18 @@ request is well formed, but the point lies outside what the series or the
 identity can evaluate.  A sweep records it as an n/a row and the CLI exits 2.
 """
 
+__all__ = [
+    "HypersumError",
+    "ConfigError",
+    "NotApplicableError",
+    "PoleError",
+    "DomainError",
+    "DivergenceError",
+    "PreconditionError",
+    "DegenerateError",
+    "RangeError",
+]
+
 
 class HypersumError(Exception):
     """Base class for every error raised by this package."""

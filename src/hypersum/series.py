@@ -205,6 +205,13 @@ class _AsymptoticTail:
         alt.append(-e[m] if m % 2 else e[m])
 
 
+def _check_max_terms(max_terms: int) -> None:
+    if not _is_integer(max_terms):
+        raise ConfigError(f"max_terms must be an integer, got {max_terms!r}")
+    if max_terms < 1:
+        raise ConfigError(f"max_terms must be >= 1, got {max_terms!r}")
+
+
 def _accumulate(total: float, comp: float, x: float) -> tuple[float, float]:
     # Neumaier two-sum update.
     y = total + x
@@ -253,10 +260,7 @@ def sum_series(
 
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
-    if not _is_integer(max_terms):
-        raise ConfigError(f"max_terms must be an integer, got {max_terms!r}")
-    if max_terms < 1:
-        raise ConfigError(f"max_terms must be >= 1, got {max_terms!r}")
+    _check_max_terms(max_terms)
 
     k_term = spec.termination_index
     limit = int(max_terms) if k_term is None else min(k_term + 1, int(max_terms))

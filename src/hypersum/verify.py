@@ -28,12 +28,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .series import (
-    DEFAULT_MAX_TERMS,
-    SeriesSpec,
-    SummationResult,
-    sum_series,
-)
+from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, _check_max_terms, sum_series
 from . import theorems
 from .specialfn import _is_integer, _is_nonpositive_integer
 from .theorems import ShiftedPair
@@ -59,7 +54,10 @@ _SUMMATION_TOL_FLOOR = 1e-13
 
 
 class IdentityId(str, enum.Enum):
-    """Catalog identifiers, also used as CLI identity names."""
+    """Catalog identifiers, also used as CLI identity names.
+
+    ``IdentityId(name)`` raises ConfigError for a name outside the catalog.
+    """
 
     EQ_1_1 = "eq1.1"
     EQ_1_2 = "eq1.2"
@@ -73,6 +71,11 @@ class IdentityId(str, enum.Enum):
     EQ_2_7 = "eq2.7"
     EQ_2_8 = "eq2.8"
     TELESCOPE = "telescope"
+
+    @classmethod
+    def _missing_(cls, value: object) -> IdentityId:
+        valid = ", ".join(i.value for i in cls)
+        raise ConfigError(f"unknown identity {value!r}; valid ids: {valid}")
 
 
 def identity_signature(identity: IdentityId | str) -> tuple[str, ...]:
@@ -327,10 +330,9 @@ def _eq2_8(params: Mapping[str, Any]) -> _Assembled:
     return _weighted(params, 3, {"f1": 1, "f2": 1}, theorems.weighted_pair)
 
 
-@_identity(IdentityId.TELESCOPE, p=3, f=1.0)
-def _telescope(params: Mapping[str, Any]) -> _Assembled:
-    # S_{p-1} = S_p (p-1/2)^2/(p-1): S_{p-1} + (f-p) S_p = S_p (f + 1/(4(p-1))), uncancelled.
-    return _weighted(params, 2, {"f": 1}, lambda p, f: theorems.s_p(p) * (f + 0.25 / (p - 1.0)))
+# S_{p-1} = S_p (p-1/2)^2/(p-1), so S_{p-1} + (f-p) S_p is eq2.6's sum: formed
+# as weighted_s1, it does not cancel.
+_identity(IdentityId.TELESCOPE, p=3, f=1.0)(_eq2_6)
 
 
 def _summation_rel_tol(rel_tol: float) -> float:
@@ -345,8 +347,10 @@ def verify_identity(
     Raises a NotApplicableError, with the failing condition in the message,
     when the point lies outside the identity's validity region, a value on
     either side exceeds the binary64 range (RangeError) or a shifted series
-    parameter x + m rounds to x (RangeError); ConfigError for max_terms < 1.
+    parameter x + m rounds to x (RangeError); ConfigError, before any of
+    these, for a max_terms that is not an integer >= 1.
     """
+    _check_max_terms(max_terms)
     assembled = _assemble(case)
     result = sum_series(
         assembled.spec,
@@ -379,10 +383,12 @@ def sweep(
 
     Rows appear in row-major order over the grid (the last signature
     parameter varies fastest).  A grid point that raises NotApplicableError
-    yields a not-applicable report; a ConfigError propagates.  An empty grid
-    yields an empty list.
+    yields a not-applicable report; a ConfigError propagates, and a malformed
+    max_terms raises one before any point is checked.  An empty grid yields
+    an empty list.
     """
     identity = IdentityId(identity)
+    _check_max_terms(max_terms)
     if not grid:
         return []
     signature = identity_signature(identity)

@@ -381,7 +381,7 @@ class TestTable:
         assert len(lines) == 7
         s1 = next(line for line in lines if line.startswith("S_1,"))
         closed = float(s1.split(",")[2])
-        assert closed == pytest.approx(4.0 / math.pi, rel=1e-13)
+        assert closed == pytest.approx(4.0 / math.pi, rel=1e-13, abs=0)
 
     def test_forced_failure_exit_3(self, capsys):
         code, out, _ = run(capsys, "table", "--rel-tol", "1e-18")
@@ -455,3 +455,14 @@ class TestUsage:
     def test_bad_rel_tol(self, capsys):
         code, _, err = run(capsys, "table", "--rel-tol", "-1")
         assert code == 1
+
+    def test_non_finite_eval_parameter(self, capsys):
+        code, out, err = run(capsys, "eval", "nan;1")
+        assert (code, out) == (1, "")
+        assert "not a finite number: 'nan'" in err
+
+    def test_pair_without_shift(self, capsys):
+        code, out, err = run(capsys, "verify", "--identity", "eq2.2", "--a", "0.4", "--b", "0.3",
+                             "--c", "6", "--pairs", "1.3")
+        assert (code, out) == (1, "")
+        assert "pair must look like f:m" in err

@@ -57,6 +57,13 @@ class TestSeriesSpec:
         with pytest.raises(DegenerateError):
             SeriesSpec((0.5,), (0.0,))
 
+    @pytest.mark.parametrize("uppers,lowers", [
+        ((math.nan,), (1.5,)), ((0.5, math.inf), (1.5,)), ((0.5,), (-math.inf,)),
+    ])
+    def test_non_finite_parameter_rejected(self, uppers, lowers):
+        with pytest.raises(DomainError, match="must be finite"):
+            SeriesSpec(uppers, lowers)
+
     def test_too_many_upper_parameters_rejected(self):
         with pytest.raises(DomainError):
             SeriesSpec((0.5, 0.5, 0.5), (1.0,))
@@ -74,7 +81,7 @@ class TestTermination:
         assert result.status is SummationStatus.TERMINATED
         assert result.terms_used == 4
         assert result.error_estimate == 0.0
-        assert result.value == pytest.approx(2.0 / 7.0, rel=1e-15)
+        assert result.value == pytest.approx(2.0 / 7.0, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("k", [0, 1, 5, 8])
     def test_terminating_counts(self, k):
@@ -123,7 +130,7 @@ class TestConvergence:
         # p = q: margin rule does not apply; sum is exp(1)
         result = sum_series(SeriesSpec((0.5,), (0.5,)), rel_tol=1e-12)
         assert result.status is SummationStatus.CONVERGED
-        assert result.value == pytest.approx(math.e, rel=1e-13)
+        assert result.value == pytest.approx(math.e, rel=1e-13, abs=0)
 
     def test_stop_rule_waits_for_index_20(self):
         result = sum_series(SeriesSpec((0.5,), (0.5,)), rel_tol=1e-3)
@@ -178,7 +185,7 @@ class TestBlockEndStop:
         result = sum_series(SeriesSpec((0.5, 0.5), (float(c),)), rel_tol=1e-12)
         assert result.status is SummationStatus.CONVERGED
         assert result.terms_used <= 100
-        assert result.value == pytest.approx(_gauss_half_half(c), rel=1e-14)
+        assert result.value == pytest.approx(_gauss_half_half(c), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
     @pytest.mark.parametrize("a,b,c", [(11, 12, 32), (6, 7, 20)])
@@ -651,7 +658,7 @@ class TestDivergenceGate:
 def test_margin_matches_sums(extra_dens, num):
     spec = SeriesSpec((num,), tuple(extra_dens) + (num + 1.0,))
     expected = math.fsum(spec.denominators) - num
-    assert convergence_margin(spec) == pytest.approx(expected, rel=1e-15)
+    assert convergence_margin(spec) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 @given(

@@ -47,7 +47,7 @@ REF = {
 class TestGauss:
     def test_ramanujan_case(self):
         got = theorems.gauss_2f1(0.5, 0.25, 1.25)
-        assert got == pytest.approx(REF["ramanujan_inverse"], rel=1e-13)
+        assert got == pytest.approx(REF["ramanujan_inverse"], rel=1e-13, abs=0)
 
     def test_zero_upper_parameter(self):
         assert theorems.gauss_2f1(0.0, 1.3, 2.0) == 1.0
@@ -70,11 +70,11 @@ class TestGauss:
 class TestDixon:
     def test_first_ramanujan_sum(self):
         got = theorems.dixon_3f2(0.5, 0.5, 0.25)
-        assert got == pytest.approx(REF["ramanujan_sq_inverse"], rel=1e-13)
+        assert got == pytest.approx(REF["ramanujan_sq_inverse"], rel=1e-13, abs=0)
 
     def test_second_ramanujan_sum(self):
         got = theorems.dixon_3f2(0.5, 0.25, 0.25)
-        assert got == pytest.approx(REF["ramanujan_sq_inverse_sq"], rel=1e-13)
+        assert got == pytest.approx(REF["ramanujan_sq_inverse_sq"], rel=1e-13, abs=0)
 
     def test_zero_upper_parameter_is_exact_one(self):
         assert theorems.dixon_3f2(0.7, 0.0, 0.3) == 1.0
@@ -96,11 +96,11 @@ class TestContiguous:
     )
     def test_reference_values(self, m, key):
         got = theorems.contiguous_3f2(0.3, 1.7, 0.9, m)
-        assert got == pytest.approx(REF[key], rel=2e-13)
+        assert got == pytest.approx(REF[key], rel=2e-13, abs=0)
 
     def test_half_case_matches_ratio_sum(self):
         got = theorems.contiguous_3f2(0.5, 0.5, 0.25, 1)
-        assert got == pytest.approx(REF["f32_half_half_quarter"], rel=1e-13)
+        assert got == pytest.approx(REF["f32_half_half_quarter"], rel=1e-13, abs=0)
 
     def test_cancelling_braces(self):
         # The braces keep 1/28 of either gamma quotient, so a quotient from
@@ -165,10 +165,19 @@ class TestContiguous:
             assert lhs == pytest.approx(rhs, rel=1e-11), (b, c)
 
 
+def _mp_ratio_sum(b, c):
+    """sqrt(pi) b c / (b - c) (g(c) - g(b)), g(x) = Gamma(x)/Gamma(x+1/2), at 35 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(35):
+        b, c = mpmath.mpf(b), mpmath.mpf(c)
+        g = lambda x: mpmath.gamma(x) / mpmath.gamma(x + 0.5)
+        return float(mpmath.sqrt(mpmath.pi) * b * c / (b - c) * (g(c) - g(b)))
+
+
 class TestRatioSumExtension:
     def test_two_gamma_branch(self):
         got = theorems.ratio_sum_extension(0.5, 0.25)
-        assert got == pytest.approx(REF["f32_half_half_quarter"], rel=1e-13)
+        assert got == pytest.approx(REF["f32_half_half_quarter"], rel=1e-13, abs=0)
 
     def test_two_gamma_branch_at_larger_arguments(self):
         # The difference keeps 1/18 of either quotient, so quotients from
@@ -178,19 +187,34 @@ class TestRatioSumExtension:
 
     def test_digamma_branch_quarter(self):
         got = theorems.ratio_sum_extension(0.25, 0.25)
-        assert got == pytest.approx(REF["ramanujan_sq_inverse_sq"], rel=1e-13)
+        assert got == pytest.approx(REF["ramanujan_sq_inverse_sq"], rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
         "b,key", [(1.0, "ratio_sum_1_1"), (3.0, "ratio_sum_3_3")]
     )
     def test_digamma_branch_values(self, b, key):
-        assert theorems.ratio_sum_extension(b, b) == pytest.approx(REF[key], rel=1e-13)
+        assert theorems.ratio_sum_extension(b, b) == pytest.approx(REF[key], rel=1e-13, abs=0)
 
     def test_branch_selection_is_continuous(self):
         for b in (0.25, 1.0, 3.0):
             near = theorems.ratio_sum_extension(b, b * (1.0 + 1e-12))
             exact = theorems.ratio_sum_extension(b, b)
             assert near == pytest.approx(exact, rel=5e-12)
+
+    @pytest.mark.parametrize("b,c", [(0.25, 0.25000000375), (3.0, 3.00000006)])
+    def test_relative_gap_near_1e_8(self, b, c):
+        # Here the two quotients of the general form agree to ~8 digits.
+        assert theorems.ratio_sum_extension(b, c) == pytest.approx(
+            _mp_ratio_sum(b, c), rel=2e-12, abs=0)
+
+    def test_near_equal_matches_mpmath(self):
+        # b log-uniform in [0.05, 150], relative b/c gaps 1e-12 to 1.
+        rng = random.Random(2300)
+        for _ in range(400):
+            b = math.exp(rng.uniform(math.log(0.05), math.log(150.0)))
+            c = b * (1.0 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, 0.0))
+            got = theorems.ratio_sum_extension(b, c)
+            assert got == pytest.approx(_mp_ratio_sum(b, c), rel=2e-12, abs=0), (b, c)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -200,7 +224,7 @@ class TestRatioSumExtension:
 
     def test_symmetry(self):
         assert theorems.ratio_sum_extension(0.5, 0.25) == pytest.approx(
-            theorems.ratio_sum_extension(0.25, 0.5), rel=1e-14
+            theorems.ratio_sum_extension(0.25, 0.5), rel=1e-14, abs=0
         )
 
 
@@ -214,6 +238,11 @@ class TestShiftedPair:
     def test_rejects_bad_shift(self):
         with pytest.raises(DegenerateError):
             ShiftedPair(1.3, 0)
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_f(self, f):
+        with pytest.raises(DegenerateError, match="must be finite"):
+            ShiftedPair(f, 1)
 
     def test_negative_noninteger_allowed(self):
         assert ShiftedPair(-0.7, 2).f == -0.7
@@ -237,8 +266,8 @@ class TestCkCoefficient:
         pairs = [ShiftedPair(f1, 1), ShiftedPair(f2, 1)]
         c1 = theorems.ck_coefficient(1, pairs)
         c2 = theorems.ck_coefficient(2, pairs)
-        assert c1 == pytest.approx((1.0 + f1 + f2) / (f1 * f2), rel=1e-14)
-        assert c2 == pytest.approx(1.0 / (f1 * f2), rel=1e-14)
+        assert c1 == pytest.approx((1.0 + f1 + f2) / (f1 * f2), rel=1e-14, abs=0)
+        assert c2 == pytest.approx(1.0 / (f1 * f2), rel=1e-14, abs=0)
 
     def test_matches_rational_oracle_bitwise(self):
         # The difference table and the oracle's alternating Fraction sum are
@@ -304,7 +333,7 @@ class TestKarlssonMinton:
         got = theorems.karlsson_minton(
             0.4, 0.3, 6.0, [ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)]
         )
-        assert got == pytest.approx(REF["f54_km"], rel=1e-13)
+        assert got == pytest.approx(REF["f54_km"], rel=1e-13, abs=0)
 
     def test_single_pair_matches_weighted_form(self):
         # a = b = 1/2, c = p+1, one unit shift: the closed forms must agree
@@ -384,9 +413,9 @@ def test_non_finite_integer_argument_is_typed(entry, value):
 
 class TestSpFamily:
     def test_classic_values(self):
-        assert theorems.s_p(1) == pytest.approx(4.0 / math.pi, rel=1e-13)
-        assert theorems.s_p(2) == pytest.approx(16.0 / (9.0 * math.pi), rel=1e-13)
-        assert theorems.s_p(3) == pytest.approx(128.0 / (225.0 * math.pi), rel=1e-13)
+        assert theorems.s_p(1) == pytest.approx(4.0 / math.pi, rel=1e-13, abs=0)
+        assert theorems.s_p(2) == pytest.approx(16.0 / (9.0 * math.pi), rel=1e-13, abs=0)
+        assert theorems.s_p(3) == pytest.approx(128.0 / (225.0 * math.pi), rel=1e-13, abs=0)
 
     def test_pole_at_zero(self):
         with pytest.raises(PoleError):
@@ -394,11 +423,11 @@ class TestSpFamily:
 
     def test_weighted_s1_values(self):
         assert theorems.weighted_s1(2, 0.5) == pytest.approx(
-            4.0 / (3.0 * math.pi), rel=1e-13
+            4.0 / (3.0 * math.pi), rel=1e-13, abs=0
         )
         # f = 0 isolates the 1/(4(p-1)) term
         assert theorems.weighted_s1(3, 0.0) == pytest.approx(
-            theorems.s_p(3) / 8.0, rel=1e-14
+            theorems.s_p(3) / 8.0, rel=1e-14, abs=0
         )
 
     def test_weighted_s1_precondition(self):
@@ -407,11 +436,11 @@ class TestSpFamily:
 
     def test_weighted_s2_reference(self):
         assert theorems.weighted_s2(3, 0.7) == pytest.approx(
-            REF["weighted_s2_3_0.7"], rel=1e-13
+            REF["weighted_s2_3_0.7"], rel=1e-13, abs=0
         )
         # f = -1 zeroes the polynomial's first two terms
         assert theorems.weighted_s2(3, -1.0) == pytest.approx(
-            theorems.s_p(3) * 9.0 / 32.0, rel=1e-14
+            theorems.s_p(3) * 9.0 / 32.0, rel=1e-14, abs=0
         )
 
     def test_weighted_s2_precondition(self):
@@ -420,7 +449,7 @@ class TestSpFamily:
 
     def test_weighted_pair_reference(self):
         assert theorems.weighted_pair(4, 0.3, 2.2) == pytest.approx(
-            REF["weighted_pair_4_0.3_2.2"], rel=1e-13
+            REF["weighted_pair_4_0.3_2.2"], rel=1e-13, abs=0
         )
 
     @given(
@@ -472,12 +501,12 @@ class TestMuSpacedSum:
         ],
     )
     def test_reference_values(self, b, mu, key):
-        assert theorems.mu_spaced_sum(b, mu) == pytest.approx(REF[key], rel=1e-13)
+        assert theorems.mu_spaced_sum(b, mu) == pytest.approx(REF[key], rel=1e-13, abs=0)
 
     def test_reduces_to_gauss_route(self):
         b, mu = 1.0, 4.0
         via_gauss = theorems.gauss_2f1(0.5, b / mu, b / mu + 1.0) / b
-        assert theorems.mu_spaced_sum(b, mu) == pytest.approx(via_gauss, rel=1e-13)
+        assert theorems.mu_spaced_sum(b, mu) == pytest.approx(via_gauss, rel=1e-13, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -16,7 +16,7 @@ from hypersum.errors import (
     RangeError,
 )
 from hypersum.series import SeriesSpec, SummationStatus
-from hypersum.theorems import ShiftedPair, s_p
+from hypersum.theorems import ShiftedPair
 from hypersum.verify import (
     IdentityCase,
     IdentityId,
@@ -59,7 +59,7 @@ class TestVerifyIdentity:
         report = verify_identity(IdentityCase(IdentityId.EQ_2_6, {"p": 2, "f": 0.5}))
         assert report.passed is True
         # Gamma(2)/Gamma(5/2)^2 * (1/2 + 1/4) = 4/(3 pi)
-        assert report.rhs == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-13)
+        assert report.rhs == pytest.approx(4.0 / (3.0 * math.pi), rel=1e-13, abs=0)
 
     def test_precondition_violation_raises_with_note(self):
         case = IdentityCase(
@@ -76,7 +76,8 @@ class TestVerifyIdentity:
     def test_telescope_matches_weighted_sum(self):
         r1 = verify_identity(IdentityCase(IdentityId.TELESCOPE, {"p": 4, "f": 1.5}))
         assert r1.passed is True
-        assert r1.rhs == pytest.approx(s_p(3) + (1.5 - 4) * s_p(4), rel=1e-15)
+        # telescope_4_1.5 of scripts/gen_reference_values.py: S_3 + (1.5 - 4) S_4
+        assert r1.rhs == pytest.approx(0.07021584065296861, rel=1e-15, abs=0)
 
     def test_telescope_closed_form_does_not_cancel(self):
         # S_14 + (0.3 - 15) S_15 is 1/47 of S_14: formed that way, the closed
@@ -146,7 +147,7 @@ class TestCatalog:
     def test_eq_2_5_expects_four_over_pi(self):
         by_id = {case.identity: case for case in builtin_catalog()}
         report = verify_identity(by_id[IdentityId.EQ_2_5])
-        assert report.rhs == pytest.approx(4.0 / math.pi, rel=1e-13)
+        assert report.rhs == pytest.approx(4.0 / math.pi, rel=1e-13, abs=0)
 
 
 class TestIdentityTable:
@@ -280,6 +281,29 @@ class TestMalformedBudget:
     def test_sweep_raises_config_error(self):
         with pytest.raises(ConfigError, match="max_terms must be >= 1"):
             sweep(IdentityId.EQ_2_6, {"p": [2, 3], "f": [0.5]}, max_terms=0)
+
+    @pytest.mark.parametrize("max_terms,match", [(0, ">= 1"), (2.5, "an integer")])
+    def test_checked_before_the_point(self, max_terms, match):
+        # p = 0 is outside eq2.5's region; the malformed budget is reported first.
+        with pytest.raises(ConfigError, match=f"max_terms must be {match}"):
+            verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 0}), max_terms=max_terms)
+        with pytest.raises(ConfigError, match=f"max_terms must be {match}"):
+            sweep(IdentityId.EQ_2_5, {"p": [0]}, max_terms=max_terms)
+
+
+class TestUnknownIdentity:
+    MESSAGE = r"^unknown identity 'eq9\.9'; valid ids: eq1\.1, .*, telescope$"
+
+    @pytest.mark.parametrize("call", [
+        lambda: IdentityId("eq9.9"),
+        lambda: IdentityCase("eq9.9", {}),
+        lambda: identity_signature("eq9.9"),
+        lambda: sweep("eq9.9", {"p": [1]}),
+    ])
+    def test_raises_config_error(self, call):
+        with pytest.raises(ConfigError, match=self.MESSAGE) as info:
+            call()
+        assert isinstance(info.value, ValueError)  # older handlers still catch it
 
 
 class TestNonFiniteIntegerParameter:
