@@ -47,8 +47,10 @@ BENCHMARK = (
 # Every identity at a valid point, then at points outside its validity
 # region (eq1.1-eq1.3 take no parameters, so they have none).  In the last
 # two eq2.1 points (b-c)_m overflows at m = 1e7, and is an exact zero at
-# b-c = -200, m = 300, although its first 200 factors overflow.  The last
-# two eq2.3 points have b and c within a relative 1.5e-8 and 2e-8.
+# b-c = -200, m = 300, although its first 200 factors overflow.  Two eq2.3
+# points have b and c within a relative 1.5e-8 and 2e-8.  The last eq1.6
+# and eq2.3 points have large b/mu and b = c; at b = c = 1e12 the series
+# still runs out of budget.
 VERIFY = (
     ("eq1.1",),
     ("eq1.2",),
@@ -57,6 +59,7 @@ VERIFY = (
     ("eq1.6", "--b", "-1", "--mu", "2"),
     ("eq1.6", "--b", "1", "--mu", "0"),
     ("eq1.6", "--b", "1e300", "--mu", "1e-10"),
+    ("eq1.6", "--b", "1", "--mu", "1e-6"),
     ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "0.9", "--m", "2"),
     ("eq2.1", "--a", "3.5", "--b", "1.7", "--c", "0.9", "--m", "2"),
     ("eq2.1", "--a", "1", "--b", "-3", "--c", "0.9", "--m", "5"),
@@ -73,6 +76,8 @@ VERIFY = (
     ("eq2.3", "--b", "1e160", "--c", "0.25"),
     ("eq2.3", "--b", "0.25", "--c", "0.25000000375"),
     ("eq2.3", "--b", "3", "--c", "3.00000006"),
+    ("eq2.3", "--b", "1e6", "--c", "1e6"),
+    ("eq2.3", "--b", "1e12", "--c", "1e12"),
     ("eq2.5", "--p", "1"),
     ("eq2.5", "--p", "0"),
     ("eq2.5", "--p", "200"),

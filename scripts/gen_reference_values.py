@@ -73,10 +73,15 @@ def main() -> None:
         [mpf(0.4), mpf(0.3), mpf(2.3), mpf(4.1)],
         [mpf(6), mpf(1.3), mpf(2.1)], 1))
 
-    # ratio-sum values (both branches)
+    # ratio-sum values, at b = c and apart, up to b, c = 1e16
     emit("ratio_sum_1_1", ratio_sum(mpf(1), mpf(1)))
     emit("ratio_sum_3_3", ratio_sum(mpf(3), mpf(3)))
     emit("ratio_sum_40.5_45.25", ratio_sum(mpf(40.5), mpf(45.25)))
+    emit("ratio_sum_200_300", ratio_sum(mpf(200), mpf(300)))
+    emit("ratio_sum_1e6_1e6", ratio_sum(mpf(1e6), mpf(1e6)))
+    emit("ratio_sum_1e12_1e12", ratio_sum(mpf(1e12), mpf(1e12)))
+    emit("ratio_sum_1e16_1e16", ratio_sum(mpf(1e16), mpf(1e16)))
+    emit("ratio_sum_1e16_2e16", ratio_sum(mpf(1e16), mpf(2e16)))
 
     # weighted sums
     emit("weighted_s2_3_0.7", s_p(3) * (mpf(0.7) * mpf(1.7) + mpf(1.7) / 4 + mpf(9) / 32))
@@ -84,12 +89,16 @@ def main() -> None:
         mpf(0.3) * mpf(2.2) + (mpf(0.3) + mpf(2.2) + 1) / 12 + mpf(9) / 96))
     emit("telescope_15_0.3", s_p(14) + (mpf(0.3) - 15) * s_p(15))
     emit("telescope_4_1.5", s_p(3) + (mpf(1.5) - 4) * s_p(4))
+    emit("s_p_100", s_p(mpf(100)))
+    emit("s_p_170", s_p(mpf(170)))
 
     # mu-spaced sums
     emit("mu_sum_0.5_0.5", mu_sum(mpf(0.5), mpf(0.5)))
     emit("mu_sum_0.5_1", mu_sum(mpf(0.5), mpf(1)))
     emit("mu_sum_1_2", mu_sum(mpf(1), mpf(2)))
     emit("mu_sum_2.7_4", mu_sum(mpf(2.7), mpf(4)))
+    emit("mu_sum_1_1e-6", mu_sum(mpf(1), mpf(1e-6)))
+    emit("mu_sum_1_1e-12", mu_sum(mpf(1), mpf(1e-12)))
 
     # gamma-ratio spot value
     emit("gamma_ratio_example", gamma(mpf("1.25")) * gamma(HALF) / gamma(mpf(0.75)))

@@ -14,7 +14,9 @@ builtin :class:`OverflowError`.  NaN never escapes.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
+from itertools import zip_longest
 
 from .errors import DomainError, PoleError, RangeError
 
@@ -151,31 +153,29 @@ def pochhammer(x: float, n: int) -> float:
 
 
 def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> float:
-    """Prod Gamma(num_i) / Prod Gamma(den_j), evaluated in log space.
+    """Prod Gamma(num_i) / Prod Gamma(den_j).
 
-    Both lists are sorted descending and differenced pairwise largest-first,
-    which keeps the summed log magnitudes small when the two sides nearly
-    cancel.  Negative non-integer arguments are allowed; the sign of each
-    gamma factor is tracked apart from its log.  Identical lists return
-    exactly 1.
+    The lists are sorted descending, the shorter is padded with Gamma(1) = 1,
+    and they are divided pairwise largest-first.  With every argument in
+    (1e-300, 171) and a normal result, that is a product of ``math.gamma``
+    quotients, within a few ulp.  Otherwise it is taken in log space, with
+    each factor's sign tracked apart from its log, so negative non-integer
+    arguments are allowed.  Identical lists return exactly 1.
     """
-    nums = sorted((_check_real("gamma_ratio", v) for v in numerators), reverse=True)
-    dens = sorted((_check_real("gamma_ratio", v) for v in denominators), reverse=True)
+    nums = sorted(map(float, numerators), reverse=True)
+    dens = sorted(map(float, denominators), reverse=True)
+    pairs = list(zip_longest(nums, dens, fillvalue=1.0))
+    if all(1e-300 < v < 171.0 for v in nums + dens):
+        value = math.prod((math.gamma(a) / math.gamma(b) for a, b in pairs), start=1.0)
+        if sys.float_info.min <= value < math.inf:
+            return value
     sign = 1.0
     logs: list[float] = []
-    for a, b in zip(nums, dens):
-        sa, la = _signed_log_gamma(a)
-        sb, lb = _signed_log_gamma(b)
+    for a, b in pairs:
+        sa, la = _signed_log_gamma(_check_real("gamma_ratio", a))
+        sb, lb = _signed_log_gamma(_check_real("gamma_ratio", b))
         sign *= sa * sb
         logs.append(la - lb)
-    for a in nums[len(dens):]:
-        sa, la = _signed_log_gamma(a)
-        sign *= sa
-        logs.append(la)
-    for b in dens[len(nums):]:
-        sb, lb = _signed_log_gamma(b)
-        sign *= sb
-        logs.append(-lb)
     try:
         return sign * math.exp(math.fsum(logs))
     except OverflowError:

@@ -1,8 +1,8 @@
 """Closed-form summation theorems for unit-argument hypergeometric series.
 
-Covers the Gauss and Dixon evaluations, a contiguous 3F2 formula, the
-generalized Karlsson-Minton formula for integral parameter differences, and
-the family of weighted sums built from ((1/2)_n / n!)^2 terms.
+Covers the Gauss and Dixon evaluations, a contiguous 3F2, the generalized
+Karlsson-Minton formula, the Ramanujan-type sums built on one accurate
+Gamma(x)/Gamma(x+1/2), and the weighted sums of ((1/2)_n / n!)^2 terms.
 
 Every function returns the closed-form value only; pairing these against
 direct summation is the job of :mod:`hypersum.verify`.  Validity conditions
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import DegenerateError, DomainError, PreconditionError, RangeError
-from .specialfn import _is_integer, _is_nonpositive_integer, digamma, gamma, gamma_ratio, pochhammer
+from .specialfn import _is_integer, _is_nonpositive_integer, gamma, gamma_ratio, pochhammer
 
 __all__ = [
     "ShiftedPair",
@@ -34,16 +34,37 @@ __all__ = [
     "weighted_pair",
 ]
 
-# Relative b/c gap below which ratio_sum_extension integrates the log of
-# Gamma(x)/Gamma(x+1/2) instead of subtracting two quotients that cancel.
-_NEAR_EQUAL_GAP = 1e-2
+# log(sqrt(x) Gamma(x)/Gamma(x+1/2)) ~ sum A_m x^-m, m odd, with A_m = (2 - 2^-m)
+# B_{m+1} / (m (m+1)): DLMF 5.11.8 at h = 0 less h = 1/2 (Tricomi and Erdelyi,
+# 1951).  At x >= 20 the first term left out, A_13 x^-13, is below 2e-19.
+_LOG_G_SERIES = (1 / 8, -1 / 192, 1 / 640, -17 / 14336, 31 / 18432, -691 / 180224)
 
 
-def _gamma_quotient(x: float, y: float) -> float:
-    # Within a few ulp in range, for quotients that get subtracted: not ~u |lgamma|.
-    if 1e-300 < min(x, y) and max(x, y) < 171.0:
-        return math.gamma(x) / math.gamma(y)
-    return gamma_ratio([x], [y])
+def _g_and_slope(b: float, c: float) -> tuple[float, float]:
+    """(b g(b), phi) for g(x) = Gamma(x)/Gamma(x+1/2) and 0 < b <= c.
+
+    phi = (log g(b) - log g(c))/(c - b), which is -(log g)'(b) at b = c, is
+    summed term by term from c - b, so it does not cancel as c -> b.
+    """
+    d = c - b
+    xg, phi = b, 0.0
+    while b < 20.0:  # g(x) = g(x+1) (x + 1/2)/x
+        xg = xg / b * (b + 0.5)
+        # The steps' logs differ by log1p(d / (b (2c + 1))); no product overflows.
+        phi += math.log1p(0.5 * (d / (c + 0.5)) / b) / d if d else 0.5 / (c + 0.5) / b
+        b, c = b + 1.0, c + 1.0
+    # -1/2 log x differenced, then b^-m - c^-m = (c - b) u v h_{m-1}(u, v)
+    # with u = 1/b, v = 1/c and h_k = u^k + u^(k-1) v + ... + v^k.
+    phi += 0.5 * (math.log1p(d / b) / d if d else 1.0 / b)
+    u, v = 1.0 / b, 1.0 / c
+    series, h, um, vm = 0.0, 1.0, u, v
+    for a in _LOG_G_SERIES:
+        series += a * um
+        phi += a * u * v * h
+        h = u * u * h + vm * (u + v)
+        um *= u * u
+        vm *= v * v
+    return xg / math.sqrt(b) * math.exp(series), phi
 
 
 def _finite(name: str, value: float) -> float:
@@ -136,7 +157,7 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     for k in range(m):
         inner += u
         u *= ((k + 1.0) - a) * (b - c + k) / ((1.0 + b - a + k) * (k + 1.0))
-    braces = _gamma_quotient(c, 1.0 + c - a) - _gamma_quotient(b, 1.0 + b - a) * inner
+    braces = gamma_ratio([c], [1.0 + c - a]) - gamma_ratio([b], [1.0 + b - a]) * inner
     value = c * gamma(1.0 - a) * pochhammer(b, m) / shift_poch * braces
     return _finite("contiguous_3f2", value)
 
@@ -144,29 +165,20 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
 def ratio_sum_extension(b: float, c: float) -> float:
     """sum_n (1/2)_n / n! / ((1 + n/b)(1 + n/c)) for b, c > 0.
 
-    Equals 3F2[1/2, b, c; b+1, c+1; 1].  For b != c the value is
-    sqrt(pi) b c / (b - c) * {Gamma(c)/Gamma(c+1/2) - Gamma(b)/Gamma(b+1/2)};
-    the b = c limit replaces the gamma difference with a digamma derivative:
-    sqrt(pi) b^2 Gamma(b)/Gamma(b+1/2) * {psi(b+1/2) - psi(b)}.
-
-    Below a relative gap of 1e-2 the difference cancels, so it is formed as
-    g(b) expm1(t) with g(x) = Gamma(x)/Gamma(x+1/2) and t = log g(c) - log g(b)
-    = (b - c) Phi, Phi the mean of psi(x+1/2) - psi(x) over [b, c] by 3-point
-    Gauss-Legendre (relative error ~4e-4 gap^6).  At b = c this is the limit.
+    Equals 3F2[1/2, b, c; b+1, c+1; 1] = sqrt(pi) b c g(b) (1 - g(c)/g(b)) / (c - b)
+    with g(x) = Gamma(x)/Gamma(x+1/2).  For b <= c that is sqrt(pi) (b g(b))
+    (c phi) expm1(t)/t with t = (b - c) phi, phi from _g_and_slope: one formula
+    for every gap, b = c included, free of cancellation and of overflow.
     """
     if not (b > 0.0):
         raise DomainError(f"b must be positive, got {b!r}")
     if not (c > 0.0):
         raise DomainError(f"c must be positive, got {c!r}")
-    if abs(b - c) < _NEAR_EQUAL_GAP * max(b, c):
-        mid, half = 0.5 * (b + c), 0.5 * (c - b) * math.sqrt(0.6)
-        phi = [digamma(x + 0.5) - digamma(x) for x in (mid - half, mid, mid + half)]
-        mean = (5.0 * phi[0] + 8.0 * phi[1] + 5.0 * phi[2]) / 18.0
-        t = (b - c) * mean
-        growth = math.expm1(t) / t if t else 1.0
-        return math.sqrt(math.pi) * b * c * _gamma_quotient(b, b + 0.5) * mean * growth
-    diff = _gamma_quotient(c, c + 0.5) - _gamma_quotient(b, b + 0.5)
-    return math.sqrt(math.pi) * b * c / (b - c) * diff
+    b, c = min(b, c), max(b, c)
+    bg, phi = _g_and_slope(b, c)
+    t = (b - c) * phi
+    growth = math.expm1(t) / t if t else 1.0
+    return _finite("ratio_sum_extension", math.sqrt(math.pi) * bg * (c * phi) * growth)
 
 
 def _ck_table(pairs: Sequence[ShiftedPair], top: int) -> list[float]:
@@ -256,7 +268,10 @@ def mu_spaced_sum(b: float, mu: float) -> float:
     if not (mu > 0.0):
         raise DomainError(f"mu must be positive, got {mu!r}")
     ratio = _finite("b/mu", b / mu)
-    return math.sqrt(math.pi) * gamma_ratio([ratio], [ratio + 0.5]) / mu
+    if ratio == 0.0:
+        raise RangeError(f"b/mu underflows to 0 in binary64 (b={b!r}, mu={mu!r})")
+    # Gamma(r)/(mu Gamma(r + 1/2)) = r g(r) / b for r = b/mu
+    return _finite("mu_spaced_sum", math.sqrt(math.pi) * _g_and_slope(ratio, ratio)[0] / b)
 
 
 def s_p(p: int) -> float:

@@ -198,6 +198,35 @@ class TestGammaRatio:
     def test_identical_lists_exact(self):
         assert specialfn.gamma_ratio([3.7], [3.7]) == 1.0
         assert specialfn.gamma_ratio([0.4, 9.1], [9.1, 0.4]) == 1.0
+        # Inside (1e-300, 171) the quotients come from math.gamma, outside
+        # from log-gamma; x / x is exactly 1 either way.
+        for args in ([170.9, 2.5], [171.0], [200.5, 0.5], [1e-301, 3.0], [-2.5, 1e-310], []):
+            assert specialfn.gamma_ratio(args, args[::-1]) == 1.0, args
+
+    def test_in_range_product_matches_mpmath(self):
+        # Up to three numerators in (0.01, 170) over as many denominators
+        # nearby, all inside the cut: a product of math.gamma quotients is within a few ulp,
+        # where log space errs by ~u times the summed |lgamma|.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(1604)
+        for _ in range(300):
+            nums = [rng.uniform(0.01, 170.0) for _ in range(rng.randint(1, 3))]
+            dens = [min(max(x + rng.uniform(-3.0, 3.0), 0.01), 170.9)
+                    for x in nums[:rng.randint(1, len(nums))]]
+            with mpmath.workdps(40):
+                want = mpmath.fprod(map(mpmath.gamma, nums)) / mpmath.fprod(map(mpmath.gamma, dens))
+            if not 1e-300 < want < 1e300:
+                continue
+            assert rel_err(specialfn.gamma_ratio(nums, dens), float(want)) <= 2e-15, (nums, dens)
+
+    def test_subnormal_product_is_taken_in_log_space(self):
+        # 1 / (Gamma(170.5) Gamma(8)) ~ 3.5e-310 is below the normal range.
+        mpmath = pytest.importorskip("mpmath")
+        got = specialfn.gamma_ratio([1.0], [170.5, 8.0])
+        with mpmath.workdps(40):
+            want = float(1 / (mpmath.gamma(170.5) * mpmath.gamma(8)))
+        assert 0.0 < got < 2.2250738585072014e-308
+        assert rel_err(got, want) <= 1e-12
 
     def test_integer_ratio(self):
         assert specialfn.gamma_ratio([5.0], [3.0]) == pytest.approx(12.0, rel=1e-12)
@@ -227,6 +256,9 @@ class TestGammaRatio:
     def test_overflow(self):
         with pytest.raises(RangeError):
             specialfn.gamma_ratio([200.0, 200.0], [1.0])
+        # Every gamma value is finite, but their product is ~1.8e310.
+        with pytest.raises(RangeError):
+            specialfn.gamma_ratio([170.0, 170.0], [2.0, 1e-299])
         # RangeError is still an OverflowError for existing callers.
         with pytest.raises(OverflowError):
             specialfn.gamma_ratio([300.0], [1.0])

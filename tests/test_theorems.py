@@ -35,13 +35,31 @@ REF = {
     "ratio_sum_1_1": 1.2274112777602189,
     "ratio_sum_3_3": 1.73157413324905,
     "ratio_sum_40.5_45.25": 5.847188525564965,
+    "ratio_sum_200_300": 13.820671197220946,
+    "ratio_sum_1e6_1e6": 886.2272577878897,
+    "ratio_sum_1e12_1e12": 886226.9254530903,
+    "ratio_sum_1e16_1e16": 88622692.5452758,
+    "ratio_sum_1e16_2e16": 103827942.71800315,
     "weighted_s2_3_0.7": 0.34337855810902074,
     "weighted_pair_4_0.3_2.2": 0.0463609326837627,
     "mu_sum_0.5_0.5": 4.0,
     "mu_sum_0.5_1": math.pi,
     "mu_sum_1_2": math.pi / 2.0,
     "mu_sum_2.7_4": 0.6415227596076354,
+    "mu_sum_1_1e-6": 1772.4540724622614,
+    "mu_sum_1_1e-12": 1772453.8509057376,
+    "s_p_100": 1.0741924039183986e-158,
+    "s_p_170": 1.379928780494128e-307,
 }
+
+# Relative error bounds against 40-digit mpmath for the closed forms built on
+# g(x) = Gamma(x)/Gamma(x+1/2).
+G_FORM_BOUND = 4e-15
+S_P_BOUND = 2e-15
+
+
+def _rel_err(got, want):
+    return abs(got - want) / abs(want)
 
 
 class TestGauss:
@@ -166,11 +184,19 @@ class TestContiguous:
 
 
 def _mp_ratio_sum(b, c):
-    """sqrt(pi) b c / (b - c) (g(c) - g(b)), g(x) = Gamma(x)/Gamma(x+1/2), at 35 digits."""
+    """sqrt(pi) b c / (b - c) (g(c) - g(b)), g(x) = Gamma(x)/Gamma(x+1/2), to 40 digits.
+
+    The working precision grows with log10 max(b, c), so that x + 1/2 is exact
+    and the cancelling difference keeps 40 digits; b = c takes the limit
+    sqrt(pi) b^2 g(b) (psi(b + 1/2) - psi(b)).
+    """
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(35):
+    with mpmath.workdps(40 + max(0, round(math.log10(max(b, c))))):
         b, c = mpmath.mpf(b), mpmath.mpf(c)
         g = lambda x: mpmath.gamma(x) / mpmath.gamma(x + 0.5)
+        if b == c:
+            return float(mpmath.sqrt(mpmath.pi) * b * b * g(b)
+                         * (mpmath.digamma(b + 0.5) - mpmath.digamma(b)))
         return float(mpmath.sqrt(mpmath.pi) * b * c / (b - c) * (g(c) - g(b)))
 
 
@@ -214,7 +240,45 @@ class TestRatioSumExtension:
             b = math.exp(rng.uniform(math.log(0.05), math.log(150.0)))
             c = b * (1.0 + rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-12.0, 0.0))
             got = theorems.ratio_sum_extension(b, c)
-            assert got == pytest.approx(_mp_ratio_sum(b, c), rel=2e-12, abs=0), (b, c)
+            assert got == pytest.approx(_mp_ratio_sum(b, c), rel=G_FORM_BOUND, abs=0), (b, c)
+
+    def test_grid_matches_mpmath(self):
+        # b log-uniform in [0.05, 1e16]; c = b (1 + gap) with the relative gap
+        # 0 or log-uniform in [1e-12, 1e6]; both argument orders.
+        rng = random.Random(1601)
+        for _ in range(400):
+            b = math.exp(rng.uniform(math.log(0.05), math.log(1e16)))
+            gap = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-12.0, 6.0)
+            c = b * (1.0 + gap)
+            want = _mp_ratio_sum(b, c)
+            for got in (theorems.ratio_sum_extension(b, c), theorems.ratio_sum_extension(c, b)):
+                assert _rel_err(got, want) <= G_FORM_BOUND, (b, c)
+
+    @pytest.mark.parametrize("b,c,key", [
+        (200.0, 300.0, "ratio_sum_200_300"),
+        (1e6, 1e6, "ratio_sum_1e6_1e6"),
+        (1e12, 1e12, "ratio_sum_1e12_1e12"),
+        (1e16, 1e16, "ratio_sum_1e16_1e16"),
+        (1e16, 2e16, "ratio_sum_1e16_2e16"),
+    ])
+    def test_large_argument_references(self, b, c, key):
+        # At (1e12, 1e12) a digamma difference psi(b + 1/2) - psi(b) keeps
+        # only ~4 digits, and at 1e16 it is 0 since b + 1/2 rounds to b.
+        assert _rel_err(theorems.ratio_sum_extension(b, c), REF[key]) <= G_FORM_BOUND
+
+    @pytest.mark.parametrize("b,c", [(1e200, 1e200), (2e219, 1.9e227)])
+    def test_finite_where_b_times_c_overflows(self, b, c):
+        assert _rel_err(theorems.ratio_sum_extension(b, c), _mp_ratio_sum(b, c)) <= G_FORM_BOUND
+
+    def test_finite_and_accurate_over_the_binary64_range(self):
+        # b and c log-uniform in [1e-300, 1e300], a fifth of them with b = c.
+        rng = random.Random(1602)
+        for _ in range(80):
+            b = 10.0 ** rng.uniform(-300.0, 300.0)
+            c = b if rng.random() < 0.2 else 10.0 ** rng.uniform(-300.0, 300.0)
+            got = theorems.ratio_sum_extension(b, c)
+            assert math.isfinite(got), (b, c)
+            assert _rel_err(got, _mp_ratio_sum(b, c)) <= G_FORM_BOUND, (b, c)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -223,9 +287,8 @@ class TestRatioSumExtension:
             theorems.ratio_sum_extension(0.5, 0.0)
 
     def test_symmetry(self):
-        assert theorems.ratio_sum_extension(0.5, 0.25) == pytest.approx(
-            theorems.ratio_sum_extension(0.25, 0.5), rel=1e-14, abs=0
-        )
+        for b, c in [(0.5, 0.25), (3.0, 3.00000006), (40.5, 45.25), (0.07, 1e9)]:
+            assert theorems.ratio_sum_extension(b, c) == theorems.ratio_sum_extension(c, b)
 
 
 class TestShiftedPair:
@@ -421,6 +484,18 @@ class TestSpFamily:
         with pytest.raises(PoleError):
             theorems.s_p(0)
 
+    def test_matches_mpmath_to_the_end_of_the_range(self):
+        # Gamma(170)/Gamma(170.5)^2 ~ 1.4e-307 is still a normal number.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for p in range(1, 171):
+                want = float(mpmath.gamma(p) / mpmath.gamma(p + mpmath.mpf(0.5)) ** 2)
+                assert _rel_err(theorems.s_p(p), want) <= S_P_BOUND, p
+
+    @pytest.mark.parametrize("p", [100, 170])
+    def test_references(self, p):
+        assert _rel_err(theorems.s_p(p), REF[f"s_p_{p}"]) <= S_P_BOUND
+
     def test_weighted_s1_values(self):
         assert theorems.weighted_s1(2, 0.5) == pytest.approx(
             4.0 / (3.0 * math.pi), rel=1e-13, abs=0
@@ -503,6 +578,25 @@ class TestMuSpacedSum:
     def test_reference_values(self, b, mu, key):
         assert theorems.mu_spaced_sum(b, mu) == pytest.approx(REF[key], rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("b,mu,key", [(1.0, 1e-6, "mu_sum_1_1e-6"),
+                                          (1.0, 1e-12, "mu_sum_1_1e-12")])
+    def test_large_ratio_references(self, b, mu, key):
+        assert _rel_err(theorems.mu_spaced_sum(b, mu), REF[key]) <= G_FORM_BOUND
+
+    def test_grid_matches_mpmath(self):
+        # b log-uniform in [1e-3, 1e3] and b/mu log-uniform in [1e-6, 1e16];
+        # the reference takes the exact quotient of the two doubles.
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(1603)
+        for _ in range(300):
+            b = 10.0 ** rng.uniform(-3.0, 3.0)
+            mu = b / 10.0 ** rng.uniform(-6.0, 16.0)
+            with mpmath.workdps(40):
+                r = mpmath.mpf(b) / mpmath.mpf(mu)
+                want = float(mpmath.sqrt(mpmath.pi) * mpmath.gamma(r)
+                             / (mu * mpmath.gamma(r + mpmath.mpf(0.5))))
+            assert _rel_err(theorems.mu_spaced_sum(b, mu), want) <= G_FORM_BOUND, (b, mu)
+
     def test_reduces_to_gauss_route(self):
         b, mu = 1.0, 4.0
         via_gauss = theorems.gauss_2f1(0.5, b / mu, b / mu + 1.0) / b
@@ -517,3 +611,12 @@ class TestMuSpacedSum:
     def test_ratio_overflow_is_range_error(self):
         with pytest.raises(RangeError, match="b/mu value is not finite"):
             theorems.mu_spaced_sum(1e300, 1e-10)
+
+    def test_subnormal_ratio_is_finite(self):
+        # b/mu = 1e-310 loses digits, but r g(r) -> 1/sqrt(pi) as r -> 0, so
+        # the value is 1/b to within u.
+        assert _rel_err(theorems.mu_spaced_sum(1e-300, 1e10), 1e300) <= G_FORM_BOUND
+
+    def test_ratio_underflow_is_range_error(self):
+        with pytest.raises(RangeError, match="b/mu underflows to 0"):
+            theorems.mu_spaced_sum(1e-300, 1e300)
