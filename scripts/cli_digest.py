@@ -3,10 +3,12 @@
 
 Each call runs in-process through ``hypersum.cli.main`` and prints one line:
 the exit code, the first 12 hex digits of the sha256 of stdout and of
-stderr, and the argv.  Run it on two checkouts and diff the outputs to see
-which calls changed their output or exit code:
+stderr, and the argv.  ``tests/cli_digest.txt`` holds the expected digest,
+which ``tests/test_scripts.py`` compares line for line; diff a new digest
+with it to see which calls changed their output or exit code, and rewrite it
+when a change alters output on purpose:
 
-    PYTHONPATH=src python scripts/cli_digest.py > digest.txt
+    PYTHONPATH=src python scripts/cli_digest.py > tests/cli_digest.txt
 
 A call that raises instead of returning an exit code prints ``!`` as its
 code and its traceback on stderr, and the script then exits 1.
@@ -93,13 +95,15 @@ VERIFY = (
     ("telescope", "--p", "1", "--f", "1"),
 )
 
-# Terminating, margin-1/2, small-margin and p = q series; two that run out
-# of budget; divergent and overflowing ones; one whose tail model starts
+# Terminating series, one with a nonpositive-integer lower parameter that
+# an upper one ends the series before; margin-1/2, small-margin and p = q
+# series; two that run out of budget; divergent and overflowing ones; one whose tail model starts
 # past the int64 range; two whose parameter sums overflow and one whose
 # model index 4|c1| does.
 EVAL = (
     ("-3,2;5",),
     ("-2.5,1;3",),
+    ("-2,0.5;-5",),
     (_EQ13,),
     ("0.5,0.45;1.05",),
     ("0.5;0.5",),
@@ -135,6 +139,7 @@ USAGE = (
     ("eval", "0.5,oops;1.25"),
     ("eval", "0.5,0.25"),
     ("eval", "0.5;-2"),
+    ("eval", "-3,0.5;-2"),
     ("eval", "0.5,;1"),
     ("eval", "0.5;1", "--max-terms", "0"),
     ("eval", "0.5;1", "--rel-tol", "0"),

@@ -26,17 +26,13 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from .errors import ConfigError, DivergenceError, NotApplicableError
-from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationStatus, sum_series
+from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, SummationStatus, sum_series
 from .verify import (
     DEFAULT_REL_TOL,
     IdentityCase,
     IdentityId,
     VerificationReport,
-    _encode_parameter,
-    _encode_parameters,
-    _encode_summation,
     identity_signature,
-    report_to_dict,
     sweep,
     verify_identity,
 )
@@ -46,6 +42,9 @@ EXIT_USAGE = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_FAILURE = 3
 
+# Also the key order of verify's JSON "parameters" and of sweep's "grid";
+# human and CSV output use signature order.  Deriving this from
+# identity_signature would reorder those JSON keys.
 _PARAM_FLAGS = ("a", "b", "c", "f", "f1", "f2", "mu", "p", "m", "pairs")
 
 
@@ -192,12 +191,38 @@ def _finish(args: argparse.Namespace, command: str, inputs: dict[str, Any], resu
     return summary["exit"]
 
 
+# Parameters are parsed floats, ints and (f, m) tuples: json.dumps writes tuples as arrays.
+def _summation_json(result: SummationResult) -> dict[str, Any]:
+    return {
+        "value": result.value,
+        "terms_used": result.terms_used,
+        "status": result.status.value,
+        "error_estimate": result.error_estimate,
+    }
+
+
+def _report_json(report: VerificationReport) -> dict[str, Any]:
+    summation = report.summation
+    return {
+        "identity": report.case.identity.value,
+        "parameters": report.case.parameters,
+        "rel_tol": report.case.rel_tol,
+        "lhs": report.lhs,
+        "rhs": report.rhs,
+        "abs_err": report.abs_err,
+        "rel_err": report.rel_err,
+        "passed": report.passed,
+        "precondition_note": report.precondition_note,
+        "summation": None if summation is None else _summation_json(summation),
+    }
+
+
 def _params_text(identity: IdentityId, params: dict[str, Any]) -> str:
     chunks = []
     for name in identity_signature(identity):
         value = params[name]
         if name == "pairs":
-            body = ",".join(f"{f:g}:{m}" for f, m in _encode_parameter(name, value))
+            body = ",".join(f"{f:g}:{m}" for f, m in value)
             chunks.append(f"pairs={body}")
         elif isinstance(value, int):
             chunks.append(f"{name}={value}")
@@ -226,7 +251,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     code = EXIT_OK if result.status != SummationStatus.MAX_TERMS_REACHED else EXIT_NOT_APPLICABLE
     return _finish(
-        args, "eval", inputs, [_encode_summation(result)],
+        args, "eval", inputs, [_summation_json(result)],
         {"status": result.status.value, "exit": code},
         [
             "value,terms_used,error_estimate,status",
@@ -248,7 +273,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     identity = IdentityId(args.identity)
     params = _parameter_values(identity, args, listy=False)
-    inputs = {"identity": identity.value, "parameters": _encode_parameters(params)}
+    inputs = {"identity": identity.value, "parameters": params}
     case = IdentityCase(identity, params, rel_tol=args.rel_tol)
     try:
         report = verify_identity(case, max_terms=args.max_terms)
@@ -259,7 +284,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     assert report.summation is not None
     return _finish(
-        args, "verify", inputs, [report_to_dict(report)],
+        args, "verify", inputs, [_report_json(report)],
         {"passed": report.passed, "exit": EXIT_OK if report.passed else EXIT_FAILURE},
         [_REPORT_CSV_HEADER, _report_csv_row(report)],
         [
@@ -336,12 +361,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args, "sweep",
         {
             "identity": identity.value,
-            "grid": {
-                name: [_encode_parameter(name, value) for value in values]
-                for name, values in grid.items()
-            },
+            "grid": grid,
         },
-        [report_to_dict(r) for r in reports],
+        [_report_json(r) for r in reports],
         {
             "passed": n_pass,
             "failed": n_fail,

@@ -62,9 +62,10 @@ class SeriesSpec:
     """Parameters of a unit-argument pFq series.
 
     ``numerators`` are the upper parameters a_1..a_p, ``denominators`` the
-    lower parameters b_1..b_q.  The implicit n! is not listed.  Lower
-    parameters must avoid nonpositive integers, and p <= q + 1 is required for
-    the series to converge or terminate at unit argument.
+    lower parameters b_1..b_q.  The implicit n! is not listed.  A lower
+    parameter -m, m a nonnegative integer, needs an upper -k with k <= m,
+    which ends the series before (-m)_n vanishes.  p <= q + 1 is required
+    for the series to converge or terminate at unit argument.
     """
 
     numerators: tuple[float, ...]
@@ -76,16 +77,17 @@ class SeriesSpec:
         for v in nums + dens:
             if math.isnan(v) or math.isinf(v):
                 raise DomainError(f"series parameters must be finite, got {v!r}")
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominators", dens)
+        end = self.termination_index
         for b in dens:
-            if _is_nonpositive_integer(b):
+            if _is_nonpositive_integer(b) and (end is None or end > -b):
                 raise DegenerateError(f"lower parameter {b!r} is a nonpositive integer")
         if len(nums) > len(dens) + 1:
             raise DomainError(
                 f"p = {len(nums)} upper parameters need q >= p - 1 lower "
                 f"parameters at unit argument, got q = {len(dens)}"
             )
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominators", dens)
 
     @property
     def order_p(self) -> int:

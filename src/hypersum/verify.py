@@ -41,7 +41,6 @@ __all__ = [
     "sweep",
     "builtin_catalog",
     "identity_signature",
-    "report_to_dict",
     "DEFAULT_REL_TOL",
 ]
 
@@ -172,20 +171,6 @@ def _require_series_safe_f(name: str, f: float) -> float:
     return f
 
 
-def _pair_items(raw: Any) -> list[tuple[float, Any]]:
-    """(f, m) of each pair in a ``pairs`` value, which may hold ShiftedPairs,
-    plain (f, m) pairs or be one bare ShiftedPair; nothing is checked.  An
-    integral shift becomes an int; any other is kept for ShiftedPair to
-    reject."""
-    if isinstance(raw, ShiftedPair):
-        raw = (raw,)
-    items = []
-    for item in raw:
-        f, m = (item.f, item.m) if isinstance(item, ShiftedPair) else item
-        items.append((float(f), int(m) if float(m).is_integer() else m))
-    return items
-
-
 def _shifted(name: str, x: float, m: int) -> float:
     # x + m as a series parameter; a lost shift would change the margin.
     shifted = x + m
@@ -260,7 +245,9 @@ def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
            pairs=(ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)))
 def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
     a, b, c = (float(params[k]) for k in ("a", "b", "c"))
-    pairs = tuple(ShiftedPair(f, m) for f, m in _pair_items(params["pairs"]))
+    raw = params["pairs"]  # ShiftedPairs, plain (f, m) pairs or one bare ShiftedPair
+    pairs = tuple(p if isinstance(p, ShiftedPair) else ShiftedPair(*p)
+                  for p in ((raw,) if isinstance(raw, ShiftedPair) else raw))
     if not pairs:
         raise DegenerateError("at least one (f, m) pair is required")
     m_total = sum(p.m for p in pairs)
@@ -431,40 +418,3 @@ def builtin_catalog(rel_tol: float = DEFAULT_REL_TOL) -> list[IdentityCase]:
         IdentityCase(identity, dict(point), rel_tol)
         for identity, (point, _) in _IDENTITIES.items()
     ]
-
-
-def _encode_parameter(name: str, value: Any) -> Any:
-    """JSON-ready form of one parameter value: pairs become [f, m] lists."""
-    if name == "pairs":
-        return [list(item) for item in _pair_items(value)]
-    return value
-
-
-def _encode_parameters(params: Mapping[str, Any]) -> dict[str, Any]:
-    return {name: _encode_parameter(name, value) for name, value in params.items()}
-
-
-def _encode_summation(result: SummationResult) -> dict[str, Any]:
-    return {
-        "value": result.value,
-        "terms_used": result.terms_used,
-        "status": result.status.value,
-        "error_estimate": result.error_estimate,
-    }
-
-
-def report_to_dict(report: VerificationReport) -> dict[str, Any]:
-    """JSON-ready encoding of a report, as the CLI writes it."""
-    summation = report.summation
-    return {
-        "identity": report.case.identity.value,
-        "parameters": _encode_parameters(report.case.parameters),
-        "rel_tol": report.case.rel_tol,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "abs_err": report.abs_err,
-        "rel_err": report.rel_err,
-        "passed": report.passed,
-        "precondition_note": report.precondition_note,
-        "summation": None if summation is None else _encode_summation(summation),
-    }

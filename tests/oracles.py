@@ -8,7 +8,9 @@ are deliberately naive: correctness over speed.
 stop rules of ``hypersum.series.sum_series``, kept to pin the optimised
 kernel to it bit for bit.  It reuses the kernel's asymptotic tail, whose
 accuracy is pinned against mpmath separately, and its Neumaier update, so it
-checks the block body and the stop rules only.
+checks the block body and the stop rules only.  It reads the block widths,
+the first index the stop rules may fire at and the rounding bound from the
+kernel's constants, so the comparison holds if those change.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ import numpy as np
 
 from hypersum.errors import ConfigError, DivergenceError, RangeError
 from hypersum.series import (
+    _BLOCK_MAX,
+    _BLOCK_START,
+    _MIN_STOP_INDEX,
+    _SUM_ROUNDING,
     SummationResult,
     SummationStatus,
     _AsymptoticTail,
@@ -137,13 +143,12 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
         if margin <= 0.0:
             raise DivergenceError("diverges at unit argument")
         tail_at = _AsymptoticTail(spec, margin)
-    rounding_unit = 32.0 * 2.0**-53
 
     total, comp, abs_sum = 1.0, 0.0, 1.0
     t_last = 1.0
     count, n_last = 1, 0
     carry = np.array([False, False])
-    block = 1024
+    block = _BLOCK_START
     converged = False
     ends = []
     tail, drift = None, 0.0
@@ -151,7 +156,7 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
             width = min(block, limit - count)
-            block = min(2 * block, 65536)
+            block = min(2 * block, _BLOCK_MAX)
             idx = (count - 1) + np.arange(width, dtype=np.float64)
             num = np.ones(width)
             for a in uppers:
@@ -167,8 +172,8 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
             if k_term is None:
                 bound = rel_tol * np.abs((total + comp) + np.cumsum(terms))
                 small = np.abs(terms) <= bound
-                if count < 20:
-                    small[: 20 - count] = False
+                if count < _MIN_STOP_INDEX:
+                    small[: _MIN_STOP_INDEX - count] = False
                 ext = np.concatenate((carry, small))
                 run = ext[:-2] & ext[1:-1] & ext[2:]
                 hits = np.flatnonzero(run)
@@ -188,7 +193,7 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
             drift = 0.0
             if converged:
                 break
-            if tail_series and n_last >= 20:
+            if tail_series and n_last >= _MIN_STOP_INDEX:
                 partial = total + comp
                 tail = tail_at(t_last, n_last, rel_tol * abs(partial))
                 if tail is not None:
@@ -197,7 +202,7 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
                     ends.append((n_last, value))
                     if ref:
                         drift = abs(value - ref[-1][1])
-                        if drift + tail[1] + rounding_unit * abs_sum <= rel_tol * abs(value):
+                        if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(value):
                             converged = True
                             break
 
@@ -210,5 +215,5 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
         value, error = value + tail[0], drift + tail[1]
     else:
         error = abs(t_last) * (n_last + 1) / margin if tail_series else abs(t_last)
-    error += rounding_unit * abs_sum
+    error += _SUM_ROUNDING * abs_sum
     return SummationResult(value, count, status, error)

@@ -10,13 +10,12 @@ PUBLIC_NAMES = [
     "VerificationReport", "__version__", "builtin_catalog", "contiguous_3f2",
     "convergence_margin", "digamma", "dixon_3f2", "gamma", "gamma_ratio",
     "gauss_2f1", "identity_signature", "karlsson_minton", "log_gamma",
-    "mu_spaced_sum", "pochhammer", "ratio_sum_extension", "report_to_dict",
-    "s_p", "sum_series", "sweep", "verify_identity", "weighted_pair",
+    "mu_spaced_sum", "pochhammer", "ratio_sum_extension", "s_p", "sum_series", "sweep", "verify_identity", "weighted_pair",
     "weighted_s1", "weighted_s2",
 ]
 
 
 def test_public_names():
     assert sorted(hypersum.__all__) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
 

@@ -9,16 +9,20 @@ import sys
 import pytest
 
 import hypersum
-from hypersum.cli import main
+from hypersum.cli import _report_json, main
 from hypersum.series import SeriesSpec, sum_series
-from hypersum.theorems import ShiftedPair
-from hypersum.verify import IdentityCase, report_to_dict, sweep, verify_identity
+from hypersum.verify import IdentityCase, sweep, verify_identity
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def as_json(value):
+    """``value`` after a trip through JSON text, as the CLI writes it."""
+    return json.loads(json.dumps(value))
 
 
 def run_python(*argv):
@@ -49,6 +53,15 @@ class TestEval:
         assert code == 0
         assert "Terminated" in out
         assert "0.285714285714" in out  # 2/7
+
+    def test_nonpositive_integer_denominator(self, capsys):
+        # Accepted when an upper -k with k <= m ends the series first.
+        code, out, _ = run(capsys, "eval", "-2,0.5;-5")
+        assert code == 0
+        assert "1.2375" in out and "Terminated" in out
+        code, out, err = run(capsys, "eval", "-3,0.5;-2")
+        assert (code, out) == (1, "")
+        assert err == "error: lower parameter -2.0 is a nonpositive integer\n"
 
     def test_divergent_series(self, capsys):
         code, out, _ = run(capsys, "eval", "1,1;1")
@@ -253,7 +266,7 @@ class TestVerify:
         assert set(item["summation"]) == {"value", "terms_used", "status", "error_estimate"}
         # Equal to the in-process encoding, error_estimate included.
         report = verify_identity(IdentityCase("eq2.8", {"p": 4, "f1": 0.3, "f2": 2.2}))
-        assert item == report_to_dict(report)
+        assert item == as_json(_report_json(report))
 
 
 class TestSweep:
@@ -320,10 +333,11 @@ class TestSweep:
         assert item["passed"] is None
         assert item["parameters"]["pairs"] == [[1.3, 1], [0.0, 2]]
         assert item["summation"] is None
+        # The CLI parses each f:m token into a plain (f, m) pair.
         (report,) = sweep(
             "eq2.2", {"a": [0.4], "b": [0.3], "c": [6.0], "pairs": [((1.3, 1), (0.0, 2))]}
         )
-        assert item == report_to_dict(report)
+        assert item == as_json(_report_json(report))
 
     def test_csv_deterministic(self, capsys):
         argv = (
@@ -350,12 +364,12 @@ class TestSweep:
         for item in results:
             assert item["parameters"]["pairs"] == [[1.3, 1], [2.1, 2]]
         assert [item["summation"] is None for item in results] == [False, True]
+        # The CLI parses each f:m token into a plain (f, m) pair.
         reports = sweep(
             "eq2.2",
-            {"a": [0.4], "b": [0.3], "c": [6.0, 1.0],
-             "pairs": [(ShiftedPair(1.3, 1), ShiftedPair(2.1, 2))]},
+            {"a": [0.4], "b": [0.3], "c": [6.0, 1.0], "pairs": [((1.3, 1), (2.1, 2))]},
         )
-        assert results == [report_to_dict(r) for r in reports]
+        assert results == as_json([_report_json(r) for r in reports])
 
     def test_forced_failure_exit_3(self, capsys):
         code, out, _ = run(

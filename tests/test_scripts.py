@@ -30,9 +30,13 @@ def test_run_catalog():
 
 
 def test_cli_digest():
+    # tests/cli_digest.txt pins every exit code and output hash of the CLI's
+    # call matrix; a change that alters output on purpose rewrites it with
+    #     PYTHONPATH=src python scripts/cli_digest.py > tests/cli_digest.txt
     proc = run_script("cli_digest.py")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) > 100
     assert {line.split()[0] for line in lines} <= {"0", "1", "2", "3"}
+    golden = (Path(__file__).resolve().parent / "cli_digest.txt").read_text()
+    assert lines == golden.splitlines()

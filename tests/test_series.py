@@ -56,6 +56,24 @@ class TestSeriesSpec:
             SeriesSpec((0.5,), (-2.0,))
         with pytest.raises(DegenerateError):
             SeriesSpec((0.5,), (0.0,))
+        # -3 ends the series at n = 3, but (-2)_3 = 0 already.
+        with pytest.raises(DegenerateError, match="lower parameter -2.0"):
+            SeriesSpec((-3.0, 0.5), (-2.0,))
+        with pytest.raises(DegenerateError, match="lower parameter -1.0"):
+            SeriesSpec((-2.0, 0.5), (-5.0, -1.0))
+
+    def test_upper_ending_first_allows_nonpositive_integer_denominator(self):
+        # Upper -k with k <= m ends the series at n = k, before (-m)_n vanishes.
+        # 2F1(-2, 1/2; -5; 1) = 1 + 1/10 + 3/20 = 99/80, and at m = k the
+        # sum is 1 + 1/2 + 3/8 = 15/8.
+        for lower, exact in ((-5.0, Fraction(99, 80)), (-2.0, Fraction(15, 8))):
+            spec = SeriesSpec((-2.0, 0.5), (lower,))
+            result = sum_series(spec)
+            assert result.status is SummationStatus.TERMINATED
+            assert result.terms_used == 3
+            assert result.value == float(exact)
+            oracle = rational_terminating_sum([Fraction(-2), Fraction(1, 2)], [Fraction(lower)])
+            assert oracle == exact
 
     @pytest.mark.parametrize("uppers,lowers", [
         ((math.nan,), (1.5,)), ((0.5, math.inf), (1.5,)), ((0.5,), (-math.inf,)),
