@@ -29,6 +29,7 @@ import traceback
 from hypersum.cli import main
 
 _EQ13 = "0.5,0.25;1.25"
+_HUGE = "1" + "0" * 400  # an integer past the binary64 range
 
 # The calls of the benchmark's cli workload, verbatim.
 BENCHMARK = (
@@ -52,7 +53,8 @@ BENCHMARK = (
 # b-c = -200, m = 300, although its first 200 factors overflow.  Two eq2.3
 # points have b and c within a relative 1.5e-8 and 2e-8.  The last eq1.6
 # and eq2.3 points have large b/mu and b = c; at b = c = 1e12 the series
-# still runs out of budget.
+# still runs out of budget.  The last three points give an integer
+# parameter past the binary64 range.
 VERIFY = (
     ("eq1.1",),
     ("eq1.2",),
@@ -93,13 +95,16 @@ VERIFY = (
     ("eq2.8", "--p", "2", "--f1", "0.3", "--f2", "2.2"),
     ("telescope", "--p", "3", "--f", "1"),
     ("telescope", "--p", "1", "--f", "1"),
+    ("eq2.5", "--p", _HUGE),
+    ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "0.9", "--m", _HUGE),
+    ("eq2.2", "--a", "0.4", "--b", "0.3", "--c", "6", "--pairs", f"1.3:{_HUGE}"),
 )
 
 # Terminating series, one with a nonpositive-integer lower parameter that
 # an upper one ends the series before; margin-1/2, small-margin and p = q
 # series; two that run out of budget; divergent and overflowing ones; one whose tail model starts
 # past the int64 range; two whose parameter sums overflow and one whose
-# model index 4|c1| does.
+# model index 4|c1| does; a budget past the binary64 range.
 EVAL = (
     ("-3,2;5",),
     ("-2.5,1;3",),
@@ -117,6 +122,7 @@ EVAL = (
     ("-1e308,-1e308;0.5",),
     ("1.34e154,0.5,0.5,0.5;4.4666666666666674e+153,4.4666666666666674e+153,"
      "4.4666666666666674e+153",),
+    (_EQ13, "--max-terms", _HUGE),
 )
 
 SWEEP = (
@@ -126,6 +132,7 @@ SWEEP = (
     ("eq2.5", "--p", "1,200"),
     ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "0.9", "--m", "1,2,3"),
     ("eq1.6", "--b", "0.5,1", "--mu", "2,-1"),
+    ("eq2.5", "--p", f"1,{_HUGE}"),
 )
 
 USAGE = (

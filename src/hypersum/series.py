@@ -9,9 +9,8 @@ The summation kernel runs the term recurrence
     t_0 = 1,   t_{n+1} = t_n * prod(a_i + n) / (prod(b_j + n) * (n + 1))
 
 in numpy blocks with compensated (Neumaier) accumulation across blocks and
-pairwise summation inside them.  A block skips the term test when each of its
-|t_n| exceeds 2 rel_tol (|sum before it| + sum of its |t_n|), which bounds what
-the test compares |t_n| with; no term there could pass, so the skip is exact.
+pairwise summation inside them.  Every block is summed whole, and the stop
+rules are checked at block ends only.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
 convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
@@ -232,15 +231,17 @@ def sum_series(
     """Sum the series directly, term by term.
 
     Stops when the series terminates (``Terminated``), at ``max_terms``
-    (``MaxTermsReached``), or ``Converged`` on one of two rules:
+    (``MaxTermsReached``), or ``Converged`` on one of two rules, checked for
+    a non-terminating series at each block end N >= 20 (1024 terms, doubling
+    to 65536, or the budget); ``terms_used`` counts t_0..t_N:
 
-    * term test: |t_n| <= rel_tol |partial sum| for three consecutive n >= 20,
-      of which only a block's first such n is tried;
-    * block end, for a non-terminating p = q + 1 series: at the end N of a
-      block (1024 terms, doubling to 65536, or the budget) where
-      err(N) = |V(N) - V(N_ref)| + E(N) <= rel_tol |V(N)|, N_ref <= N/2 the
-      latest earlier block end with a resolved tail.  The first such N is
-      3072, so no budget of 2,048 terms or less ends on this rule.
+    * term test: the block's last three |t_n| are at most rel_tol |S_N|, S_N
+      the partial sum; a block of fewer than three terms, only ever the
+      budget's last, cannot stop on it;
+    * block end, for a p = q + 1 series: err(N) = |V(N) - V(N_ref)| + E(N)
+      <= rel_tol |V(N)|, N_ref <= N/2 the latest earlier block end with a
+      resolved tail.  The first such N is 3072, so no budget of 2,048 terms
+      or less ends on this rule.
 
     V(N) is the partial sum S_N plus the tail (module docstring), summed by
     :class:`_AsymptoticTail` with scale rel_tol |S_N|; where it is unresolved
@@ -279,13 +280,11 @@ def sum_series(
 
     total, comp, abs_sum, t_last = 1.0, 0.0, 1.0, 1.0  # t_0; abs_sum is sum |t_n|
     count, n_last, block, converged = 1, 0, _BLOCK_START, False
-    carry = (False, False)  # term-test flags of the previous block's last two terms
-    ends: list[tuple[int, float, float]] = []  # (N, S_N, t_N) at block ends
+    ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends with a resolved tail
     tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
-            tail, drift = None, 0.0
             width = min(block, limit - count)
             block = min(2 * block, _BLOCK_MAX)
             # Ratios t_{n+1}/t_n for n = count-1 .. count+width-2, built in
@@ -304,62 +303,28 @@ def sum_series(
             if not math.isfinite(terms[-1]):
                 raise RangeError("series terms exceed binary64 range")
             mags = np.abs(terms, out=den)
-            block_abs = float(mags.sum())
-            abs_sum += block_abs
-
-            # No flag can be set where every |t_n| exceeds fl(2 Y rel_tol),
-            # Y = |total + comp| + fl(sum |t_n|): with w <= 2^16 terms the scan's
-            # |partial sums| are at most (1 + 2^18 u) Y < 2 Y, rounding is
-            # monotone, and the masks and the tail check only clear stops.  If
-            # 2 Y overflows the bound is inf and the scan runs.  A one-term
-            # block is the budget's last, so its carry is never read.
-            bound = 2.0 * (abs(total + comp) + block_abs) * rel_tol
-            if k_term is not None or (mags[-1] > bound and mags.min() > bound):
-                carry = (False, False)
-            else:
-                scaled = np.add.accumulate(terms)  # then rel_tol |partial sum|
-                scaled += total + comp
-                np.abs(scaled, out=scaled)
-                scaled *= rel_tol
-                # Term-test flags after the two carried over from the last
-                # block, so one search finds a run of three wherever it starts.
-                flags = np.empty(width + 2, dtype=bool)
-                flags[:2] = carry
-                small = np.less_equal(mags, scaled, out=flags[2:])
-                small[: max(_MIN_STOP_INDEX - count, 0)] = False
-                run = small & flags[1:-1]
-                run &= flags[:-2]
-                stop = int(run.argmax())
-                if run[stop] and tail_series:
-                    # Only the first candidate: an unresolved tail runs the block on.
-                    tail = tail_at(float(terms[stop]), count + stop, float(scaled[stop]))
-                    run[stop] = tail is not None
-                if run[stop]:
-                    terms = terms[: stop + 1]
-                    converged = True
-                carry = flags[-2:]
-
+            abs_sum += float(mags.sum())
             total, comp = _accumulate(total, comp, float(terms.sum()))
             t_last = float(terms[-1])
-            count += len(terms)
+            count += width
             n_last = count - 1
-            if converged:
+            if k_term is not None or n_last < _MIN_STOP_INDEX:
+                continue
+            partial, drift = total + comp, 0.0
+            scale = rel_tol * abs(partial)
+            if tail_series:
+                tail = tail_at(t_last, n_last, scale)
+            if width >= 3 and mags[-3:].max() <= scale and (tail is not None or not tail_series):
+                converged = True
                 break
-            if not tail_series or n_last < _MIN_STOP_INDEX:
+            if tail is None:
                 continue
-            # V(N) is formed only once a V(N_ref) is: the first end's waits for the third.
-            partial = total + comp
-            ends.append((n_last, partial, t_last))
-            for n_ref, s_ref, t_ref in reversed(ends):
-                ref = tail_at(t_ref, n_ref, rel_tol * abs(s_ref)) if 2 * n_ref <= n_last else None
-                if ref is not None:
-                    break
-            else:
-                continue
-            tail = tail_at(t_last, n_last, rel_tol * abs(partial))
-            if tail is not None:
-                drift = abs(partial + tail[0] - (s_ref + ref[0]))
-                if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(partial + tail[0]):
+            value = partial + tail[0]
+            ref = next((v for n, v in reversed(ends) if 2 * n <= n_last), None)
+            ends.append((n_last, value))
+            if ref is not None:
+                drift = abs(value - ref)
+                if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(value):
                     converged = True
                     break
 
@@ -367,8 +332,6 @@ def sum_series(
     if k_term is not None and count == k_term + 1:
         return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
-    if tail is None and tail_series and n_last >= _MIN_STOP_INDEX:
-        tail = tail_at(t_last, n_last, rel_tol * abs(value))
     if tail is not None:
         value, error = value + tail[0], drift + tail[1]
     else:

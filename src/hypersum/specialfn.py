@@ -30,9 +30,10 @@ __all__ = [
 
 
 def _is_integer(x: object) -> bool:
-    # False, not a raw error, for nan, inf and values int() rejects.
+    # False, not a raw error, for nan, inf, values int() rejects and integers
+    # too large for a binary64, which the float arithmetic would overflow.
     try:
-        return x == int(x)
+        return x == int(x) and abs(x) <= sys.float_info.max
     except (TypeError, ValueError, OverflowError):
         return False
 

@@ -88,7 +88,7 @@ class ShiftedPair:
     m: int
 
     def __post_init__(self) -> None:
-        if not float(self.m).is_integer() or self.m < 1:
+        if not _is_integer(self.m) or self.m < 1:
             raise DegenerateError(f"pair shift must be a positive integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
         f = float(self.f)

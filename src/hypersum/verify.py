@@ -246,8 +246,11 @@ def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
 def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
     a, b, c = (float(params[k]) for k in ("a", "b", "c"))
     raw = params["pairs"]  # ShiftedPairs, plain (f, m) pairs or one bare ShiftedPair
-    pairs = tuple(p if isinstance(p, ShiftedPair) else ShiftedPair(*p)
-                  for p in ((raw,) if isinstance(raw, ShiftedPair) else raw))
+    try:
+        pairs = tuple(p if isinstance(p, ShiftedPair) else ShiftedPair(*p)
+                      for p in ((raw,) if isinstance(raw, ShiftedPair) else raw))
+    except TypeError:
+        raise ConfigError(f"pairs must be a sequence of (f, m) pairs, got {raw!r}") from None
     if not pairs:
         raise DegenerateError("at least one (f, m) pair is required")
     m_total = sum(p.m for p in pairs)

@@ -120,10 +120,9 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     """``sum_series`` as a straightforward numpy block loop.
 
     Same block widths, stop rules and floating-point operations as the
-    package kernel, written without in-place buffers and without the skip:
-    every block of a non-terminating series runs the term test.  The ratios
-    come from separate numerator and denominator products, the term test
-    concatenates the carried flags, and only its first candidate is tried.
+    package kernel, written without in-place buffers.  The ratios come from
+    separate numerator and denominator products, and both stop rules are
+    checked at block ends only, the term test on a block's last three terms.
     """
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
@@ -147,7 +146,6 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     total, comp, abs_sum = 1.0, 0.0, 1.0
     t_last = 1.0
     count, n_last = 1, 0
-    carry = np.array([False, False])
     block = _BLOCK_START
     converged = False
     ends = []
@@ -168,43 +166,31 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
             if not np.isfinite(terms[-1]):
                 raise RangeError("series terms exceed binary64 range")
             abs_sum += float(np.sum(np.abs(terms)))
-
-            if k_term is None:
-                bound = rel_tol * np.abs((total + comp) + np.cumsum(terms))
-                small = np.abs(terms) <= bound
-                if count < _MIN_STOP_INDEX:
-                    small[: _MIN_STOP_INDEX - count] = False
-                ext = np.concatenate((carry, small))
-                run = ext[:-2] & ext[1:-1] & ext[2:]
-                hits = np.flatnonzero(run)
-                if len(hits):
-                    i = int(hits[0])
-                    if tail_series:
-                        tail = tail_at(float(terms[i]), count + i, float(bound[i]))
-                    if not tail_series or tail is not None:
-                        terms = terms[: i + 1]
-                        converged = True
-                carry = ext[-2:].copy()
-
             total, comp = _accumulate(total, comp, float(np.sum(terms)))
             t_last = float(terms[-1])
-            count += len(terms)
+            count += width
             n_last = count - 1
             drift = 0.0
-            if converged:
-                break
-            if tail_series and n_last >= _MIN_STOP_INDEX:
-                partial = total + comp
+            if k_term is not None or n_last < _MIN_STOP_INDEX:
+                continue
+
+            partial = total + comp
+            if tail_series:
                 tail = tail_at(t_last, n_last, rel_tol * abs(partial))
-                if tail is not None:
-                    value = partial + tail[0]
-                    ref = [e for e in ends if 2 * e[0] <= n_last]
-                    ends.append((n_last, value))
-                    if ref:
-                        drift = abs(value - ref[-1][1])
-                        if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(value):
-                            converged = True
-                            break
+            last_three = np.abs(terms[-3:])
+            small = width >= 3 and bool(np.all(last_three <= rel_tol * abs(partial)))
+            if small and (tail is not None or not tail_series):
+                converged = True
+                break
+            if tail is not None:
+                value = partial + tail[0]
+                ref = [e for e in ends if 2 * e[0] <= n_last]
+                ends.append((n_last, value))
+                if ref:
+                    drift = abs(value - ref[-1][1])
+                    if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(value):
+                        converged = True
+                        break
 
     value = total + comp
     if k_term is not None and count == k_term + 1:

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the current package."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,7 +8,19 @@ from pathlib import Path
 
 import hypersum
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def load_module(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[path.stem] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[path.stem]
+    return module
 
 
 def run_script(name):
@@ -40,3 +53,10 @@ def test_cli_digest():
     assert {line.split()[0] for line in lines} <= {"0", "1", "2", "3"}
     golden = (Path(__file__).resolve().parent / "cli_digest.txt").read_text()
     assert lines == golden.splitlines()
+
+
+def test_cli_digest_covers_the_benchmark_calls():
+    # The digest's BENCHMARK calls are the benchmark's cli workload, verbatim.
+    digest = load_module(SCRIPTS / "cli_digest.py")
+    ops = load_module(ROOT / "perfbench" / "ops.py")
+    assert digest.BENCHMARK == tuple(op.argv for op in ops.CLI_OPS)

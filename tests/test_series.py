@@ -199,10 +199,10 @@ class TestBlockEndStop:
     def test_large_lower_parameter_stops_on_the_term_test(self, c):
         # The tail's coefficients grow like c^k, but the terms fall like
         # n!/(c)_n, so at the term test t_N is far below the floor the tail
-        # terms are checked against, and the stop comes after ~20 terms.
+        # terms are checked against, and the stop comes at the first block end.
         result = sum_series(SeriesSpec((0.5, 0.5), (float(c),)), rel_tol=1e-12)
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used <= 100
+        assert result.terms_used == 1025
         assert result.value == pytest.approx(_gauss_half_half(c), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
@@ -242,8 +242,8 @@ class TestHardCases:
         "uppers,lowers,rel_tol,max_terms,max_error",
         [
             # A term-test stop the first-order tail put at error 1.87e-8.
-            ((12.0, 12.0), (28.0,), 1e-8, 2_000, 1e-13),
-            ((8.0, 13.0), (26.0,), 1e-8, 1_000, 1e-13),
+            ((12.0, 12.0), (28.0,), 1e-8, 3_073, 1e-13),
+            ((8.0, 13.0), (26.0,), 1e-8, 1_025, 1e-13),
             ((200.0, 0.5, 0.5), (201.0, 1.05), 1e-12, 3_073, 1e-14),
             # Margin 0.05, which ran the whole 1e7-term budget.
             ((0.5, 0.45), (1.0,), 1e-12, 3_073, 1e-13),
@@ -263,16 +263,15 @@ class TestHardCases:
         assert error <= max_error * abs(want)
 
     def test_unresolved_candidate_passes_the_block_on(self):
-        # At rel_tol 1e-3 the term test first holds near n = 20, where the
-        # tail's e_k ~ 200^k leave it unresolved.  Only that candidate is
-        # tried: the block runs to its end, and the next block's first
-        # candidate stops the sum.
+        # At rel_tol 1e-3 the terms pass the test from near n = 20 on, where
+        # the tail's e_k ~ 200^k leave it unresolved.  The test is checked at
+        # block ends only, and the tail is resolved at the first one.
         spec = SeriesSpec((200.0, 0.5, 0.5), (201.0, 1.05))
         result = sum_series(spec, rel_tol=1e-3)
         want = _mp_hyper(spec.numerators, spec.denominators)
         assert result == reference_sum_series(spec, rel_tol=1e-3)
         assert result.status is SummationStatus.CONVERGED
-        assert 1024 < result.terms_used <= 1030
+        assert result.terms_used == 1025
         assert abs(result.value - want) <= result.error_estimate <= 1e-3 * abs(result.value)
 
     def test_eq2_8_at_p_11(self):
@@ -285,12 +284,12 @@ class TestHardCases:
         assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
 
     def test_error_estimate_states_the_error(self):
-        # A term-test stop inside the first block, where the tail is ~70% of
+        # A term-test stop at the first block end, where the tail is ~70% of
         # the value: the estimate is of the value's error, not of rel_tol.
         result = sum_series(SeriesSpec((1.0, 1.0), (2.05,)), rel_tol=2e-4)
         error = abs(result.value - _gauss_mp(1.0, 1.0, 2.05))
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used <= 1024
+        assert result.terms_used == 1025
         assert error <= result.error_estimate <= 1e-12 * result.value
 
 
@@ -392,11 +391,11 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("first_small", [1021, 1022, 1023, 1024])
     def test_three_in_a_row_across_a_block_end(self, first_small):
         # The first block holds t_1..t_1024.  Pick rel_tol so that the term
-        # test first holds at n = first_small: the stop at first_small + 2
-        # then falls on the block's last two terms or the next block's first
-        # two, where the flags carried over from the block before decide it.
-        # With max_terms = first_small + 3 the stop is the last term of the
-        # budget; at first_small = 1023 it is the only term of its block.
+        # test first holds at n = first_small.  Where the block's last three
+        # terms pass, the sum stops at its end; where a run of three crosses
+        # the block end, it stops at the next one, N = 3072.  With max_terms
+        # = first_small + 3 the budget ends a block of 1,023 or 1,024 terms,
+        # or a second block of one or two terms, too narrow for the test.
         spec = SeriesSpec((0.5, 0.5), (2.5,))
         term, total = 1.0, 1.0
         ratios = []
@@ -406,11 +405,35 @@ class TestKernelMatchesReference:
             ratios.append(term / total)
         rel_tol = ratios[first_small - 1] * (1.0 + 1e-9)
         assert ratios[first_small - 2] > rel_tol
-        for max_terms in (DEFAULT_MAX_TERMS, first_small + 3):
+        in_block = first_small + 2 <= 1024
+        for max_terms, terms in ((DEFAULT_MAX_TERMS, 1025 if in_block else 3073),
+                                 (first_small + 3, first_small + 3)):
             want = reference_sum_series(spec, rel_tol=rel_tol, max_terms=max_terms)
-            assert want.terms_used == first_small + 3
-            assert want.status is SummationStatus.CONVERGED
+            assert want.terms_used == terms
+            converged = in_block or max_terms == DEFAULT_MAX_TERMS
+            assert (want.status is SummationStatus.CONVERGED) == converged
             assert sum_series(spec, rel_tol=rel_tol, max_terms=max_terms) == want
+
+    @pytest.mark.parametrize("max_terms", [300_000, 195_585])
+    def test_reference_is_not_the_previous_end(self, max_terms):
+        # Margin 0.05 at rel_tol 1e-13 never stops, and runs past the
+        # 65,536-term blocks.  At N = 195,584 the reference is 64,512, the
+        # latest end at most N/2, not the previous end 130,048; with
+        # max_terms = 195,585 that N is the budget's last end.
+        spec = SeriesSpec((0.5, 0.45), (1.0,))
+        want = reference_sum_series(spec, rel_tol=1e-13, max_terms=max_terms)
+        assert want.status is SummationStatus.MAX_TERMS_REACHED
+        assert sum_series(spec, rel_tol=1e-13, max_terms=max_terms) == want
+
+    def test_unresolved_tails_at_early_ends(self):
+        # Parameters of 50-110 leave the tail unresolved at N = 1,024 and
+        # 3,072, so neither rule stops there.  The first end with a resolved
+        # tail is 7,168, and 15,360 is the first end that can use it.
+        spec = SeriesSpec((50.0, 60.0), (110.5,))
+        want = reference_sum_series(spec, rel_tol=1e-12)
+        assert want.status is SummationStatus.CONVERGED
+        assert want.terms_used == 15_361
+        assert sum_series(spec, rel_tol=1e-12) == want
 
 
 def _terms_and_sums(spec, n_max):
@@ -430,27 +453,8 @@ def _terms_and_sums(spec, n_max):
     return out
 
 
-def _block_bound_ratio(ts, first, last, rel_tol):
-    # min |t_n| over the block t_first..t_last against rel_tol Y, Y the
-    # |partial sum| before the block plus the block's sum of |t_n|; the skip
-    # bound is 2 rel_tol Y.
-    mags = [abs(t) for t, _ in ts[first:last + 1]]
-    y = abs(ts[first - 1][1]) + math.fsum(mags)
-    return min(mags) / (rel_tol * y)
-
-
-def _step_spec(d1, d2):
-    # The lower parameter -1024 + d1 nearly vanishes at n = 1024, so the terms
-    # jump up by ~0.25 / d1 from t_1025 on; the upper -3072 + d2 nearly
-    # vanishes at n = 3072, so they drop by ~12 d2 from t_3073 on.  Each has
-    # a partner 0.25 or 1/12 away that keeps the terms smooth elsewhere, and
-    # from t_3073 on they are small enough for the tail to be resolved.
-    b, a = -1024.0 + d1, -3072.0 + d2
-    return SeriesSpec((b + 0.25, a, 0.5, 0.5), (b, a + 0.25 / 3.0, 2.5))
-
-
 @st.composite
-def _skip_cases(draw):
+def _term_test_cases(draw):
     # p <= q + 1 specs, convergent p = q + 1 ones down to margin 0.05, some
     # terminating, with a rel_tol and a budget.
     p = draw(st.integers(1, 4))
@@ -465,16 +469,15 @@ def _skip_cases(draw):
         nums[0] = -float(draw(st.integers(0, 3000)))
     rel_tol = 10.0 ** -draw(st.floats(3.0, 14.0))
     budget = draw(
-        st.sampled_from([200_000, 7169, 3073, 1026, 1025, 1024, 21, 2, 1])
+        st.sampled_from([200_000, 7169, 3075, 3073, 1027, 1026, 1025, 1024, 22, 21, 2, 1])
         | st.integers(1, 200_000)
     )
     return nums, dens, rel_tol, budget
 
 
-class TestTermTestSkip:
-    """A block skips the term test when every |t_n| in it exceeds 2 rel_tol Y,
-    Y = |sum before the block| + the block's sum of |t_n|.  Each case equals
-    the plain block loop, which always scans, bit for bit."""
+class TestTermTest:
+    """The term test at a block end N: the block's last three |t_n| are at
+    most rel_tol |S_N|.  Each case equals the plain block loop bit for bit."""
 
     @staticmethod
     def check(spec, rel_tol, max_terms=DEFAULT_MAX_TERMS):
@@ -498,55 +501,40 @@ class TestTermTestSkip:
         for case in cases:
             self.check(case.spec, _summation_rel_tol(case.rel_tol))
 
-    @pytest.mark.parametrize("d1,d2", [(1e-2, 1e-6), (1e-3, 1e-9), (1e-4, 1e-12)])
-    @pytest.mark.parametrize("max_terms", [DEFAULT_MAX_TERMS, 3073, 3074, 3076])
-    def test_carried_flags_before_a_skipped_block(self, d1, d2, max_terms):
-        # The first block ends with the term test holding at n = 1023 and 1024
-        # but not at 1022, so it carries (True, True).  The jump puts every
-        # term of the next block (t_1025..t_3072) past the skip bound, and the
-        # drop lets the test hold from t_3073 on.  The carry must be cleared
-        # by the skipped block: the stop is at t_3075, not at t_3073.
-        spec = _step_spec(d1, d2)
-        ts = _terms_and_sums(spec, 3075)
-        ratio = [abs(t / s) for t, s in ts]
-        rel_tol = math.sqrt(ratio[1022] * ratio[1023])
-        assert ratio[1022] > rel_tol >= max(ratio[1023], ratio[1024])
-        assert _block_bound_ratio(ts, 1025, 3072, rel_tol) > 2.0 * 5.0
-        assert max(ratio[3073:3076]) < rel_tol
-        status, _ = self.check(spec, rel_tol, max_terms)
-        if max_terms >= 3076:
-            assert status == "Converged"
-            assert sum_series(spec, rel_tol, max_terms).terms_used == 3076
-
-    @pytest.mark.parametrize("factor", [1.01, 1.5, 1.99])
-    @pytest.mark.parametrize("first,last", [(1, 1024), (1025, 3072)])
+    @pytest.mark.parametrize("factor", [1.001, 0.999])
+    @pytest.mark.parametrize("last", [1024, 1999])
     @pytest.mark.parametrize(
         "uppers,lowers", [((0.5, 0.25), (1.25,)), ((0.5, 0.5), (2.5,)), ((1.0, 1.0), (2.1,))]
     )
-    def test_first_candidate_inside_the_margin(self, uppers, lowers, first, last, factor):
-        # rel_tol puts the block's smallest |t_n| at factor * rel_tol Y, so
-        # it is under the skip bound 2 rel_tol Y and the block is scanned,
-        # although no term of it can pass the test.
+    def test_last_three_terms_at_the_bound(self, uppers, lowers, last, factor):
+        # rel_tol puts the largest of t_(N-2), t_(N-1), t_N at 1 / factor
+        # times rel_tol |S_N|, at the first block end N = 1024 or at the end
+        # of a 2,000-term budget, where no end N_ref <= N/2 lets the
+        # block-end rule stop.  The sum stops at N just where factor > 1.
         spec = SeriesSpec(uppers, lowers)
         ts = _terms_and_sums(spec, last)
-        rel_tol = _block_bound_ratio(ts, first, last, 1.0) / factor
-        assert _block_bound_ratio(ts, first, last, rel_tol) == pytest.approx(factor)
-        self.check(spec, rel_tol)
-        self.check(spec, rel_tol, last + 1)
+        last_three = max(abs(t) for t, _ in ts[last - 2:])
+        rel_tol = factor * last_three / abs(ts[last][1])
+        status, _ = self.check(spec, rel_tol, last + 1)
+        assert status == ("Converged" if factor > 1.0 else "MaxTermsReached")
+        if last == 1024:
+            status, _ = self.check(spec, rel_tol)
+            terms = sum_series(spec, rel_tol).terms_used
+            assert status == "Converged" and (terms == 1025) == (factor > 1.0)
 
     @pytest.mark.parametrize("c,rel_tol", [(2.05, 2e-4), (2.1, 1e-4), (2.2, 1e-4)])
     def test_sum_grows_inside_the_block(self, c, rel_tol):
         # 2F1(1, 1; c; 1) is 6 to 21.  Its partial sum grows from 1 past
-        # those sizes inside the first block, and the term test stops there
-        # although every term of the block exceeds 2 rel_tol times the sum
-        # before it: only the block's own terms put the stop under the bound.
+        # those sizes inside the first block, and the term test stops at its
+        # end although every term of the block exceeds 2 rel_tol times the
+        # sum before it: the test compares with the sum at the block end.
         spec = SeriesSpec((1.0, 1.0), (c,))
         ts = _terms_and_sums(spec, 1024)
         assert min(t for t, _ in ts[1:]) > 2.0 * rel_tol
         status, _ = self.check(spec, rel_tol)
-        assert status == "Converged" and sum_series(spec, rel_tol).terms_used <= 1024
+        assert status == "Converged" and sum_series(spec, rel_tol).terms_used == 1025
 
-    @given(_skip_cases())
+    @given(_term_test_cases())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_random_specs(self, case):
         nums, dens, rel_tol, budget = case
@@ -612,7 +600,7 @@ def test_huge_parameters_are_accurate_or_typed(uppers, lowers, overflows):
     result = sum_series(SeriesSpec(uppers, lowers))
     want = _direct_sum(uppers, lowers)
     assert result.status is SummationStatus.CONVERGED
-    assert result.terms_used <= 100
+    assert result.terms_used == 1025
     assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
     assert abs(result.value - want) <= 1e-12 * abs(want)
 

@@ -302,6 +302,10 @@ class TestShiftedPair:
         with pytest.raises(DegenerateError):
             ShiftedPair(1.3, 0)
 
+    def test_rejects_shift_past_binary64(self):
+        with pytest.raises(DegenerateError, match="positive integer"):
+            ShiftedPair(1.3, 10**400)
+
     @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_f(self, f):
         with pytest.raises(DegenerateError, match="must be finite"):
@@ -468,6 +472,17 @@ INTEGER_ENTRY_POINTS = {
 def test_non_finite_integer_argument_is_typed(entry, value):
     # int() raises ValueError on nan and OverflowError on inf; each entry
     # point reports its own error instead.
+    error, call = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(HypersumError) as info:
+        call(value)
+    assert type(info.value) is error
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400])
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_integer_past_binary64_is_typed(entry, value):
+    # float() raises OverflowError on such an integer; each entry point
+    # reports its own error instead.
     error, call = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(HypersumError) as info:
         call(value)

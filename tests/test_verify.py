@@ -97,11 +97,11 @@ class TestVerifyIdentity:
 
     def test_eq_2_5_large_p_stops_early(self):
         # Parameters near 170 make the tail unresolved for a while; the terms
-        # fall fast, so the term test must still stop within 100 terms
+        # fall fast, so the term test must still stop at the first block end
         report = verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 170}))
         assert report.passed is True
         assert report.summation.status is SummationStatus.CONVERGED
-        assert report.summation.terms_used <= 100
+        assert report.summation.terms_used == 1025
 
     def test_report_invariant_passed_iff_rel_err_small(self):
         report = verify_identity(IdentityCase(IdentityId.EQ_2_8, {"p": 4, "f1": 0.3, "f2": 2.2}))
@@ -323,6 +323,32 @@ class TestNonFiniteIntegerParameter:
         assert row.case.parameters == {"p": 2}
 
 
+class TestIntegerPastBinary64:
+    # 10**400 is an integer, but float() of it overflows.
+    HUGE = 10**400
+
+    @pytest.mark.parametrize("identity,params,error", [
+        (IdentityId.EQ_2_1, {"a": 0.3, "b": 1.7, "c": 0.9, "m": HUGE}, DomainError),
+        (IdentityId.EQ_2_5, {"p": HUGE}, DomainError),
+        (IdentityId.EQ_2_2, {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": ((1.3, HUGE),)},
+         DegenerateError),
+    ])
+    def test_verify_identity_raises_typed_error(self, identity, params, error):
+        with pytest.raises(error, match="integer"):
+            verify_identity(IdentityCase(identity, params))
+
+    def test_sweep_gives_na_row(self):
+        row, na = sweep(IdentityId.EQ_2_5, {"p": [1, self.HUGE]})
+        assert row.passed is True
+        assert na.passed is None
+        assert na.precondition_note == f"p must be an integer, got {self.HUGE}"
+
+    def test_max_terms_is_config_error(self):
+        case = IdentityCase(IdentityId.EQ_1_3, {})
+        with pytest.raises(ConfigError, match="max_terms must be an integer"):
+            verify_identity(case, max_terms=self.HUGE)
+
+
 class TestSweep:
     def test_weighted_grid(self):
         reports = sweep(
@@ -521,6 +547,16 @@ class TestReportSerialization:
 
         assert lhs(((1.3, 1.0), ShiftedPair(2.1, 2))) == lhs((ShiftedPair(1.3, 1), (2.1, 2)))
         assert lhs(ShiftedPair(1.3, 1)) == lhs(((1.3, 1),))
+
+    @pytest.mark.parametrize("pairs", [((1.3,),), (1.3, 1), 5])
+    def test_malformed_pairs_are_config_errors(self, pairs):
+        # A pair without its shift, a bare (f, m) and a number are no
+        # sequence of pairs; sweep raises as verify_identity does.
+        params = {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": pairs}
+        with pytest.raises(ConfigError, match="pairs must be"):
+            verify_identity(IdentityCase(IdentityId.EQ_2_2, params))
+        with pytest.raises(ConfigError, match="pairs must be"):
+            sweep(IdentityId.EQ_2_2, {k: [v] for k, v in params.items()})
 
     def test_empty_pairs_raise_in_verify(self):
         case = IdentityCase(IdentityId.EQ_2_2, {"a": 0.4, "b": 0.3, "c": 6.0, "pairs": ()})
