@@ -10,7 +10,8 @@ The summation kernel runs the term recurrence
 
 in numpy blocks with compensated (Neumaier) accumulation across blocks and
 pairwise summation inside them.  Every block is summed whole, and the stop
-rules are checked at block ends only.
+rules are checked at block ends only.  Each block end doubles the last, from
+N = 512 to 65536, and past that the ends are 65536 apart.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
 convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import ConfigError, DegenerateError, DivergenceError, DomainError, RangeError
-from .specialfn import _is_integer, _is_nonpositive_integer
+from .specialfn import _integer_error, _is_integer, _is_nonpositive_integer
 
 __all__ = [
     "SeriesSpec",
@@ -39,7 +40,7 @@ __all__ = [
 
 DEFAULT_MAX_TERMS = 10_000_000
 
-_BLOCK_START = 1024
+_BLOCK_START = 512
 _BLOCK_MAX = 65536
 
 # The stop rule ignores the first few terms: ratios of small parameters can sit
@@ -208,7 +209,7 @@ class _AsymptoticTail:
 
 def _check_max_terms(max_terms: int) -> None:
     if not _is_integer(max_terms):
-        raise ConfigError(f"max_terms must be an integer, got {max_terms!r}")
+        raise ConfigError(_integer_error("max_terms", max_terms))
     if max_terms < 1:
         raise ConfigError(f"max_terms must be >= 1, got {max_terms!r}")
 
@@ -232,15 +233,15 @@ def sum_series(
 
     Stops when the series terminates (``Terminated``), at ``max_terms``
     (``MaxTermsReached``), or ``Converged`` on one of two rules, checked for
-    a non-terminating series at each block end N >= 20 (1024 terms, doubling
-    to 65536, or the budget); ``terms_used`` counts t_0..t_N:
+    a non-terminating series at each block end N >= 20 (N = 512 2^k up to
+    65536, then every 65536, or the budget); ``terms_used`` counts t_0..t_N:
 
     * term test: the block's last three |t_n| are at most rel_tol |S_N|, S_N
       the partial sum; a block of fewer than three terms, only ever the
       budget's last, cannot stop on it;
     * block end, for a p = q + 1 series: err(N) = |V(N) - V(N_ref)| + E(N)
       <= rel_tol |V(N)|, N_ref <= N/2 the latest earlier block end with a
-      resolved tail.  The first such N is 3072, so no budget of 2,048 terms
+      resolved tail.  The first such N is 1024, so no budget of 1,024 terms
       or less ends on this rule.
 
     V(N) is the partial sum S_N plus the tail (module docstring), summed by
@@ -279,14 +280,14 @@ def sum_series(
         tail_at = _AsymptoticTail(spec, margin)
 
     total, comp, abs_sum, t_last = 1.0, 0.0, 1.0, 1.0  # t_0; abs_sum is sum |t_n|
-    count, n_last, block, converged = 1, 0, _BLOCK_START, False
+    count, n_last, converged = 1, 0, False
     ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends with a resolved tail
     tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
-            width = min(block, limit - count)
-            block = min(2 * block, _BLOCK_MAX)
+            # A block as wide as the index summed so far doubles the last end.
+            width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
             # Ratios t_{n+1}/t_n for n = count-1 .. count+width-2, built in
             # one buffer that then becomes the block's terms.  It starts from
             # idx + a_1, which is 1.0 * (idx + a_1) exactly.

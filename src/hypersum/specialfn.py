@@ -38,6 +38,15 @@ def _is_integer(x: object) -> bool:
         return False
 
 
+def _integer_error(name: str, value: object, kind: str = "an integer") -> str:
+    # An integer past the binary64 range is named as such, its digits shortened.
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        digits = str(abs(value))
+        return (f"{name} must be {kind} in the binary64 range, got "
+                f"{'-' * (value < 0)}{digits[:4]}...{digits[-3:]} ({len(digits)} digits)")
+    return f"{name} must be {kind}, got {value!r}"
+
+
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
@@ -165,14 +174,17 @@ def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> f
     """
     nums = sorted(map(float, numerators), reverse=True)
     dens = sorted(map(float, denominators), reverse=True)
-    pairs = list(zip_longest(nums, dens, fillvalue=1.0))
-    if all(1e-300 < v < 171.0 for v in nums + dens):
-        value = math.prod((math.gamma(a) / math.gamma(b) for a, b in pairs), start=1.0)
+    value = 1.0
+    for a, b in zip_longest(nums, dens, fillvalue=1.0):
+        if not (1e-300 < a < 171.0 and 1e-300 < b < 171.0):
+            break
+        value *= math.gamma(a) / math.gamma(b)
+    else:
         if sys.float_info.min <= value < math.inf:
             return value
     sign = 1.0
     logs: list[float] = []
-    for a, b in pairs:
+    for a, b in zip_longest(nums, dens, fillvalue=1.0):
         sa, la = _signed_log_gamma(_check_real("gamma_ratio", a))
         sb, lb = _signed_log_gamma(_check_real("gamma_ratio", b))
         sign *= sa * sb

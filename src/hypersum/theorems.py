@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import DegenerateError, DomainError, PreconditionError, RangeError
-from .specialfn import _is_integer, _is_nonpositive_integer, gamma, gamma_ratio, pochhammer
+from .specialfn import (
+    _integer_error, _is_integer, _is_nonpositive_integer, gamma, gamma_ratio, pochhammer,
+)
 
 __all__ = [
     "ShiftedPair",
@@ -89,7 +91,7 @@ class ShiftedPair:
 
     def __post_init__(self) -> None:
         if not _is_integer(self.m) or self.m < 1:
-            raise DegenerateError(f"pair shift must be a positive integer, got {self.m!r}")
+            raise DegenerateError(_integer_error("pair shift", self.m, "a positive integer"))
         object.__setattr__(self, "m", int(self.m))
         f = float(self.f)
         if math.isnan(f) or math.isinf(f):

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, _check_max_terms, sum_series
 from . import theorems
-from .specialfn import _is_integer, _is_nonpositive_integer
+from .specialfn import _integer_error, _is_integer, _is_nonpositive_integer
 from .theorems import ShiftedPair
 
 __all__ = [
@@ -157,7 +157,7 @@ def _assemble(case: IdentityCase) -> _Assembled:
 
 def _require_int(name: str, value: Any) -> int:
     if not _is_integer(value):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(_integer_error(name, value))
     return int(value)
 
 
@@ -342,25 +342,14 @@ def verify_identity(
     """
     _check_max_terms(max_terms)
     assembled = _assemble(case)
-    result = sum_series(
-        assembled.spec,
-        rel_tol=_summation_rel_tol(case.rel_tol),
-        max_terms=max_terms,
-    )
+    rel_tol = _summation_rel_tol(case.rel_tol)
+    result = sum_series(assembled.spec, rel_tol=rel_tol, max_terms=max_terms)
     lhs = assembled.scale * result.value
     rhs = assembled.closed
     abs_err = abs(lhs - rhs)
     rel_err = abs_err / abs(rhs) if abs(rhs) >= 1e-300 else abs_err
-    return VerificationReport(
-        case=case,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        passed=bool(rel_err <= case.rel_tol),
-        precondition_note=assembled.note,
-        summation=result,
-    )
+    passed = bool(rel_err <= case.rel_tol)
+    return VerificationReport(case, lhs, rhs, abs_err, rel_err, passed, assembled.note, result)
 
 
 def sweep(
@@ -396,18 +385,9 @@ def sweep(
         try:
             reports.append(verify_identity(case, max_terms=max_terms))
         except NotApplicableError as err:
-            reports.append(
-                VerificationReport(
-                    case=case,
-                    lhs=None,
-                    rhs=None,
-                    abs_err=None,
-                    rel_err=None,
-                    passed=None,
-                    precondition_note=str(err),
-                    summation=None,
-                )
-            )
+            reports.append(VerificationReport(case, lhs=None, rhs=None, abs_err=None, rel_err=None,
+                                              passed=None, precondition_note=str(err),
+                                              summation=None))
     return reports
 
 

@@ -120,9 +120,12 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     """``sum_series`` as a straightforward numpy block loop.
 
     Same block widths, stop rules and floating-point operations as the
-    package kernel, written without in-place buffers.  The ratios come from
-    separate numerator and denominator products, and both stop rules are
-    checked at block ends only, the term test on a block's last three terms.
+    package kernel, written without in-place buffers.  Each block is as wide
+    as the index summed so far, at least ``_BLOCK_START`` and at most
+    ``_BLOCK_MAX`` terms, so the ends fall at N = 512, 1024, ..., 65536 and
+    then every 65536.  The ratios come from separate numerator and
+    denominator products, and both stop rules are checked at block ends
+    only, the term test on a block's last three terms.
     """
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
@@ -146,15 +149,13 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     total, comp, abs_sum = 1.0, 0.0, 1.0
     t_last = 1.0
     count, n_last = 1, 0
-    block = _BLOCK_START
     converged = False
     ends = []
     tail, drift = None, 0.0
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
-            width = min(block, limit - count)
-            block = min(2 * block, _BLOCK_MAX)
+            width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
             idx = (count - 1) + np.arange(width, dtype=np.float64)
             num = np.ones(width)
             for a in uppers:

@@ -103,9 +103,9 @@ class TestEval:
         assert "nonpositive integer" in err
 
     def test_max_terms_reached_exits_2(self, capsys):
-        # A budget of at most 2,048 terms leaves no block end N_ref <= N/2 to
+        # A budget of at most 1,024 terms leaves no block end N_ref <= N/2 to
         # stop on, and the term test needs far more terms.
-        for limits in (("--rel-tol", "1e-14", "--max-terms", "2000"), ("--max-terms", "1000")):
+        for limits in (("--rel-tol", "1e-14", "--max-terms", "1024"), ("--max-terms", "1000")):
             code, out, _ = run(capsys, "eval", "0.5,0.25;1.25", *limits)
             assert code == 2
             assert "MaxTermsReached" in out

@@ -155,10 +155,10 @@ class TestConvergence:
         assert result.terms_used >= 22
 
     def test_max_terms_cap(self):
-        # A budget of at most 2,048 terms leaves no block end N_ref <= N/2.
-        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-12, max_terms=2000)
+        # A budget of at most 1,024 terms leaves no block end N_ref <= N/2.
+        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-12, max_terms=1000)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
-        assert result.terms_used == 2000
+        assert result.terms_used == 1000
         assert result.error_estimate > 0.0
 
 
@@ -178,22 +178,33 @@ class TestBlockEndStop:
         assert result.error_estimate <= 1e-12 * result.value
         assert abs(result.value - FOUR_OVER_PI) <= result.error_estimate
 
-    @pytest.mark.parametrize("max_terms", [1025, 1026, 1536, 2047, 2048])
-    def test_budget_of_at_most_2048_terms_is_not_converged(self, max_terms):
-        # Block ends fall at N = 1024 and at the budget, N = max_terms - 1 <
-        # 2048, so no block end has an earlier one at N/2 or below to stop
+    @pytest.mark.parametrize("max_terms", [21, 513, 514, 768, 1023, 1024])
+    def test_budget_of_at_most_1024_terms_is_not_converged(self, max_terms):
+        # Block ends fall at N = 512 and at the budget, N = max_terms - 1 <
+        # 1024, so no block end has an earlier one at N/2 or below to stop
         # on.  The term test needs ~1e9 terms here.
         result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-13, max_terms=max_terms)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
+        assert result.terms_used == max_terms
+        assert abs(result.value - RAMANUJAN_INVERSE) <= result.error_estimate
+
+    def test_first_block_end_stop_is_at_1025_terms(self):
+        # N = 1024 is the first end with an earlier one at N/2: 512.
+        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-13, max_terms=1025)
+        assert result.status is SummationStatus.CONVERGED
+        assert result.terms_used == 1025
         assert abs(result.value - RAMANUJAN_INVERSE) <= result.error_estimate
 
     def test_error_estimate_covers_rounding_of_last_term(self):
-        # At margin 0.05, t_N after ~2e5 rounded products is off by enough
-        # that the error (~8e-13) would exceed |V(N) - V(N_ref)| alone.
-        spec = SeriesSpec((0.5, 0.45), (1.0,))
-        result = sum_series(spec, rel_tol=1e-13, max_terms=195_586)
+        # At margin 0.05 and rel_tol 1e-14 the sum never stops, and t_N after
+        # ~1.3e5 rounded products is off by enough that the error (~4e-11)
+        # exceeds |V(N) - V(N_ref)| alone, N_ref = 65,536.
+        spec = SeriesSpec((1.0, 1.0), (2.05,))
+        result = sum_series(spec, rel_tol=1e-14, max_terms=131_074)
+        error = abs(result.value - gauss_2f1(1.0, 1.0, 2.05))
         assert result.status is SummationStatus.MAX_TERMS_REACHED
-        assert abs(result.value - gauss_2f1(0.5, 0.45, 1.0)) <= result.error_estimate
+        assert error > abs(result.value - sum_series(spec, rel_tol=1e-14, max_terms=65_537).value)
+        assert error <= result.error_estimate
 
     @pytest.mark.parametrize("c", [171, 1001, 5000])
     def test_large_lower_parameter_stops_on_the_term_test(self, c):
@@ -202,7 +213,7 @@ class TestBlockEndStop:
         # terms are checked against, and the stop comes at the first block end.
         result = sum_series(SeriesSpec((0.5, 0.5), (float(c),)), rel_tol=1e-12)
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used == 1025
+        assert result.terms_used == 513
         assert result.value == pytest.approx(_gauss_half_half(c), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
@@ -249,8 +260,12 @@ class TestHardCases:
             ((0.5, 0.45), (1.0,), 1e-12, 3_073, 1e-13),
             # eq1.3 at a tolerance near the rounding floor.
             ((0.5, 0.25), (1.25,), 1e-14, 3_073, 1e-15),
-            # Parameters of 50-110: the tail resolves from N = 15360 on.
+            # Parameters of 50-110: the tail resolves from N = 4096 on.
             ((50.0, 60.0), (110.5,), 1e-12, 15_361, 1e-14),
+            # Margin 0.05 at the rounding floor, which ran the whole budget while
+            # the first block-end stop was at N = 3,072: N u |tail| in err(N)
+            # exceeded rel_tol |V| from there on.
+            ((0.5, 0.45), (1.0,), 1e-13, 1_025, 2e-14),
         ],
     )
     def test_against_mpmath(self, uppers, lowers, rel_tol, max_terms, max_error):
@@ -271,7 +286,7 @@ class TestHardCases:
         want = _mp_hyper(spec.numerators, spec.denominators)
         assert result == reference_sum_series(spec, rel_tol=1e-3)
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used == 1025
+        assert result.terms_used == 513
         assert abs(result.value - want) <= result.error_estimate <= 1e-3 * abs(result.value)
 
     def test_eq2_8_at_p_11(self):
@@ -284,8 +299,8 @@ class TestHardCases:
         assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
 
     def test_error_estimate_states_the_error(self):
-        # A term-test stop at the first block end, where the tail is ~70% of
-        # the value: the estimate is of the value's error, not of rel_tol.
+        # A term-test stop at the block end N = 1024, where the tail is ~70%
+        # of the value: the estimate is of the value's error, not of rel_tol.
         result = sum_series(SeriesSpec((1.0, 1.0), (2.05,)), rel_tol=2e-4)
         error = abs(result.value - _gauss_mp(1.0, 1.0, 2.05))
         assert result.status is SummationStatus.CONVERGED
@@ -367,7 +382,7 @@ def _random_kernel_spec(rng: random.Random) -> SeriesSpec:
 class TestKernelMatchesReference:
     """The in-place block kernel against the plain block loop, bit for bit."""
 
-    BUDGETS = (1, 2, 50, 1000, 1025, 1026, 3073, 70_000)
+    BUDGETS = (1, 2, 50, 512, 513, 514, 1025, 1026, 70_000)
 
     def test_seeded_specs(self):
         rng = random.Random(20261018)
@@ -388,14 +403,17 @@ class TestKernelMatchesReference:
             "Converged", "Terminated", "MaxTermsReached", "RangeError", "DivergenceError"
         }
 
-    @pytest.mark.parametrize("first_small", [1021, 1022, 1023, 1024])
+    @pytest.mark.parametrize("first_small", [509, 510, 511, 512, 1021, 1022, 1023, 1024])
     def test_three_in_a_row_across_a_block_end(self, first_small):
-        # The first block holds t_1..t_1024.  Pick rel_tol so that the term
-        # test first holds at n = first_small.  Where the block's last three
-        # terms pass, the sum stops at its end; where a run of three crosses
-        # the block end, it stops at the next one, N = 3072.  With max_terms
-        # = first_small + 3 the budget ends a block of 1,023 or 1,024 terms,
-        # or a second block of one or two terms, too narrow for the test.
+        # The first two blocks hold t_1..t_512 and t_513..t_1024.  Pick
+        # rel_tol so that the term test first holds at n = first_small, just
+        # before the block end N = 512 or 1024.  Where the block's last three
+        # terms pass, the sum stops at its end.  Where a run of three crosses
+        # the end 512, it stops at the next one, N = 1024; where it crosses
+        # 1024, the block-end rule stops there instead, with N_ref = 512.
+        # With max_terms = first_small + 3 the budget ends a block of 511 or
+        # 512 terms, or a next block of one or two terms, too narrow for the
+        # term test.
         spec = SeriesSpec((0.5, 0.5), (2.5,))
         term, total = 1.0, 1.0
         ratios = []
@@ -405,34 +423,35 @@ class TestKernelMatchesReference:
             ratios.append(term / total)
         rel_tol = ratios[first_small - 1] * (1.0 + 1e-9)
         assert ratios[first_small - 2] > rel_tol
-        in_block = first_small + 2 <= 1024
-        for max_terms, terms in ((DEFAULT_MAX_TERMS, 1025 if in_block else 3073),
-                                 (first_small + 3, first_small + 3)):
+        end = 512 if first_small <= 512 else 1024
+        in_block = first_small + 2 <= end
+        for max_terms, terms in ((DEFAULT_MAX_TERMS, end + 1 if in_block else 1025),
+                                 (first_small + 3, min(first_small + 3, 1025))):
             want = reference_sum_series(spec, rel_tol=rel_tol, max_terms=max_terms)
             assert want.terms_used == terms
-            converged = in_block or max_terms == DEFAULT_MAX_TERMS
+            converged = in_block or end == 1024 or max_terms == DEFAULT_MAX_TERMS
             assert (want.status is SummationStatus.CONVERGED) == converged
             assert sum_series(spec, rel_tol=rel_tol, max_terms=max_terms) == want
 
     @pytest.mark.parametrize("max_terms", [300_000, 195_585])
     def test_reference_is_not_the_previous_end(self, max_terms):
-        # Margin 0.05 at rel_tol 1e-13 never stops, and runs past the
-        # 65,536-term blocks.  At N = 195,584 the reference is 64,512, the
-        # latest end at most N/2, not the previous end 130,048; with
-        # max_terms = 195,585 that N is the budget's last end.
-        spec = SeriesSpec((0.5, 0.45), (1.0,))
-        want = reference_sum_series(spec, rel_tol=1e-13, max_terms=max_terms)
+        # Margin 0.05 at rel_tol 1e-14 never stops, and runs past the
+        # 65,536-term blocks.  At the budget's last end, N = 299,999 or
+        # 195,584, the reference is 131,072 or 65,536, the latest end at most
+        # N/2, not the previous end 262,144 or 131,072.
+        spec = SeriesSpec((1.0, 1.0), (2.05,))
+        want = reference_sum_series(spec, rel_tol=1e-14, max_terms=max_terms)
         assert want.status is SummationStatus.MAX_TERMS_REACHED
-        assert sum_series(spec, rel_tol=1e-13, max_terms=max_terms) == want
+        assert sum_series(spec, rel_tol=1e-14, max_terms=max_terms) == want
 
     def test_unresolved_tails_at_early_ends(self):
-        # Parameters of 50-110 leave the tail unresolved at N = 1,024 and
-        # 3,072, so neither rule stops there.  The first end with a resolved
-        # tail is 7,168, and 15,360 is the first end that can use it.
+        # Parameters of 50-110 leave the tail unresolved at N = 512, 1,024
+        # and 2,048, so neither rule stops there.  The first end with a
+        # resolved tail is 4,096, and 8,192 is the first end that can use it.
         spec = SeriesSpec((50.0, 60.0), (110.5,))
         want = reference_sum_series(spec, rel_tol=1e-12)
         assert want.status is SummationStatus.CONVERGED
-        assert want.terms_used == 15_361
+        assert want.terms_used == 8_193
         assert sum_series(spec, rel_tol=1e-12) == want
 
 
@@ -469,7 +488,7 @@ def _term_test_cases(draw):
         nums[0] = -float(draw(st.integers(0, 3000)))
     rel_tol = 10.0 ** -draw(st.floats(3.0, 14.0))
     budget = draw(
-        st.sampled_from([200_000, 7169, 3075, 3073, 1027, 1026, 1025, 1024, 22, 21, 2, 1])
+        st.sampled_from([200_000, 8193, 1027, 1026, 1025, 515, 514, 513, 512, 22, 21, 2, 1])
         | st.integers(1, 200_000)
     )
     return nums, dens, rel_tol, budget
@@ -502,37 +521,56 @@ class TestTermTest:
             self.check(case.spec, _summation_rel_tol(case.rel_tol))
 
     @pytest.mark.parametrize("factor", [1.001, 0.999])
-    @pytest.mark.parametrize("last", [1024, 1999])
+    @pytest.mark.parametrize("last", [512, 999, 1024])
     @pytest.mark.parametrize(
         "uppers,lowers", [((0.5, 0.25), (1.25,)), ((0.5, 0.5), (2.5,)), ((1.0, 1.0), (2.1,))]
     )
     def test_last_three_terms_at_the_bound(self, uppers, lowers, last, factor):
         # rel_tol puts the largest of t_(N-2), t_(N-1), t_N at 1 / factor
-        # times rel_tol |S_N|, at the first block end N = 1024 or at the end
-        # of a 2,000-term budget, where no end N_ref <= N/2 lets the
-        # block-end rule stop.  The sum stops at N just where factor > 1.
+        # times rel_tol |S_N|, at the block end N = 512 or 1024 or at the end
+        # of a 1,000-term budget.  Below N = 1024 no end N_ref <= N/2 lets
+        # the block-end rule stop, and the sum stops at N just where factor
+        # > 1.  At N = 1024 the block-end rule, N_ref = 512, stops where the
+        # term test does not; the error estimate then carries the drift.
         spec = SeriesSpec(uppers, lowers)
         ts = _terms_and_sums(spec, last)
         last_three = max(abs(t) for t, _ in ts[last - 2:])
         rel_tol = factor * last_three / abs(ts[last][1])
         status, _ = self.check(spec, rel_tol, last + 1)
-        assert status == ("Converged" if factor > 1.0 else "MaxTermsReached")
-        if last == 1024:
+        assert status == ("Converged" if factor > 1.0 or last == 1024 else "MaxTermsReached")
+        if last == 512:
             status, _ = self.check(spec, rel_tol)
             terms = sum_series(spec, rel_tol).terms_used
-            assert status == "Converged" and (terms == 1025) == (factor > 1.0)
+            assert status == "Converged" and (terms == 513) == (factor > 1.0)
 
-    @pytest.mark.parametrize("c,rel_tol", [(2.05, 2e-4), (2.1, 1e-4), (2.2, 1e-4)])
+    @pytest.mark.parametrize(
+        "c,rel_tol",
+        [(2.05, 3e-4), (2.1, 3e-4), (2.2, 2e-4), (2.05, 2e-4), (2.1, 1e-4), (2.2, 1e-4)],
+    )
     def test_sum_grows_inside_the_block(self, c, rel_tol):
-        # 2F1(1, 1; c; 1) is 6 to 21.  Its partial sum grows from 1 past
-        # those sizes inside the first block, and the term test stops at its
-        # end although every term of the block exceeds 2 rel_tol times the
-        # sum before it: the test compares with the sum at the block end.
+        # 2F1(1, 1; c; 1) is 6 to 21.  Its partial sum grows from 1 toward
+        # those sizes inside the blocks, and the term test stops at the first
+        # block end whose last three terms pass, N = 512 at the first three
+        # tolerances and 1024 at the last three, although every term summed
+        # exceeds 2 rel_tol times the sum before it: the test compares with
+        # the sum at the block end.
         spec = SeriesSpec((1.0, 1.0), (c,))
         ts = _terms_and_sums(spec, 1024)
-        assert min(t for t, _ in ts[1:]) > 2.0 * rel_tol
+        end = next(
+            n for n in (512, 1024) if max(t for t, _ in ts[n - 2:n + 1]) <= rel_tol * ts[n][1]
+        )
+        assert min(t for t, _ in ts[1:end + 1]) > 2.0 * rel_tol
         status, _ = self.check(spec, rel_tol)
-        assert status == "Converged" and sum_series(spec, rel_tol).terms_used == 1025
+        assert status == "Converged" and sum_series(spec, rel_tol).terms_used == end + 1
+
+    def test_fast_series_stops_at_the_first_block_end(self):
+        # 3F2(1, 1, 1; 4, 4; 1) has margin 5: its last three terms at N = 512
+        # pass the test, and no block-end rule can stop before N = 1024.
+        spec = SeriesSpec((1.0, 1.0, 1.0), (4.0, 4.0))
+        ts = _terms_and_sums(spec, 512)
+        assert max(t for t, _ in ts[510:]) <= 1e-12 * ts[512][1]
+        status, _ = self.check(spec, 1e-12)
+        assert status == "Converged" and sum_series(spec, 1e-12).terms_used == 513
 
     @given(_term_test_cases())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -600,7 +638,7 @@ def test_huge_parameters_are_accurate_or_typed(uppers, lowers, overflows):
     result = sum_series(SeriesSpec(uppers, lowers))
     want = _direct_sum(uppers, lowers)
     assert result.status is SummationStatus.CONVERGED
-    assert result.terms_used == 1025
+    assert result.terms_used == 513
     assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
     assert abs(result.value - want) <= 1e-12 * abs(want)
 

@@ -219,6 +219,39 @@ class TestGammaRatio:
                 continue
             assert rel_err(specialfn.gamma_ratio(nums, dens), float(want)) <= 2e-15, (nums, dens)
 
+    def test_in_range_product_is_the_sorted_quotient_product(self):
+        # Both lists sorted descending, the shorter padded with 1.0, and the
+        # quotients Gamma(a_i) / Gamma(b_i) multiplied from the largest pair
+        # on: bit for bit, wherever every argument is in (1e-300, 171) and
+        # the product is normal.
+        rng = random.Random(1906)
+        draw = (lambda: rng.uniform(1e-3, 170.99), lambda: rng.uniform(1e-300, 1e-3),
+                lambda: 10.0 ** rng.uniform(-299.0, 2.0))
+        checked = 0
+        for _ in range(2000):
+            nums, dens = ([rng.choice(draw)() for _ in range(rng.randint(0, 4))] for _ in range(2))
+            width = max(len(nums), len(dens))
+            padded = [sorted(x, reverse=True) + [1.0] * (width - len(x)) for x in (nums, dens)]
+            want = 1.0
+            for a, b in zip(*padded):
+                want *= math.gamma(a) / math.gamma(b)
+            if 2.2250738585072014e-308 <= want < math.inf:
+                assert specialfn.gamma_ratio(nums, dens).hex() == want.hex(), (nums, dens)
+                checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("nums,dens,error", [
+        # A nan leaves the sorted order undefined: 200.0 and -2.0 stay
+        # between the first and the last argument.
+        ([1.0, math.nan, 200.0, 2.0], [1.0], DomainError),
+        ([1.0, -2.0, math.nan, 2.0], [1.0], PoleError),
+        # A pole among the lower arguments, where math.gamma raises ValueError.
+        ([1.5], [-2.0], PoleError),
+    ])
+    def test_every_argument_is_range_checked(self, nums, dens, error):
+        with pytest.raises(error):
+            specialfn.gamma_ratio(nums, dens)
+
     def test_subnormal_product_is_taken_in_log_space(self):
         # 1 / (Gamma(170.5) Gamma(8)) ~ 3.5e-310 is below the normal range.
         mpmath = pytest.importorskip("mpmath")

@@ -303,7 +303,8 @@ class TestShiftedPair:
             ShiftedPair(1.3, 0)
 
     def test_rejects_shift_past_binary64(self):
-        with pytest.raises(DegenerateError, match="positive integer"):
+        with pytest.raises(DegenerateError, match=r"^pair shift must be a positive integer in "
+                           r"the binary64 range, got 1000\.\.\.000 \(401 digits\)$"):
             ShiftedPair(1.3, 10**400)
 
     @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
