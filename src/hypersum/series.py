@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from .errors import ConfigError, DegenerateError, DivergenceError, DomainError, RangeError
-from .specialfn import _integer_error, _is_integer, _is_nonpositive_integer
+from .specialfn import _is_nonpositive_integer, _require_finite, _require_integer
 
 __all__ = [
     "SeriesSpec",
@@ -72,11 +72,8 @@ class SeriesSpec:
     denominators: tuple[float, ...]
 
     def __init__(self, numerators: Sequence[float], denominators: Sequence[float]):
-        nums = tuple(float(a) for a in numerators)
-        dens = tuple(float(b) for b in denominators)
-        for v in nums + dens:
-            if math.isnan(v) or math.isinf(v):
-                raise DomainError(f"series parameters must be finite, got {v!r}")
+        nums = tuple(_require_finite("series parameter", a) for a in numerators)
+        dens = tuple(_require_finite("series parameter", b) for b in denominators)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominators", dens)
         end = self.termination_index
@@ -207,13 +204,6 @@ class _AsymptoticTail:
         alt.append(-e[m] if m % 2 else e[m])
 
 
-def _check_max_terms(max_terms: int) -> None:
-    if not _is_integer(max_terms):
-        raise ConfigError(_integer_error("max_terms", max_terms))
-    if max_terms < 1:
-        raise ConfigError(f"max_terms must be >= 1, got {max_terms!r}")
-
-
 def _accumulate(total: float, comp: float, x: float) -> tuple[float, float]:
     # Neumaier two-sum update.
     y = total + x
@@ -264,10 +254,10 @@ def sum_series(
 
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
-    _check_max_terms(max_terms)
+    max_terms = _require_integer("max_terms", max_terms, 1, ConfigError)
 
     k_term = spec.termination_index
-    limit = int(max_terms) if k_term is None else min(k_term + 1, int(max_terms))
+    limit = max_terms if k_term is None else min(k_term + 1, max_terms)
     first_lower, *lowers = spec.denominators + (1.0,)
 
     # Only a non-terminating p = q + 1 series can diverge or needs a tail.

@@ -8,7 +8,10 @@ x >= 10 followed by the Bernoulli asymptotic series.
 
 Poles raise :class:`~hypersum.errors.PoleError`; results that exceed the
 binary64 range raise :class:`~hypersum.errors.RangeError`, a subclass of the
-builtin :class:`OverflowError`.  NaN never escapes.
+builtin :class:`OverflowError`.  NaN never escapes.  Arguments are checked by
+``_require_integer`` and ``_require_finite``: "{name} must be {kind}, got
+{value!r}" in the caller's error class, a ConfigError for a non-number and a
+RangeError for a number past binary64, its digits shortened.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 from collections.abc import Sequence
 from itertools import zip_longest
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import ConfigError, DomainError, PoleError, RangeError
 
 __all__ = [
     "gamma",
@@ -38,13 +41,32 @@ def _is_integer(x: object) -> bool:
         return False
 
 
-def _integer_error(name: str, value: object, kind: str = "an integer") -> str:
-    # An integer past the binary64 range is named as such, its digits shortened.
+def _rejected(error: type[Exception], name: str, kind: str, value: object) -> Exception:
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         digits = str(abs(value))
-        return (f"{name} must be {kind} in the binary64 range, got "
-                f"{'-' * (value < 0)}{digits[:4]}...{digits[-3:]} ({len(digits)} digits)")
-    return f"{name} must be {kind}, got {value!r}"
+        return error(f"{name} must be {kind} in the binary64 range, got "
+                     f"{'-' * (value < 0)}{digits[:4]}...{digits[-3:]} ({len(digits)} digits)")
+    return error(f"{name} must be {kind}, got {value!r}")
+
+
+def _require_integer(name: str, value: object, least: int | None = None,
+                     error: type[Exception] = DomainError) -> int:
+    if _is_integer(value) and (least is None or value >= least):
+        return int(value)
+    kinds = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+    raise _rejected(error, name, kinds.get(least, f"an integer >= {least}"), value)
+
+
+def _require_finite(name: str, x: object, error: type[Exception] = DomainError) -> float:
+    try:
+        value = float(x)
+    except (TypeError, ValueError):
+        raise _rejected(ConfigError, name, "a real number", x) from None
+    except OverflowError:
+        raise _rejected(RangeError, name, "a real number", x) from None
+    if math.isfinite(value):
+        return value
+    raise error(f"{name} must be finite, got {value!r}")
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -58,13 +80,6 @@ def _cotpi(x: float) -> float:
     return math.cos(math.pi * r) / math.sin(math.pi * r)
 
 
-def _check_real(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name}: argument must be a finite real number, got {x!r}")
-    return x
-
-
 def gamma(x: float) -> float:
     """Gamma function for real x, from ``math.gamma``.
 
@@ -72,7 +87,7 @@ def gamma(x: float) -> float:
     leaves the binary64 range (x > 171.62, or 0 < |x| < ~5.6e-309).  Below
     about -171 it underflows, to a subnormal or a signed zero.
     """
-    x = _check_real("gamma", x)
+    x = _require_finite("gamma argument", x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x!r}")
     try:
@@ -94,7 +109,7 @@ def log_gamma(x: float) -> float:
 
     The exact zeros at x = 1 and x = 2 are returned as exactly 0.0.
     """
-    x = _check_real("log_gamma", x)
+    x = _require_finite("log_gamma argument", x)
     if x <= 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     return _log_abs_gamma(x)
@@ -120,7 +135,7 @@ def digamma(x: float) -> float:
     below 1 ulp; x < 1/2 is handled by the reflection
     psi(1 - x) - psi(x) = pi cot(pi x).
     """
-    x = _check_real("digamma", x)
+    x = _require_finite("digamma argument", x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"digamma pole at x={x!r}")
     if x < 0.5:
@@ -149,13 +164,12 @@ def digamma(x: float) -> float:
 
 def pochhammer(x: float, n: int) -> float:
     """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1."""
-    x = _check_real("pochhammer", x)
-    if not _is_integer(n) or n < 0:
-        raise DomainError(f"pochhammer requires a nonnegative integer n, got {n!r}")
+    x = _require_finite("pochhammer argument", x)
+    n = _require_integer("pochhammer n", n, 0)
     if _is_nonpositive_integer(x) and n > -x:
         return -0.0 if int(x) % 2 else 0.0  # the product's signed zero
     result = 1.0
-    for k in range(int(n)):
+    for k in range(n):
         result *= x + k
         if math.isinf(result):
             raise RangeError(f"pochhammer({x!r}, {n}) exceeds binary64 range")
@@ -185,8 +199,8 @@ def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> f
     sign = 1.0
     logs: list[float] = []
     for a, b in zip_longest(nums, dens, fillvalue=1.0):
-        sa, la = _signed_log_gamma(_check_real("gamma_ratio", a))
-        sb, lb = _signed_log_gamma(_check_real("gamma_ratio", b))
+        sa, la = _signed_log_gamma(_require_finite("gamma_ratio argument", a))
+        sb, lb = _signed_log_gamma(_require_finite("gamma_ratio argument", b))
         sign *= sa * sb
         logs.append(la - lb)
     try:

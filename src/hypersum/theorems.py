@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 from .errors import DegenerateError, DomainError, PreconditionError, RangeError
 from .specialfn import (
-    _integer_error, _is_integer, _is_nonpositive_integer, gamma, gamma_ratio, pochhammer,
+    _is_nonpositive_integer, _require_finite, _require_integer, gamma, gamma_ratio, pochhammer,
 )
 
 __all__ = [
@@ -90,12 +90,8 @@ class ShiftedPair:
     m: int
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.m) or self.m < 1:
-            raise DegenerateError(_integer_error("pair shift", self.m, "a positive integer"))
-        object.__setattr__(self, "m", int(self.m))
-        f = float(self.f)
-        if math.isnan(f) or math.isinf(f):
-            raise DegenerateError(f"pair parameter must be finite, got {f!r}")
+        object.__setattr__(self, "m", _require_integer("pair shift", self.m, 1, DegenerateError))
+        f = _require_finite("pair parameter", self.f, DegenerateError)
         if _is_nonpositive_integer(f):
             raise DegenerateError(f"pair parameter f={f!r} is a nonpositive integer")
         object.__setattr__(self, "f", f)
@@ -140,9 +136,7 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     DegenerateError where (b-c)_m = 0 (b - c in {0, -1, ..., -(m-1)}), as the
     closed form is 0/0 there, and where (1+b-a)_k = 0 for some k < m.
     """
-    if not _is_integer(m) or m < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    m = int(m)
+    m = _require_integer("m", m, 1)
     if not (m + 1.0 - a > 0.0):
         raise PreconditionError(f"m+1-a>0 violated: {m + 1.0 - a:.6g} <= 0")
     shift_poch = pochhammer(b - c, m)
@@ -219,9 +213,7 @@ def ck_coefficient(k: int, pairs: Sequence[ShiftedPair]) -> float:
     read off one exact integer difference table over the binary64 inputs and
     rounded once, at the final division.  C_k = 0.0 for k > m = sum m_i.
     """
-    if not _is_integer(k) or k < 0:
-        raise DomainError(f"k must be a nonnegative integer, got {k!r}")
-    k = int(k)
+    k = _require_integer("k", k, 0)
     if k > sum(pair.m for pair in pairs):
         return 0.0
     return _ck_table(pairs, k)[k]
@@ -281,9 +273,7 @@ def s_p(p: int) -> float:
 
     S_1 = 4/pi, S_2 = 16/(9 pi), S_3 = 128/(225 pi), ...
     """
-    if not _is_integer(p):
-        raise DomainError(f"p must be an integer, got {p!r}")
-    p = int(p)
+    p = _require_integer("p", p)
     return gamma_ratio([float(p)], [p + 0.5, p + 0.5])
 
 
@@ -292,9 +282,7 @@ def weighted_s1(p: int, f: float) -> float:
 
     Value: Gamma(p)/Gamma(p+1/2)^2 * (f + 1/(4(p-1))).
     """
-    if not _is_integer(p) or p < 2:
-        raise PreconditionError(f"p must be an integer >= 2, got {p!r}")
-    p = int(p)
+    p = _require_integer("p", p, 2, PreconditionError)
     return s_p(p) * (f + 0.25 / (p - 1.0))
 
 
@@ -304,9 +292,7 @@ def weighted_s2(p: int, f: float) -> float:
     Value: Gamma(p)/Gamma(p+1/2)^2 *
     (f(f+1) + (f+1)/(2(p-1)) + 9/(16(p-1)(p-2))).
     """
-    if not _is_integer(p) or p < 3:
-        raise PreconditionError(f"p must be an integer >= 3, got {p!r}")
-    p = int(p)
+    p = _require_integer("p", p, 3, PreconditionError)
     poly = f * (f + 1.0) + (f + 1.0) / (2.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))
     return s_p(p) * poly
 
@@ -318,8 +304,6 @@ def weighted_pair(p: int, f1: float, f2: float) -> float:
     (f1 f2 + (f1+f2+1)/(4(p-1)) + 9/(16(p-1)(p-2))); symmetric in f1, f2 and
     reduces to weighted_s2 at f2 = f1 + 1.
     """
-    if not _is_integer(p) or p < 3:
-        raise PreconditionError(f"p must be an integer >= 3, got {p!r}")
-    p = int(p)
+    p = _require_integer("p", p, 3, PreconditionError)
     poly = f1 * f2 + (f1 + f2 + 1.0) / (4.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))
     return s_p(p) * poly

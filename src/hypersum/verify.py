@@ -23,14 +23,13 @@ from typing import Any
 from .errors import (
     ConfigError,
     DegenerateError,
-    DomainError,
     NotApplicableError,
     PreconditionError,
     RangeError,
 )
-from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, _check_max_terms, sum_series
+from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, sum_series
 from . import theorems
-from .specialfn import _integer_error, _is_integer, _is_nonpositive_integer
+from .specialfn import _is_nonpositive_integer, _require_finite, _require_integer
 from .theorems import ShiftedPair
 
 __all__ = [
@@ -155,14 +154,8 @@ def _assemble(case: IdentityCase) -> _Assembled:
     return _IDENTITIES[case.identity][1](case.parameters)
 
 
-def _require_int(name: str, value: Any) -> int:
-    if not _is_integer(value):
-        raise DomainError(_integer_error(name, value))
-    return int(value)
-
-
 def _require_series_safe_f(name: str, f: float) -> float:
-    f = float(f)
+    f = _require_finite(name, f)
     if _is_nonpositive_integer(f):
         raise DegenerateError(
             f"{name}={f!r} is a nonpositive integer; the weighted series has "
@@ -216,8 +209,7 @@ def _eq1_3(params: Mapping[str, Any]) -> _Assembled:
 def _eq1_6(params: Mapping[str, Any]) -> _Assembled:
     # sum (1/2)_n / n! / (b + n mu) is 1/b times a 2F1, because
     # 1/(b + n mu) = (1/b) (b/mu)_n / (b/mu + 1)_n.
-    b = float(params["b"])
-    mu = float(params["mu"])
+    b, mu = (_require_finite(k, params[k]) for k in ("b", "mu"))
     closed = theorems.mu_spaced_sum(b, mu)  # checks b > 0 and mu > 0 first
     ratio = b / mu
     return _Assembled(
@@ -230,8 +222,8 @@ def _eq1_6(params: Mapping[str, Any]) -> _Assembled:
 
 @_identity(IdentityId.EQ_2_1, a=0.3, b=1.7, c=0.9, m=2)
 def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
-    a, b, c = (float(params[k]) for k in ("a", "b", "c"))
-    m = _require_int("m", params["m"])
+    a, b, c = (_require_finite(k, params[k]) for k in ("a", "b", "c"))
+    m = _require_integer("m", params["m"])
     closed = theorems.contiguous_3f2(a, b, c, m)
     return _Assembled(
         SeriesSpec((a, b, c), (_shifted("b", b, m), _shifted("c", c, 1))),
@@ -244,7 +236,7 @@ def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
 @_identity(IdentityId.EQ_2_2, a=0.4, b=0.3, c=6.0,
            pairs=(ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)))
 def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
-    a, b, c = (float(params[k]) for k in ("a", "b", "c"))
+    a, b, c = (_require_finite(k, params[k]) for k in ("a", "b", "c"))
     raw = params["pairs"]  # ShiftedPairs, plain (f, m) pairs or one bare ShiftedPair
     try:
         pairs = tuple(p if isinstance(p, ShiftedPair) else ShiftedPair(*p)
@@ -267,8 +259,7 @@ def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
 
 @_identity(IdentityId.EQ_2_3, b=0.5, c=0.25)
 def _eq2_3(params: Mapping[str, Any]) -> _Assembled:
-    b = float(params["b"])
-    c = float(params["c"])
+    b, c = (_require_finite(k, params[k]) for k in ("b", "c"))
     closed = theorems.ratio_sum_extension(b, c)
     return _Assembled(
         SeriesSpec((0.5, b, c), (_shifted("b", b, 1), _shifted("c", c, 1))),
@@ -284,7 +275,7 @@ def _weighted(params: Mapping[str, Any], least_p: int, weights: Mapping[str, int
     # the weights {f: m}.  (n+f)_m = (f)_m (f+m)_n / (f)_n and
     # 1/((n+1)...(n+p)) = (1)_n / (p! (p+1)_n), so the series has an upper
     # f+m and a lower f per weight, a lower p+1, and scale prod (f)_m / p!.
-    p = _require_int("p", params["p"])
+    p = _require_integer("p", params["p"])
     if p < least_p:
         raise PreconditionError(f"p>={least_p} violated: p={p}")
     fs = [_require_series_safe_f(name, params[name]) for name in weights]
@@ -340,7 +331,7 @@ def verify_identity(
     parameter x + m rounds to x (RangeError); ConfigError, before any of
     these, for a max_terms that is not an integer >= 1.
     """
-    _check_max_terms(max_terms)
+    _require_integer("max_terms", max_terms, 1, ConfigError)
     assembled = _assemble(case)
     rel_tol = _summation_rel_tol(case.rel_tol)
     result = sum_series(assembled.spec, rel_tol=rel_tol, max_terms=max_terms)
@@ -367,7 +358,7 @@ def sweep(
     an empty list.
     """
     identity = IdentityId(identity)
-    _check_max_terms(max_terms)
+    _require_integer("max_terms", max_terms, 1, ConfigError)
     if not grid:
         return []
     signature = identity_signature(identity)

@@ -1,5 +1,7 @@
 """The public API: every name hypersum exports, pinned so growth is a choice."""
 
+from pathlib import Path
+
 import hypersum
 
 PUBLIC_NAMES = [
@@ -19,3 +21,10 @@ def test_public_names():
     assert sorted(hypersum.__all__) == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 40
 
+
+
+def test_integer_rule_lives_in_specialfn():
+    # The integer rule is checked only through specialfn._require_integer.
+    source = Path(hypersum.__file__).resolve().parent
+    named = sorted(path.name for path in source.glob("*.py") if "_is_integer" in path.read_text())
+    assert named == ["specialfn.py"]

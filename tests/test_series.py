@@ -686,7 +686,7 @@ class TestDivergenceGate:
 
     @pytest.mark.parametrize("max_terms", [math.nan, 2.5, math.inf, -math.inf])
     def test_non_integer_max_terms(self, max_terms):
-        with pytest.raises(ConfigError, match="max_terms must be an integer"):
+        with pytest.raises(ConfigError, match="max_terms must be a positive integer, got"):
             sum_series(SeriesSpec((0.5, 0.25), (1.25,)), max_terms=max_terms)
 
     def test_integral_float_max_terms(self):

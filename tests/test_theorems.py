@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersum import theorems
 from hypersum.errors import (
+    ConfigError,
     DegenerateError,
     DomainError,
     HypersumError,
@@ -19,6 +21,7 @@ from hypersum.errors import (
 from hypersum.series import SeriesSpec, sum_series
 from hypersum.specialfn import gamma_ratio, pochhammer
 from hypersum.theorems import ShiftedPair
+from hypersum.verify import IdentityCase, verify_identity
 from oracles import rational_ck_coefficient
 
 # 50-digit references, regenerate with scripts/gen_reference_values.py
@@ -465,6 +468,11 @@ INTEGER_ENTRY_POINTS = {
     "weighted_s1": (PreconditionError, lambda p: theorems.weighted_s1(p, 0.5)),
     "weighted_s2": (PreconditionError, lambda p: theorems.weighted_s2(p, 0.7)),
     "weighted_pair": (PreconditionError, lambda p: theorems.weighted_pair(p, 0.3, 2.2)),
+    "ShiftedPair": (DegenerateError, lambda m: ShiftedPair(1.3, m)),
+    "sum_series": (ConfigError, lambda n: sum_series(SeriesSpec((0.5, 0.25), (1.25,)), max_terms=n)),
+    "verify_p": (DomainError, lambda p: verify_identity(IdentityCase("eq2.5", {"p": p}))),
+    "verify_m": (DomainError, lambda m: verify_identity(
+        IdentityCase("eq2.1", {"a": 0.3, "b": 1.7, "c": 0.9, "m": m}))),
 }
 
 
@@ -483,11 +491,15 @@ def test_non_finite_integer_argument_is_typed(entry, value):
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
 def test_integer_past_binary64_is_typed(entry, value):
     # float() raises OverflowError on such an integer; each entry point
-    # reports its own error instead.
+    # reports its own error instead, in the one wording with shortened digits.
     error, call = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(HypersumError) as info:
         call(value)
     assert type(info.value) is error
+    message = str(info.value)
+    assert re.search(r" must be (an|a \w+) integer( >= \d)? in the binary64 range, "
+                     r"got -?1000\.\.\.000 \(401 digits\)$", message)
+    assert len(message) < 120
 
 
 class TestSpFamily:

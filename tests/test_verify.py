@@ -16,6 +16,7 @@ from hypersum.errors import (
     RangeError,
 )
 from hypersum.series import SeriesSpec, SummationStatus
+from hypersum.specialfn import gamma
 from hypersum.theorems import ShiftedPair
 from hypersum.verify import (
     IdentityCase,
@@ -274,19 +275,20 @@ class TestLostShifts:
 class TestMalformedBudget:
     # A budget below one term is a malformed request, not an n/a point.
     def test_verify_identity_raises_config_error(self):
-        with pytest.raises(ConfigError, match="max_terms must be >= 1"):
+        with pytest.raises(ConfigError, match="^max_terms must be a positive integer, got 0$"):
             verify_identity(IdentityCase(IdentityId.EQ_1_3, {}), max_terms=0)
 
     def test_sweep_raises_config_error(self):
-        with pytest.raises(ConfigError, match="max_terms must be >= 1"):
+        with pytest.raises(ConfigError, match="^max_terms must be a positive integer, got 0$"):
             sweep(IdentityId.EQ_2_6, {"p": [2, 3], "f": [0.5]}, max_terms=0)
 
-    @pytest.mark.parametrize("max_terms,match", [(0, ">= 1"), (2.5, "an integer")])
-    def test_checked_before_the_point(self, max_terms, match):
+    @pytest.mark.parametrize("max_terms", [0, 2.5])
+    def test_checked_before_the_point(self, max_terms):
         # p = 0 is outside eq2.5's region; the malformed budget is reported first.
-        with pytest.raises(ConfigError, match=f"max_terms must be {match}"):
+        match = f"^max_terms must be a positive integer, got {max_terms!r}$"
+        with pytest.raises(ConfigError, match=match):
             verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 0}), max_terms=max_terms)
-        with pytest.raises(ConfigError, match=f"max_terms must be {match}"):
+        with pytest.raises(ConfigError, match=match):
             sweep(IdentityId.EQ_2_5, {"p": [0]}, max_terms=max_terms)
 
 
@@ -350,9 +352,64 @@ class TestIntegerPastBinary64:
         case = IdentityCase(IdentityId.EQ_1_3, {})
         with pytest.raises(ConfigError) as info:
             verify_identity(case, max_terms=self.HUGE)
-        assert str(info.value) == f"max_terms must be an integer {self.SHORT}"
+        assert str(info.value) == f"max_terms must be a positive integer {self.SHORT}"
         with pytest.raises(ConfigError, match=r"got -1000\.\.\.000 \(401 digits\)$"):
             verify_identity(case, max_terms=-self.HUGE)
+
+
+_CATALOG_POINTS = {case.identity: case.parameters for case in builtin_catalog()}
+REAL_PARAMETERS = [(identity, name) for identity in IdentityId
+                   for name in identity_signature(identity) if name not in ("p", "m", "pairs")]
+
+
+class TestRealParameter:
+    # Every real parameter is read as a finite float: a value float() rejects
+    # is a usage error, and a number past binary64 or a non-finite one is not
+    # applicable.
+    HUGE = 10**400
+
+    @staticmethod
+    def _case(identity, name, value):
+        return IdentityCase(identity, {**_CATALOG_POINTS[identity], name: value})
+
+    @pytest.mark.parametrize("identity,name", REAL_PARAMETERS)
+    def test_past_binary64_is_range_error(self, identity, name):
+        with pytest.raises(RangeError) as info:
+            verify_identity(self._case(identity, name, self.HUGE))
+        assert str(info.value) == (f"{name} must be a real number in the binary64 range, "
+                                   "got 1000...000 (401 digits)")
+
+    @pytest.mark.parametrize("identity,name", REAL_PARAMETERS)
+    def test_non_number_is_config_error(self, identity, name):
+        for value in ("x", None):
+            with pytest.raises(ConfigError, match=rf"^{name} must be a real number, got "):
+                verify_identity(self._case(identity, name, value))
+
+    @pytest.mark.parametrize("identity,name", REAL_PARAMETERS)
+    def test_non_finite_is_domain_error(self, identity, name):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=rf"^{name} must be finite, got "):
+                verify_identity(self._case(identity, name, value))
+
+    def test_sweep_gives_na_row(self):
+        na, row = sweep("eq2.3", {"b": [self.HUGE, 0.5], "c": [1.0]})
+        assert (na.passed, row.passed) == (None, True)
+        assert na.precondition_note.endswith("got 1000...000 (401 digits)")
+        with pytest.raises(ConfigError):
+            sweep("eq2.3", {"b": ["x"], "c": [1.0]})
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: gamma(None), ConfigError),
+        (lambda: gamma("x"), ConfigError),
+        (lambda: SeriesSpec((10**400,), (1.0,)), RangeError),
+        (lambda: SeriesSpec((0.5,), ("x",)), ConfigError),
+        (lambda: ShiftedPair("x", 1), ConfigError),
+        (lambda: ShiftedPair(10**400, 1), RangeError),
+    ], ids=["gamma-None", "gamma-str", "SeriesSpec-huge", "SeriesSpec-str", "ShiftedPair-str",
+            "ShiftedPair-huge"])
+    def test_library_calls_are_typed(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 class TestSweep:
