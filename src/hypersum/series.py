@@ -11,7 +11,11 @@ The summation kernel runs the term recurrence
 in numpy blocks with compensated (Neumaier) accumulation across blocks and
 pairwise summation inside them.  Every block is summed whole, and the stop
 rules are checked at block ends only.  Each block end doubles the last, from
-N = 512 to 65536, and past that the ends are 65536 apart.
+N = 512 to 65536, and past that the ends are 65536 apart.  The ratios
+t_{n+1}/t_n are built in spans: the first covers the first two blocks, each
+later one a single block.  Each block takes its own running product of its
+ratios, so a span changes no term.  Where every ratio of a block is positive,
+its terms share one sign and sum |t_n| is taken from the block sum.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
 convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
@@ -273,29 +277,36 @@ def sum_series(
     count, n_last, converged = 1, 0, False
     ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends with a resolved tail
     tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
+    low, ratios = min((*spec.numerators, *spec.denominators, 1.0)), ()  # ratios not yet used
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
             # A block as wide as the index summed so far doubles the last end.
             width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
-            # Ratios t_{n+1}/t_n for n = count-1 .. count+width-2, built in
-            # one buffer that then becomes the block's terms.  It starts from
-            # idx + a_1, which is 1.0 * (idx + a_1) exactly.
-            idx = np.arange(count - 1, count - 1 + width, dtype=np.float64)
-            terms = idx + spec.numerators[0] if spec.numerators else np.ones(width)
-            for a in spec.numerators[1:]:
-                terms *= idx + a
-            den = idx + first_lower
-            for b in lowers:
-                den *= idx + b
-            terms /= den
+            if not len(ratios):
+                # Ratios t_{n+1}/t_n from n = count-1 on, for the first two
+                # blocks at once, later for one block.  The buffer starts
+                # from idx + a_1, which is 1.0 * (idx + a_1) exactly.
+                span = width if count > 1 else min(2 * _BLOCK_START, limit - 1)
+                idx = np.arange(count - 1, count - 1 + span, dtype=np.float64)
+                ratios = idx + spec.numerators[0] if spec.numerators else np.ones(span)
+                for a in spec.numerators[1:]:
+                    ratios *= idx + a
+                den = idx + first_lower
+                for b in lowers:
+                    den *= idx + b
+                ratios /= den
+            # The block's terms overwrite its own ratios.
+            terms, ratios = ratios[:width], ratios[width:]
             np.multiply.accumulate(terms, out=terms)
             terms *= t_last
             if not math.isfinite(terms[-1]):
                 raise RangeError("series terms exceed binary64 range")
-            mags = np.abs(terms, out=den)
-            abs_sum += float(mags.sum())
-            total, comp = _accumulate(total, comp, float(terms.sum()))
+            block_sum = float(terms.sum())
+            # Past idx = -low every factor idx + a, so every ratio, is positive:
+            # the terms share one sign, and |sum t_n| is sum |t_n| exactly.
+            abs_sum += abs(block_sum) if count - 1 + low > 0 else float(np.abs(terms).sum())
+            total, comp = _accumulate(total, comp, block_sum)
             t_last = float(terms[-1])
             count += width
             n_last = count - 1
@@ -305,7 +316,8 @@ def sum_series(
             scale = rel_tol * abs(partial)
             if tail_series:
                 tail = tail_at(t_last, n_last, scale)
-            if width >= 3 and mags[-3:].max() <= scale and (tail is not None or not tail_series):
+            if (width >= 3 and max(map(abs, terms[-3:].tolist())) <= scale
+                    and (tail is not None or not tail_series)):
                 converged = True
                 break
             if tail is None:

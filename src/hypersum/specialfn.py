@@ -43,9 +43,12 @@ def _is_integer(x: object) -> bool:
 
 def _rejected(error: type[Exception], name: str, kind: str, value: object) -> Exception:
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        digits = str(abs(value))
-        return error(f"{name} must be {kind} in the binary64 range, got "
-                     f"{'-' * (value < 0)}{digits[:4]}...{digits[-3:]} ({len(digits)} digits)")
+        # The digits by integer arithmetic: str() refuses an int past 4,300 digits.
+        size = abs(value)
+        digits = int(size.bit_length() * math.log10(2.0))
+        digits += size >= 10**digits
+        return error(f"{name} must be {kind} in the binary64 range, got {'-' * (value < 0)}"
+                     f"{size // 10**(digits - 4)}...{size % 1000:03d} ({digits} digits)")
     return error(f"{name} must be {kind}, got {value!r}")
 
 
@@ -186,8 +189,13 @@ def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> f
     each factor's sign tracked apart from its log, so negative non-integer
     arguments are allowed.  Identical lists return exactly 1.
     """
-    nums = sorted(map(float, numerators), reverse=True)
-    dens = sorted(map(float, denominators), reverse=True)
+    try:
+        nums = sorted(map(float, numerators), reverse=True)
+        dens = sorted(map(float, denominators), reverse=True)
+    except (TypeError, ValueError, OverflowError):
+        for x in (*numerators, *denominators):  # the typed error for the first bad one
+            _require_finite("gamma_ratio argument", x)
+        raise
     value = 1.0
     for a, b in zip_longest(nums, dens, fillvalue=1.0):
         if not (1e-300 < a < 171.0 and 1e-300 < b < 171.0):

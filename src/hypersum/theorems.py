@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import DegenerateError, DomainError, PreconditionError, RangeError
+from .errors import ConfigError, DegenerateError, DomainError, PreconditionError, RangeError
 from .specialfn import (
     _is_nonpositive_integer, _require_finite, _require_integer, gamma, gamma_ratio, pochhammer,
 )
@@ -95,6 +95,15 @@ class ShiftedPair:
         if _is_nonpositive_integer(f):
             raise DegenerateError(f"pair parameter f={f!r} is a nonpositive integer")
         object.__setattr__(self, "f", f)
+
+
+def _shifted_pairs(pairs: object) -> tuple[ShiftedPair, ...]:
+    # ShiftedPairs, plain (f, m) pairs or one bare ShiftedPair, as ShiftedPairs.
+    try:
+        return tuple(p if isinstance(p, ShiftedPair) else ShiftedPair(*p)
+                     for p in ((pairs,) if isinstance(pairs, ShiftedPair) else pairs))
+    except TypeError:
+        raise ConfigError(f"pairs must be a sequence of (f, m) pairs, got {pairs!r}") from None
 
 
 def gauss_2f1(a: float, b: float, c: float) -> float:
@@ -204,7 +213,7 @@ def _ck_table(pairs: Sequence[ShiftedPair], top: int) -> list[float]:
     return table
 
 
-def ck_coefficient(k: int, pairs: Sequence[ShiftedPair]) -> float:
+def ck_coefficient(k: int, pairs: Sequence[ShiftedPair | tuple[float, int]]) -> float:
     """Coefficient C_k of the Karlsson-Minton sum.
 
     C_k = (-1)^k / k! * F[-k, (f_i + m_i); (f_i); 1], the inner series being a
@@ -212,23 +221,26 @@ def ck_coefficient(k: int, pairs: Sequence[ShiftedPair]) -> float:
     0 of P(n) = prod_i (f_i + n)_{m_i} / (f_i)_{m_i}, divided by k!, so it is
     read off one exact integer difference table over the binary64 inputs and
     rounded once, at the final division.  C_k = 0.0 for k > m = sum m_i.
+    ``pairs`` holds ShiftedPairs or plain (f, m) pairs, as in karlsson_minton.
     """
-    k = _require_integer("k", k, 0)
+    k, pairs = _require_integer("k", k, 0), _shifted_pairs(pairs)
     if k > sum(pair.m for pair in pairs):
         return 0.0
     return _ck_table(pairs, k)[k]
 
 
 def karlsson_minton(
-    a: float, b: float, c: float, pairs: Sequence[ShiftedPair]
+    a: float, b: float, c: float, pairs: Sequence[ShiftedPair | tuple[float, int]]
 ) -> float:
     """F[a, b, (f_i + m_i); c, (f_i); 1] with integral parameter differences.
 
     Value: Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b)) *
     sum_{k=0}^{m} (-1)^k (a)_k (b)_k C_k / (1+a+b-c)_k with m = sum m_i,
     valid for c - a - b > m.  An empty pair list reduces to gauss_2f1.
+    ``pairs`` holds ShiftedPairs or plain (f, m) pairs; a malformed one
+    raises ConfigError, or DegenerateError as ShiftedPair does.
     """
-    pairs = tuple(pairs)
+    pairs = _shifted_pairs(pairs)
     m_total = sum(p.m for p in pairs)
     margin = c - a - b
     if not (margin > m_total):

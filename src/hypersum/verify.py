@@ -237,12 +237,7 @@ def _eq2_1(params: Mapping[str, Any]) -> _Assembled:
            pairs=(ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)))
 def _eq2_2(params: Mapping[str, Any]) -> _Assembled:
     a, b, c = (_require_finite(k, params[k]) for k in ("a", "b", "c"))
-    raw = params["pairs"]  # ShiftedPairs, plain (f, m) pairs or one bare ShiftedPair
-    try:
-        pairs = tuple(p if isinstance(p, ShiftedPair) else ShiftedPair(*p)
-                      for p in ((raw,) if isinstance(raw, ShiftedPair) else raw))
-    except TypeError:
-        raise ConfigError(f"pairs must be a sequence of (f, m) pairs, got {raw!r}") from None
+    pairs = theorems._shifted_pairs(params["pairs"])
     if not pairs:
         raise DegenerateError("at least one (f, m) pair is required")
     m_total = sum(p.m for p in pairs)

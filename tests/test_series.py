@@ -382,7 +382,9 @@ def _random_kernel_spec(rng: random.Random) -> SeriesSpec:
 class TestKernelMatchesReference:
     """The in-place block kernel against the plain block loop, bit for bit."""
 
-    BUDGETS = (1, 2, 50, 512, 513, 514, 1025, 1026, 70_000)
+    # 1000 and 1024 end inside the first span of ratios, which covers the
+    # first two blocks.
+    BUDGETS = (1, 2, 50, 512, 513, 514, 1000, 1024, 1025, 1026, 70_000)
 
     def test_seeded_specs(self):
         rng = random.Random(20261018)
@@ -402,6 +404,20 @@ class TestKernelMatchesReference:
         assert outcomes == {
             "Converged", "Terminated", "MaxTermsReached", "RangeError", "DivergenceError"
         }
+
+    @pytest.mark.parametrize("max_terms", [600, 1000, 1024, 1025, 70_000])
+    @pytest.mark.parametrize("spec", [
+        SeriesSpec((0.5, -600.5), (-599.75,)),
+        SeriesSpec((-1000.25,), (-999.5, 1.5)),
+        SeriesSpec((0.5, -1050.5), (-1049.75,)),
+    ], ids=["sign-change-at-600", "p<q", "sign-change-at-1050"])
+    def test_parameters_below_minus_500(self, spec, max_terms):
+        # The terms change sign up to index -min(params), inside the second
+        # or third block, so sum |t_n| is summed term by term there and taken
+        # from the block sum only past it.  The first spec runs to 16,385
+        # terms, the third to the budget.
+        want = _outcome(reference_sum_series, spec, 1e-12, max_terms)
+        assert _outcome(sum_series, spec, 1e-12, max_terms) == want
 
     @pytest.mark.parametrize("first_small", [509, 510, 511, 512, 1021, 1022, 1023, 1024])
     def test_three_in_a_row_across_a_block_end(self, first_small):

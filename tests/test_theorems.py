@@ -414,6 +414,29 @@ class TestKarlssonMinton:
             want = theorems.weighted_s1(p, f) * math.factorial(p) / f
             assert km == pytest.approx(want, rel=1e-12), p
 
+    def test_plain_pairs(self):
+        # Plain (f, m) pairs, as verify takes them, give the same value.
+        pairs = [ShiftedPair(1.3, 1), ShiftedPair(2.1, 2)]
+        want = theorems.karlsson_minton(0.4, 0.3, 6.0, pairs)
+        assert theorems.karlsson_minton(0.4, 0.3, 6.0, [(1.3, 1), (2.1, 2)]) == want
+        assert theorems.karlsson_minton(0.4, 0.3, 6.0, [pairs[0], (2.1, 2)]) == want
+        assert theorems.ck_coefficient(2, [(1.3, 1), (2.1, 2)]) == theorems.ck_coefficient(2, pairs)
+
+    @pytest.mark.parametrize("pairs,error", [
+        ([(1.3,)], ConfigError),
+        ([(1.3, 1, 2)], ConfigError),
+        (None, ConfigError),
+        ([1.3], ConfigError),
+        ([(1.3, 0.5)], DegenerateError),
+        ([(-2.0, 1)], DegenerateError),
+        ([(None, 1)], ConfigError),
+    ])
+    def test_malformed_pairs_are_typed(self, pairs, error):
+        with pytest.raises(error):
+            theorems.karlsson_minton(0.4, 0.3, 6.0, pairs)
+        with pytest.raises(error):
+            theorems.ck_coefficient(1, pairs)
+
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             theorems.karlsson_minton(0.4, 0.3, 1.0, [ShiftedPair(1.3, 1)])
@@ -487,18 +510,24 @@ def test_non_finite_integer_argument_is_typed(entry, value):
     assert type(info.value) is error
 
 
-@pytest.mark.parametrize("value", [10**400, -10**400])
+@pytest.mark.parametrize("value, digits", [
+    pytest.param(10**400, 401, id=str(10**400)),
+    pytest.param(-10**400, 401, id=str(-10**400)),
+    pytest.param(10**5000, 5001, id="10**5000"),
+])
 @pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
-def test_integer_past_binary64_is_typed(entry, value):
+def test_integer_past_binary64_is_typed(entry, value, digits):
     # float() raises OverflowError on such an integer; each entry point
     # reports its own error instead, in the one wording with shortened digits.
+    # str() refuses 10**5000 (past 4,300 digits), so the digits are counted
+    # without it.
     error, call = INTEGER_ENTRY_POINTS[entry]
     with pytest.raises(HypersumError) as info:
         call(value)
     assert type(info.value) is error
     message = str(info.value)
     assert re.search(r" must be (an|a \w+) integer( >= \d)? in the binary64 range, "
-                     r"got -?1000\.\.\.000 \(401 digits\)$", message)
+                     rf"got -?1000\.\.\.000 \({digits} digits\)$", message)
     assert len(message) < 120
 
 

@@ -16,7 +16,7 @@ from hypersum.errors import (
     RangeError,
 )
 from hypersum.series import SeriesSpec, SummationStatus
-from hypersum.specialfn import gamma
+from hypersum.specialfn import gamma, gamma_ratio
 from hypersum.theorems import ShiftedPair
 from hypersum.verify import (
     IdentityCase,
@@ -405,8 +405,13 @@ class TestRealParameter:
         (lambda: SeriesSpec((0.5,), ("x",)), ConfigError),
         (lambda: ShiftedPair("x", 1), ConfigError),
         (lambda: ShiftedPair(10**400, 1), RangeError),
+        (lambda: gamma(10**5000), RangeError),
+        (lambda: gamma_ratio([None], [1.0]), ConfigError),
+        (lambda: gamma_ratio([1.0], [2.0, "x"]), ConfigError),
+        (lambda: gamma_ratio([10**400], [1.0]), RangeError),
     ], ids=["gamma-None", "gamma-str", "SeriesSpec-huge", "SeriesSpec-str", "ShiftedPair-str",
-            "ShiftedPair-huge"])
+            "ShiftedPair-huge", "gamma-past-str-limit", "gamma_ratio-None", "gamma_ratio-str",
+            "gamma_ratio-huge"])
     def test_library_calls_are_typed(self, call, error):
         with pytest.raises(error):
             call()
