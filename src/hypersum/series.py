@@ -11,7 +11,8 @@ The summation kernel runs the term recurrence
 in numpy blocks with compensated (Neumaier) accumulation across blocks and
 pairwise summation inside them.  Every block is summed whole, and the stop
 rules are checked at block ends only.  Each block end doubles the last, from
-N = 512 to 65536, and past that the ends are 65536 apart.  The ratios
+N = _BLOCK_START to _BLOCK_MAX, and past that the ends are _BLOCK_MAX apart:
+N = 512, 1024, ..., 65536, 131072, ... at 512 and 65536.  The ratios
 t_{n+1}/t_n are built in spans: the first covers the first two blocks, each
 later one a single block.  Each block takes its own running product of its
 ratios, so a span changes no term.  Where every ratio of a block is positive,
@@ -89,14 +90,6 @@ class SeriesSpec:
                 f"p = {len(nums)} upper parameters need q >= p - 1 lower "
                 f"parameters at unit argument, got q = {len(dens)}"
             )
-
-    @property
-    def order_p(self) -> int:
-        return len(self.numerators)
-
-    @property
-    def order_q(self) -> int:
-        return len(self.denominators)
 
     @property
     def termination_index(self) -> int | None:
@@ -189,7 +182,7 @@ class _AsymptoticTail:
 
     def _solve(self, m: int) -> None:
         e, g, alt, spec = self._e, self._g, self._alt, self._spec
-        if m == 4 and spec.order_p > 4:  # P_j, Q_j past j = 4, from j = 2 on
+        if m == 4 and len(spec.numerators) > 4:  # P_j, Q_j past j = 4, from j = 2 on
             self._p, self._q = [], []
             for poly, params in ((self._p, spec.numerators), (self._q, spec.denominators)):
                 poly += [1.0] + [0.0] * (len(params) + _TAIL_TERMS)
@@ -227,16 +220,17 @@ def sum_series(
 
     Stops when the series terminates (``Terminated``), at ``max_terms``
     (``MaxTermsReached``), or ``Converged`` on one of two rules, checked for
-    a non-terminating series at each block end N >= 20 (N = 512 2^k up to
-    65536, then every 65536, or the budget); ``terms_used`` counts t_0..t_N:
+    a non-terminating series at each block end N >= 20 (N = _BLOCK_START 2^k
+    up to _BLOCK_MAX, then every _BLOCK_MAX, or the budget; 512 2^k up to
+    65536 with the sizes as set); ``terms_used`` counts t_0..t_N:
 
     * term test: the block's last three |t_n| are at most rel_tol |S_N|, S_N
       the partial sum; a block of fewer than three terms, only ever the
       budget's last, cannot stop on it;
     * block end, for a p = q + 1 series: err(N) = |V(N) - V(N_ref)| + E(N)
       <= rel_tol |V(N)|, N_ref <= N/2 the latest earlier block end with a
-      resolved tail.  The first such N is 1024, so no budget of 1,024 terms
-      or less ends on this rule.
+      resolved tail.  The first such N is 2 _BLOCK_START (1024), so no
+      budget of 2 _BLOCK_START terms or less ends on this rule.
 
     V(N) is the partial sum S_N plus the tail (module docstring), summed by
     :class:`_AsymptoticTail` with scale rel_tol |S_N|; where it is unresolved
@@ -265,7 +259,7 @@ def sum_series(
     first_lower, *lowers = spec.denominators + (1.0,)
 
     # Only a non-terminating p = q + 1 series can diverge or needs a tail.
-    tail_series = k_term is None and spec.order_p == spec.order_q + 1
+    tail_series = k_term is None and len(spec.numerators) == len(spec.denominators) + 1
     if tail_series:
         margin = convergence_margin(spec)
         if margin <= 0.0:

@@ -41,15 +41,25 @@ def _is_integer(x: object) -> bool:
         return False
 
 
-def _rejected(error: type[Exception], name: str, kind: str, value: object) -> Exception:
+def _shown(value: object) -> str:
+    # repr() for a message, which refuses an int past 4,300 digits: such an
+    # int is shown by integer arithmetic, a container holding one by its type.
     if isinstance(value, int) and abs(value) > sys.float_info.max:
-        # The digits by integer arithmetic: str() refuses an int past 4,300 digits.
         size = abs(value)
         digits = int(size.bit_length() * math.log10(2.0))
         digits += size >= 10**digits
-        return error(f"{name} must be {kind} in the binary64 range, got {'-' * (value < 0)}"
-                     f"{size // 10**(digits - 4)}...{size % 1000:03d} ({digits} digits)")
-    return error(f"{name} must be {kind}, got {value!r}")
+        head, tail = size // 10**(digits - 4), size % 1000
+        return f"{'-' * (value < 0)}{head}...{tail:03d} ({digits} digits)"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__}"
+
+
+def _rejected(error: type[Exception], name: str, kind: str, value: object) -> Exception:
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        kind += " in the binary64 range"
+    return error(f"{name} must be {kind}, got {_shown(value)}")
 
 
 def _require_integer(name: str, value: object, least: int | None = None,

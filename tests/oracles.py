@@ -8,9 +8,12 @@ are deliberately naive: correctness over speed.
 stop rules of ``hypersum.series.sum_series``, kept to pin the optimised
 kernel to it bit for bit.  It reuses the kernel's asymptotic tail, whose
 accuracy is pinned against mpmath separately, and its Neumaier update, so it
-checks the block body and the stop rules only.  It reads the block widths,
-the first index the stop rules may fire at and the rounding bound from the
-kernel's constants, so the comparison holds if those change.
+checks the block body and the stop rules only.  ``block_ends`` states the
+kernel's block geometry for the loop and for the tests that place a stop or
+a budget against it.  Both read the block sizes, the first index the stop
+rules may fire at and the rounding bound from ``hypersum.series`` at call
+time, so the comparison, and each test stated through ``block_ends``, holds
+if those change.
 """
 
 from __future__ import annotations
@@ -21,12 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from hypersum import series
 from hypersum.errors import ConfigError, DivergenceError, RangeError
 from hypersum.series import (
-    _BLOCK_MAX,
-    _BLOCK_START,
-    _MIN_STOP_INDEX,
-    _SUM_ROUNDING,
     SummationResult,
     SummationStatus,
     _AsymptoticTail,
@@ -116,16 +116,29 @@ def random_terminating_spec(
     return nums, dens
 
 
+def block_ends(max_terms=series.DEFAULT_MAX_TERMS):
+    """The kernel's block ends N, the last index of each block, for a budget
+    of ``max_terms`` terms t_0..t_(max_terms - 1).
+
+    Each block is as wide as the index summed so far, at least
+    ``series._BLOCK_START`` and at most ``series._BLOCK_MAX`` terms, and the
+    budget cuts the last one short.  At 512 and 65536 the ends are N = 512,
+    1024, ..., 65536, then every 65536, and finally max_terms - 1.
+    """
+    n, last = 0, max_terms - 1
+    while n < last:
+        n += min(max(n, series._BLOCK_START), series._BLOCK_MAX, last - n)
+        yield n
+
+
 def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     """``sum_series`` as a straightforward numpy block loop.
 
-    Same block widths, stop rules and floating-point operations as the
-    package kernel, written without in-place buffers.  Each block is as wide
-    as the index summed so far, at least ``_BLOCK_START`` and at most
-    ``_BLOCK_MAX`` terms, so the ends fall at N = 512, 1024, ..., 65536 and
-    then every 65536.  The ratios come from separate numerator and
-    denominator products, and both stop rules are checked at block ends
-    only, the term test on a block's last three terms.
+    Same blocks (``block_ends``), stop rules and floating-point operations as
+    the package kernel, written without in-place buffers.  The ratios come
+    from separate numerator and denominator products, and both stop rules
+    are checked at block ends only, the term test on a block's last three
+    terms.
     """
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
@@ -134,11 +147,12 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
 
     k_term = spec.termination_index
     limit = int(max_terms) if k_term is None else min(k_term + 1, int(max_terms))
+    min_stop, rounding = series._MIN_STOP_INDEX, series._SUM_ROUNDING
     uppers = np.asarray(spec.numerators, dtype=np.float64)
     lowers = np.asarray(spec.denominators + (1.0,), dtype=np.float64)
 
     # The margin and the tail belong to a non-terminating p = q + 1 series.
-    tail_series = k_term is None and spec.order_p == spec.order_q + 1
+    tail_series = k_term is None and len(spec.numerators) == len(spec.denominators) + 1
     margin = 0.0
     if tail_series:
         margin = convergence_margin(spec)
@@ -148,15 +162,15 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
 
     total, comp, abs_sum = 1.0, 0.0, 1.0
     t_last = 1.0
-    count, n_last = 1, 0
+    n_last = 0
     converged = False
     ends = []
     tail, drift = None, 0.0
 
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        while count < limit:
-            width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
-            idx = (count - 1) + np.arange(width, dtype=np.float64)
+        for end in block_ends(limit):
+            width = end - n_last
+            idx = n_last + np.arange(width, dtype=np.float64)
             num = np.ones(width)
             for a in uppers:
                 num *= a + idx
@@ -169,10 +183,9 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
             abs_sum += float(np.sum(np.abs(terms)))
             total, comp = _accumulate(total, comp, float(np.sum(terms)))
             t_last = float(terms[-1])
-            count += width
-            n_last = count - 1
+            n_last = end
             drift = 0.0
-            if k_term is not None or n_last < _MIN_STOP_INDEX:
+            if k_term is not None or n_last < min_stop:
                 continue
 
             partial = total + comp
@@ -189,11 +202,11 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
                 ends.append((n_last, value))
                 if ref:
                     drift = abs(value - ref[-1][1])
-                    if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(value):
+                    if drift + tail[1] + rounding * abs_sum <= rel_tol * abs(value):
                         converged = True
                         break
 
-    value = total + comp
+    value, count = total + comp, n_last + 1
     if k_term is not None and count == k_term + 1:
         return SummationResult(value, count, SummationStatus.TERMINATED, 0.0)
 
@@ -202,5 +215,5 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
         value, error = value + tail[0], drift + tail[1]
     else:
         error = abs(t_last) * (n_last + 1) / margin if tail_series else abs(t_last)
-    error += _SUM_ROUNDING * abs_sum
+    error += rounding * abs_sum
     return SummationResult(value, count, status, error)

@@ -13,6 +13,8 @@ from hypersum.cli import _report_json, main
 from hypersum.series import SeriesSpec, sum_series
 from hypersum.verify import IdentityCase, sweep, verify_identity
 
+from oracles import block_ends
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -103,9 +105,11 @@ class TestEval:
         assert "nonpositive integer" in err
 
     def test_max_terms_reached_exits_2(self, capsys):
-        # A budget of at most 1,024 terms leaves no block end N_ref <= N/2 to
-        # stop on, and the term test needs far more terms.
-        for limits in (("--rel-tol", "1e-14", "--max-terms", "1024"), ("--max-terms", "1000")):
+        # A budget of at most 2 _BLOCK_START terms leaves no block end
+        # N_ref <= N/2 to stop on, and the term test needs far more terms.
+        # The 1,000-term budget is the benchmark's eval.budget.csv call.
+        budget = str(2 * next(block_ends()))
+        for limits in (("--rel-tol", "1e-14", "--max-terms", budget), ("--max-terms", "1000")):
             code, out, _ = run(capsys, "eval", "0.5,0.25;1.25", *limits)
             assert code == 2
             assert "MaxTermsReached" in out

@@ -1,5 +1,6 @@
 """Summation kernel tests, anchored to the exact-rational oracle."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hypersum import series
 from hypersum.errors import (
     ConfigError,
     DegenerateError,
@@ -27,6 +29,7 @@ from hypersum.theorems import gauss_2f1
 from hypersum.verify import IdentityCase, IdentityId, _summation_rel_tol, builtin_catalog
 
 from oracles import (
+    block_ends,
     random_terminating_spec,
     rational_abs_term_sum,
     rational_terminating_sum,
@@ -36,6 +39,27 @@ from oracles import (
 # 50-digit references, regenerate with scripts/gen_reference_values.py
 RAMANUJAN_INVERSE = 1.3110287771460598  # 2F1(1/2, 1/4; 5/4; 1)
 FOUR_OVER_PI = 4.0 / math.pi
+
+
+def _first_end(at_least=0):
+    # The kernel's first block end N >= at_least.
+    return next(n for n in block_ends() if n >= at_least)
+
+
+# The first two block ends, N1 = _BLOCK_START and N2 = 2 N1 (512 and 1024 at
+# the kernel's sizes).  N2 is the first end with an earlier one at N/2 or
+# below, so the first at which the block-end rule can stop.
+_N1 = _first_end()
+_N2 = _first_end(2 * _N1)
+
+
+def _term_test_end(spec, rel_tol):
+    # The first block end whose last three |t_n| are at most rel_tol |S_N|,
+    # from the terms summed one at a time.
+    for end in block_ends():
+        ts = _terms_and_sums(spec, end)
+        if max(abs(t) for t, _ in ts[-3:]) <= rel_tol * abs(ts[-1][1]):
+            return end
 
 
 class TestSeriesSpec:
@@ -155,10 +179,11 @@ class TestConvergence:
         assert result.terms_used >= 22
 
     def test_max_terms_cap(self):
-        # A budget of at most 1,024 terms leaves no block end N_ref <= N/2.
-        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-12, max_terms=1000)
+        # A budget of at most N2 terms leaves no block end N_ref <= N/2.
+        budget = _N2 - 24
+        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-12, max_terms=budget)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
-        assert result.terms_used == 1000
+        assert result.terms_used == budget
         assert result.error_estimate > 0.0
 
 
@@ -178,32 +203,38 @@ class TestBlockEndStop:
         assert result.error_estimate <= 1e-12 * result.value
         assert abs(result.value - FOUR_OVER_PI) <= result.error_estimate
 
-    @pytest.mark.parametrize("max_terms", [21, 513, 514, 768, 1023, 1024])
+    @pytest.mark.parametrize(
+        "max_terms", [21, _N1 + 1, _N1 + 2, (_N1 + _N2) // 2, _N2 - 1, _N2]
+    )
     def test_budget_of_at_most_1024_terms_is_not_converged(self, max_terms):
-        # Block ends fall at N = 512 and at the budget, N = max_terms - 1 <
-        # 1024, so no block end has an earlier one at N/2 or below to stop
-        # on.  The term test needs ~1e9 terms here.
+        # Block ends fall at N1 and at the budget, N = max_terms - 1 < N2, so
+        # no block end has an earlier one at N/2 or below to stop on.  The
+        # term test needs ~1e9 terms here.
         result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-13, max_terms=max_terms)
         assert result.status is SummationStatus.MAX_TERMS_REACHED
         assert result.terms_used == max_terms
         assert abs(result.value - RAMANUJAN_INVERSE) <= result.error_estimate
 
     def test_first_block_end_stop_is_at_1025_terms(self):
-        # N = 1024 is the first end with an earlier one at N/2: 512.
-        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-13, max_terms=1025)
+        # N2 is the first end with an earlier one at N/2: N1.
+        result = sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=1e-13, max_terms=_N2 + 1)
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used == 1025
+        assert result.terms_used == _N2 + 1
         assert abs(result.value - RAMANUJAN_INVERSE) <= result.error_estimate
 
     def test_error_estimate_covers_rounding_of_last_term(self):
         # At margin 0.05 and rel_tol 1e-14 the sum never stops, and t_N after
         # ~1.3e5 rounded products is off by enough that the error (~4e-11)
-        # exceeds |V(N) - V(N_ref)| alone, N_ref = 65,536.
+        # exceeds |V(N) - V(N_ref)| alone, N_ref the latest end at most N/2
+        # (65,536).
         spec = SeriesSpec((1.0, 1.0), (2.05,))
+        *ends, n = block_ends(131_074)
+        n_ref = max(end for end in ends if 2 * end <= n)
         result = sum_series(spec, rel_tol=1e-14, max_terms=131_074)
         error = abs(result.value - gauss_2f1(1.0, 1.0, 2.05))
         assert result.status is SummationStatus.MAX_TERMS_REACHED
-        assert error > abs(result.value - sum_series(spec, rel_tol=1e-14, max_terms=65_537).value)
+        reference = sum_series(spec, rel_tol=1e-14, max_terms=n_ref + 1).value
+        assert error > abs(result.value - reference)
         assert error <= result.error_estimate
 
     @pytest.mark.parametrize("c", [171, 1001, 5000])
@@ -213,7 +244,7 @@ class TestBlockEndStop:
         # terms are checked against, and the stop comes at the first block end.
         result = sum_series(SeriesSpec((0.5, 0.5), (float(c),)), rel_tol=1e-12)
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used == 513
+        assert result.terms_used == _N1 + 1
         assert result.value == pytest.approx(_gauss_half_half(c), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
@@ -254,7 +285,7 @@ class TestHardCases:
         [
             # A term-test stop the first-order tail put at error 1.87e-8.
             ((12.0, 12.0), (28.0,), 1e-8, 3_073, 1e-13),
-            ((8.0, 13.0), (26.0,), 1e-8, 1_025, 1e-13),
+            ((8.0, 13.0), (26.0,), 1e-8, _N2 + 1, 1e-13),
             ((200.0, 0.5, 0.5), (201.0, 1.05), 1e-12, 3_073, 1e-14),
             # Margin 0.05, which ran the whole 1e7-term budget.
             ((0.5, 0.45), (1.0,), 1e-12, 3_073, 1e-13),
@@ -264,8 +295,8 @@ class TestHardCases:
             ((50.0, 60.0), (110.5,), 1e-12, 15_361, 1e-14),
             # Margin 0.05 at the rounding floor, which ran the whole budget while
             # the first block-end stop was at N = 3,072: N u |tail| in err(N)
-            # exceeded rel_tol |V| from there on.
-            ((0.5, 0.45), (1.0,), 1e-13, 1_025, 2e-14),
+            # exceeded rel_tol |V| from there on.  It stops at N2 (1,024).
+            ((0.5, 0.45), (1.0,), 1e-13, _N2 + 1, 2e-14),
         ],
     )
     def test_against_mpmath(self, uppers, lowers, rel_tol, max_terms, max_error):
@@ -279,14 +310,15 @@ class TestHardCases:
 
     def test_unresolved_candidate_passes_the_block_on(self):
         # At rel_tol 1e-3 the terms pass the test from near n = 20 on, where
-        # the tail's e_k ~ 200^k leave it unresolved.  The test is checked at
-        # block ends only, and the tail is resolved at the first one.
+        # the tail's e_k ~ 200^k leave it unresolved: its T_k fall like
+        # (200/N)^k.  The test is checked at block ends only, and the tail is
+        # resolved at the first one past 200.
         spec = SeriesSpec((200.0, 0.5, 0.5), (201.0, 1.05))
         result = sum_series(spec, rel_tol=1e-3)
         want = _mp_hyper(spec.numerators, spec.denominators)
         assert result == reference_sum_series(spec, rel_tol=1e-3)
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used == 513
+        assert result.terms_used == _first_end(200) + 1
         assert abs(result.value - want) <= result.error_estimate <= 1e-3 * abs(result.value)
 
     def test_eq2_8_at_p_11(self):
@@ -299,12 +331,15 @@ class TestHardCases:
         assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
 
     def test_error_estimate_states_the_error(self):
-        # A term-test stop at the block end N = 1024, where the tail is ~70%
-        # of the value: the estimate is of the value's error, not of rel_tol.
-        result = sum_series(SeriesSpec((1.0, 1.0), (2.05,)), rel_tol=2e-4)
+        # A stop at the first block end whose last three terms pass, or at N2
+        # where the block-end rule can stop if that comes first (both 1,024),
+        # with the tail ~70% of the value: the estimate is of the value's
+        # error, not of rel_tol.
+        spec = SeriesSpec((1.0, 1.0), (2.05,))
+        result = sum_series(spec, rel_tol=2e-4)
         error = abs(result.value - _gauss_mp(1.0, 1.0, 2.05))
         assert result.status is SummationStatus.CONVERGED
-        assert result.terms_used == 1025
+        assert result.terms_used == min(_term_test_end(spec, 2e-4), _N2) + 1
         assert error <= result.error_estimate <= 1e-12 * result.value
 
 
@@ -379,56 +414,79 @@ def _random_kernel_spec(rng: random.Random) -> SeriesSpec:
     return SeriesSpec(nums, dens)
 
 
+def test_block_ends_at_the_kernel_sizes():
+    # The one test that states the kernel's block sizes, 512 and 65536, as
+    # numbers; the others place their stops and budgets through block_ends.
+    assert list(itertools.islice(block_ends(), 10)) == [
+        512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 196608
+    ]
+    assert list(block_ends(1000)) == [512, 999]
+    assert list(block_ends(1)) == []
+
+
 class TestKernelMatchesReference:
-    """The in-place block kernel against the plain block loop, bit for bit."""
+    """The in-place block kernel against the plain block loop, bit for bit.
 
-    # 1000 and 1024 end inside the first span of ratios, which covers the
-    # first two blocks.
-    BUDGETS = (1, 2, 50, 512, 513, 514, 1000, 1024, 1025, 1026, 70_000)
+    The seeded specs and the parameters below -500 are compared at three
+    first-block sizes, so that kernel and loop agree at any block geometry."""
 
-    def test_seeded_specs(self):
-        rng = random.Random(20261018)
-        outcomes = set()
-        for _ in range(2400):
-            try:
-                spec = _random_kernel_spec(rng)
-            except DegenerateError:
-                continue
-            rel_tol = 10.0 ** -rng.uniform(6.0, 13.0)
-            budget = rng.choice(self.BUDGETS)
-            want = _outcome(reference_sum_series, spec, rel_tol, budget)
-            got = _outcome(sum_series, spec, rel_tol, budget)
-            assert got == want, (spec, rel_tol, budget)
-            outcomes.add(want[0])
-        # Every way out of the kernel was exercised.
-        assert outcomes == {
-            "Converged", "Terminated", "MaxTermsReached", "RangeError", "DivergenceError"
-        }
+    BLOCK_STARTS = (512, 32, 1024)
 
-    @pytest.mark.parametrize("max_terms", [600, 1000, 1024, 1025, 70_000])
+    def test_seeded_specs(self, monkeypatch):
+        for start in self.BLOCK_STARTS:
+            monkeypatch.setattr(series, "_BLOCK_START", start)
+            rng = random.Random(20261018)
+            # Budgets around the first two block ends; N2 - 24 and N2 end
+            # inside the first span of ratios, which covers the first two
+            # blocks.
+            n1, n2 = itertools.islice(block_ends(), 2)
+            budgets = (1, 2, 50, n1, n1 + 1, n1 + 2, n2 - 24, n2, n2 + 1, n2 + 2, 70_000)
+            outcomes = set()
+            for _ in range(2400):
+                try:
+                    spec = _random_kernel_spec(rng)
+                except DegenerateError:
+                    continue
+                rel_tol = 10.0 ** -rng.uniform(6.0, 13.0)
+                budget = rng.choice(budgets)
+                want = _outcome(reference_sum_series, spec, rel_tol, budget)
+                got = _outcome(sum_series, spec, rel_tol, budget)
+                assert got == want, (start, spec, rel_tol, budget)
+                outcomes.add(want[0])
+            # Every way out of the kernel was exercised.
+            assert outcomes == {
+                "Converged", "Terminated", "MaxTermsReached", "RangeError", "DivergenceError"
+            }, start
+
+    @pytest.mark.parametrize("max_terms", [600, _N2 - 24, _N2, _N2 + 1, 70_000])
     @pytest.mark.parametrize("spec", [
         SeriesSpec((0.5, -600.5), (-599.75,)),
         SeriesSpec((-1000.25,), (-999.5, 1.5)),
         SeriesSpec((0.5, -1050.5), (-1049.75,)),
     ], ids=["sign-change-at-600", "p<q", "sign-change-at-1050"])
-    def test_parameters_below_minus_500(self, spec, max_terms):
+    def test_parameters_below_minus_500(self, monkeypatch, spec, max_terms):
         # The terms change sign up to index -min(params), inside the second
-        # or third block, so sum |t_n| is summed term by term there and taken
-        # from the block sum only past it.  The first spec runs to 16,385
-        # terms, the third to the budget.
-        want = _outcome(reference_sum_series, spec, 1e-12, max_terms)
-        assert _outcome(sum_series, spec, 1e-12, max_terms) == want
+        # or third block at the kernel's sizes, so sum |t_n| is summed term
+        # by term there and taken from the block sum only past it.  The first
+        # spec runs to 16,385 terms, the third to the budget.
+        for start in self.BLOCK_STARTS:
+            monkeypatch.setattr(series, "_BLOCK_START", start)
+            want = _outcome(reference_sum_series, spec, 1e-12, max_terms)
+            assert _outcome(sum_series, spec, 1e-12, max_terms) == want, start
 
-    @pytest.mark.parametrize("first_small", [509, 510, 511, 512, 1021, 1022, 1023, 1024])
+    @pytest.mark.parametrize("first_small", [_N1 - 3, _N1 - 2, _N1 - 1, _N1,
+                                             _N2 - 3, _N2 - 2, _N2 - 1, _N2])
     def test_three_in_a_row_across_a_block_end(self, first_small):
-        # The first two blocks hold t_1..t_512 and t_513..t_1024.  Pick
+        # The first two blocks hold t_1..t_N1 and t_(N1+1)..t_N2.  Pick
         # rel_tol so that the term test first holds at n = first_small, just
-        # before the block end N = 512 or 1024.  Where the block's last three
-        # terms pass, the sum stops at its end.  Where a run of three crosses
-        # the end 512, it stops at the next one, N = 1024; where it crosses
-        # 1024, the block-end rule stops there instead, with N_ref = 512.
-        # With max_terms = first_small + 3 the budget ends a block of 511 or
-        # 512 terms, or a next block of one or two terms, too narrow for the
+        # before the block end N1 or N2.  The sum stops at the first end N
+        # that closes a block of three terms or more with N - 2 >= first_small
+        # (the term test), or at the first end from N2 on (the block-end
+        # rule, N_ref = N1).  So where the block's last three terms pass, the
+        # sum stops at its end; where a run of three crosses N1, at N2; and
+        # where it crosses N2, the block-end rule stops at N2.  With
+        # max_terms = first_small + 3 the budget ends a block of N1 - 1 or
+        # N1 terms, or a next block of one or two terms, too narrow for the
         # term test.
         spec = SeriesSpec((0.5, 0.5), (2.5,))
         term, total = 1.0, 1.0
@@ -439,13 +497,15 @@ class TestKernelMatchesReference:
             ratios.append(term / total)
         rel_tol = ratios[first_small - 1] * (1.0 + 1e-9)
         assert ratios[first_small - 2] > rel_tol
-        end = 512 if first_small <= 512 else 1024
-        in_block = first_small + 2 <= end
-        for max_terms, terms in ((DEFAULT_MAX_TERMS, end + 1 if in_block else 1025),
-                                 (first_small + 3, min(first_small + 3, 1025))):
+        for max_terms in (DEFAULT_MAX_TERMS, first_small + 3):
+            terms, converged, before = max_terms, False, 0
+            for end in block_ends(max_terms):
+                if end >= _N2 or (end - before >= 3 and end - 2 >= first_small):
+                    terms, converged = end + 1, True
+                    break
+                before = end
             want = reference_sum_series(spec, rel_tol=rel_tol, max_terms=max_terms)
             assert want.terms_used == terms
-            converged = in_block or end == 1024 or max_terms == DEFAULT_MAX_TERMS
             assert (want.status is SummationStatus.CONVERGED) == converged
             assert sum_series(spec, rel_tol=rel_tol, max_terms=max_terms) == want
 
@@ -455,14 +515,16 @@ class TestKernelMatchesReference:
         # 65,536-term blocks.  At the budget's last end, N = 299,999 or
         # 195,584, the reference is 131,072 or 65,536, the latest end at most
         # N/2, not the previous end 262,144 or 131,072.
+        *ends, n = block_ends(max_terms)
+        assert max(end for end in ends if 2 * end <= n) != ends[-1]
         spec = SeriesSpec((1.0, 1.0), (2.05,))
         want = reference_sum_series(spec, rel_tol=1e-14, max_terms=max_terms)
         assert want.status is SummationStatus.MAX_TERMS_REACHED
         assert sum_series(spec, rel_tol=1e-14, max_terms=max_terms) == want
 
     def test_unresolved_tails_at_early_ends(self):
-        # Parameters of 50-110 leave the tail unresolved at N = 512, 1,024
-        # and 2,048, so neither rule stops there.  The first end with a
+        # Parameters of 50-110 leave the tail unresolved at every block end
+        # below 4,096, so neither rule stops there.  The first end with a
         # resolved tail is 4,096, and 8,192 is the first end that can use it.
         spec = SeriesSpec((50.0, 60.0), (110.5,))
         want = reference_sum_series(spec, rel_tol=1e-12)
@@ -504,7 +566,8 @@ def _term_test_cases(draw):
         nums[0] = -float(draw(st.integers(0, 3000)))
     rel_tol = 10.0 ** -draw(st.floats(3.0, 14.0))
     budget = draw(
-        st.sampled_from([200_000, 8193, 1027, 1026, 1025, 515, 514, 513, 512, 22, 21, 2, 1])
+        st.sampled_from([200_000, 8193, _N2 + 3, _N2 + 2, _N2 + 1,
+                         _N1 + 3, _N1 + 2, _N1 + 1, _N1, 22, 21, 2, 1])
         | st.integers(1, 200_000)
     )
     return nums, dens, rel_tol, budget
@@ -537,27 +600,27 @@ class TestTermTest:
             self.check(case.spec, _summation_rel_tol(case.rel_tol))
 
     @pytest.mark.parametrize("factor", [1.001, 0.999])
-    @pytest.mark.parametrize("last", [512, 999, 1024])
+    @pytest.mark.parametrize("last", [_N1, _N2 - 25, _N2])
     @pytest.mark.parametrize(
         "uppers,lowers", [((0.5, 0.25), (1.25,)), ((0.5, 0.5), (2.5,)), ((1.0, 1.0), (2.1,))]
     )
     def test_last_three_terms_at_the_bound(self, uppers, lowers, last, factor):
         # rel_tol puts the largest of t_(N-2), t_(N-1), t_N at 1 / factor
-        # times rel_tol |S_N|, at the block end N = 512 or 1024 or at the end
-        # of a 1,000-term budget.  Below N = 1024 no end N_ref <= N/2 lets
-        # the block-end rule stop, and the sum stops at N just where factor
-        # > 1.  At N = 1024 the block-end rule, N_ref = 512, stops where the
-        # term test does not; the error estimate then carries the drift.
+        # times rel_tol |S_N|, at the block end N = N1 or N2 or at the end of
+        # an (N2 - 24)-term budget.  Below N2 no end N_ref <= N/2 lets the
+        # block-end rule stop, and the sum stops at N just where factor > 1.
+        # At N2 the block-end rule, N_ref = N1, stops where the term test
+        # does not; the error estimate then carries the drift.
         spec = SeriesSpec(uppers, lowers)
         ts = _terms_and_sums(spec, last)
         last_three = max(abs(t) for t, _ in ts[last - 2:])
         rel_tol = factor * last_three / abs(ts[last][1])
         status, _ = self.check(spec, rel_tol, last + 1)
-        assert status == ("Converged" if factor > 1.0 or last == 1024 else "MaxTermsReached")
-        if last == 512:
+        assert status == ("Converged" if factor > 1.0 or last == _N2 else "MaxTermsReached")
+        if last == _N1:
             status, _ = self.check(spec, rel_tol)
             terms = sum_series(spec, rel_tol).terms_used
-            assert status == "Converged" and (terms == 513) == (factor > 1.0)
+            assert status == "Converged" and (terms == _N1 + 1) == (factor > 1.0)
 
     @pytest.mark.parametrize(
         "c,rel_tol",
@@ -566,27 +629,26 @@ class TestTermTest:
     def test_sum_grows_inside_the_block(self, c, rel_tol):
         # 2F1(1, 1; c; 1) is 6 to 21.  Its partial sum grows from 1 toward
         # those sizes inside the blocks, and the term test stops at the first
-        # block end whose last three terms pass, N = 512 at the first three
-        # tolerances and 1024 at the last three, although every term summed
-        # exceeds 2 rel_tol times the sum before it: the test compares with
-        # the sum at the block end.
+        # block end whose last three terms pass, N1 at the first three
+        # tolerances and N2 at the last three (or N2 where the block-end rule
+        # can stop there first), although every term summed exceeds 2 rel_tol
+        # times the sum before it: the test compares with the sum at the
+        # block end.
         spec = SeriesSpec((1.0, 1.0), (c,))
-        ts = _terms_and_sums(spec, 1024)
-        end = next(
-            n for n in (512, 1024) if max(t for t, _ in ts[n - 2:n + 1]) <= rel_tol * ts[n][1]
-        )
-        assert min(t for t, _ in ts[1:end + 1]) > 2.0 * rel_tol
+        end = min(_term_test_end(spec, rel_tol), _N2)
+        ts = _terms_and_sums(spec, end)
+        assert min(t for t, _ in ts[1:]) > 2.0 * rel_tol
         status, _ = self.check(spec, rel_tol)
         assert status == "Converged" and sum_series(spec, rel_tol).terms_used == end + 1
 
     def test_fast_series_stops_at_the_first_block_end(self):
-        # 3F2(1, 1, 1; 4, 4; 1) has margin 5: its last three terms at N = 512
-        # pass the test, and no block-end rule can stop before N = 1024.
+        # 3F2(1, 1, 1; 4, 4; 1) has margin 5: its last three terms at the
+        # first block end N1 pass the test, and no block-end rule can stop
+        # before N2 (where it stops first if the terms pass only later).
         spec = SeriesSpec((1.0, 1.0, 1.0), (4.0, 4.0))
-        ts = _terms_and_sums(spec, 512)
-        assert max(t for t, _ in ts[510:]) <= 1e-12 * ts[512][1]
+        end = min(_term_test_end(spec, 1e-12), _N2)
         status, _ = self.check(spec, 1e-12)
-        assert status == "Converged" and sum_series(spec, 1e-12).terms_used == 513
+        assert status == "Converged" and sum_series(spec, 1e-12).terms_used == end + 1
 
     @given(_term_test_cases())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -651,10 +713,11 @@ def test_huge_parameters_are_accurate_or_typed(uppers, lowers, overflows):
         with pytest.raises(RangeError, match="binary64 range"):
             sum_series(SeriesSpec(uppers, lowers))
         return
-    result = sum_series(SeriesSpec(uppers, lowers))
+    spec = SeriesSpec(uppers, lowers)
+    result = sum_series(spec)
     want = _direct_sum(uppers, lowers)
     assert result.status is SummationStatus.CONVERGED
-    assert result.terms_used == 513
+    assert result.terms_used == _term_test_end(spec, 1e-12) + 1
     assert abs(result.value - want) <= result.error_estimate <= 1e-12 * abs(result.value)
     assert abs(result.value - want) <= 1e-12 * abs(want)
 

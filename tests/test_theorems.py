@@ -430,6 +430,7 @@ class TestKarlssonMinton:
         ([(1.3, 0.5)], DegenerateError),
         ([(-2.0, 1)], DegenerateError),
         ([(None, 1)], ConfigError),
+        ([(10**5000,)], ConfigError),  # its repr is past Python's 4,300 digits
     ])
     def test_malformed_pairs_are_typed(self, pairs, error):
         with pytest.raises(error):

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from hypersum import verify
+from hypersum import theorems, verify
 from hypersum.cli import _PARAM_FLAGS, _report_json, _table_entries
 from hypersum.errors import (
     ConfigError,
@@ -26,6 +26,8 @@ from hypersum.verify import (
     sweep,
     verify_identity,
 )
+
+from oracles import block_ends
 
 # 50-digit reference, regenerate with scripts/gen_reference_values.py
 RAMANUJAN_INVERSE = 1.3110287771460598  # 2F1(1/2, 1/4; 5/4; 1)
@@ -102,7 +104,7 @@ class TestVerifyIdentity:
         report = verify_identity(IdentityCase(IdentityId.EQ_2_5, {"p": 170}))
         assert report.passed is True
         assert report.summation.status is SummationStatus.CONVERGED
-        assert report.summation.terms_used == 513
+        assert report.summation.terms_used == next(block_ends()) + 1
 
     def test_report_invariant_passed_iff_rel_err_small(self):
         report = verify_identity(IdentityCase(IdentityId.EQ_2_8, {"p": 4, "f1": 0.3, "f2": 2.2}))
@@ -409,9 +411,26 @@ class TestRealParameter:
         (lambda: gamma_ratio([None], [1.0]), ConfigError),
         (lambda: gamma_ratio([1.0], [2.0, "x"]), ConfigError),
         (lambda: gamma_ratio([10**400], [1.0]), RangeError),
+        (lambda: gamma([10**5000]), ConfigError),
+        (lambda: theorems.gauss_2f1(None, 0.25, 1.25), ConfigError),
+        (lambda: theorems.dixon_3f2(None, 0.5, 0.5), ConfigError),
+        (lambda: theorems.contiguous_3f2(None, 1.7, 0.9, 2), ConfigError),
+        (lambda: theorems.ratio_sum_extension(None, 1.0), ConfigError),
+        (lambda: theorems.mu_spaced_sum(None, 1.0), ConfigError),
+        (lambda: theorems.karlsson_minton(None, 0.3, 6.0, [(1.3, 1)]), ConfigError),
+        (lambda: theorems.weighted_s1(3, None), ConfigError),
+        (lambda: theorems.weighted_s2(3, None), ConfigError),
+        (lambda: theorems.weighted_pair(3, 0.3, None), ConfigError),
+        (lambda: theorems.gauss_2f1(10**400, 0.25, 1.25), RangeError),
+        (lambda: theorems.dixon_3f2(10**400, 0.25, 1.25), RangeError),
+        (lambda: theorems.weighted_s1(3, 10**400), RangeError),
+        (lambda: theorems.ratio_sum_extension(10**400, 1.0), RangeError),
     ], ids=["gamma-None", "gamma-str", "SeriesSpec-huge", "SeriesSpec-str", "ShiftedPair-str",
             "ShiftedPair-huge", "gamma-past-str-limit", "gamma_ratio-None", "gamma_ratio-str",
-            "gamma_ratio-huge"])
+            "gamma_ratio-huge", "gamma-list-past-str-limit", "gauss_2f1-None", "dixon_3f2-None",
+            "contiguous_3f2-None", "ratio_sum_extension-None", "mu_spaced_sum-None",
+            "karlsson_minton-None", "weighted_s1-None", "weighted_s2-None", "weighted_pair-None",
+            "gauss_2f1-huge", "dixon_3f2-huge", "weighted_s1-huge", "ratio_sum_extension-huge"])
     def test_library_calls_are_typed(self, call, error):
         with pytest.raises(error):
             call()
