@@ -22,11 +22,12 @@ import json
 import math
 import re
 import sys
+from collections import Counter
 from collections.abc import Callable, Sequence
 from typing import Any
 
 from .errors import ConfigError, DivergenceError, NotApplicableError
-from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, SummationStatus, sum_series
+from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationStatus, sum_series
 from .verify import (
     DEFAULT_REL_TOL,
     IdentityCase,
@@ -177,44 +178,41 @@ def _parameter_values(identity: IdentityId, args: argparse.Namespace, listy: boo
     return params
 
 
+def _csv_line(fields: Sequence[Any]) -> str:
+    # proper quoting: parameter and note fields may contain commas
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="").writerow(fields)
+    return buffer.getvalue()
+
+
 def _finish(args: argparse.Namespace, command: str, inputs: dict[str, Any], results: list[Any],
-            summary: dict[str, Any], csv_lines: Sequence[str], human_lines: Sequence[str]) -> int:
-    """Print a command's result in the chosen format; return its exit code."""
+            summary: dict[str, Any], human_lines: Sequence[str],
+            csv_rows: Sequence[Sequence[Any]] | None = None) -> int:
+    """Print a command's result in the chosen format; return its exit code.
+
+    CSV writes ``csv_rows`` through :func:`_csv_line`; without them (an n/a
+    message) it prints the human lines as they are.
+    """
     if args.format == "json":
         inputs = {**inputs, "rel_tol": args.rel_tol, "max_terms": args.max_terms}
         document = {"command": command, "inputs": inputs, "results": results,
                     "summary": summary}
         lines: Sequence[str] = [json.dumps(document, indent=2)]
+    elif args.format == "csv" and csv_rows is not None:
+        lines = [_csv_line(row) for row in csv_rows]
     else:
-        lines = csv_lines if args.format == "csv" else human_lines
+        lines = human_lines
     sys.stdout.write("\n".join(lines) + "\n")
     return summary["exit"]
 
 
-# Parameters are parsed floats, ints and (f, m) tuples: json.dumps writes tuples as arrays.
-def _summation_json(result: SummationResult) -> dict[str, Any]:
-    return {
-        "value": result.value,
-        "terms_used": result.terms_used,
-        "status": result.status.value,
-        "error_estimate": result.error_estimate,
-    }
-
-
+# A JSON row is a dataclass's fields in declaration order: json.dumps writes
+# the str enums as their values and the parameters' (f, m) tuples as arrays.
 def _report_json(report: VerificationReport) -> dict[str, Any]:
-    summation = report.summation
-    return {
-        "identity": report.case.identity.value,
-        "parameters": report.case.parameters,
-        "rel_tol": report.case.rel_tol,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "abs_err": report.abs_err,
-        "rel_err": report.rel_err,
-        "passed": report.passed,
-        "precondition_note": report.precondition_note,
-        "summation": None if summation is None else _summation_json(summation),
-    }
+    row = {**vars(report.case), **vars(report)}
+    del row["case"]
+    row["summation"] = None if report.summation is None else vars(report.summation)
+    return row
 
 
 def _params_text(identity: IdentityId, params: dict[str, Any]) -> str:
@@ -245,24 +243,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         result = sum_series(spec, rel_tol=args.rel_tol, max_terms=args.max_terms)
     except NotApplicableError as err:
         kind = "divergent" if isinstance(err, DivergenceError) else "not applicable"
-        message = [f"{kind}: {err}"]
         summary = {"error": str(err), "exit": EXIT_NOT_APPLICABLE}
-        return _finish(args, "eval", inputs, [], summary, message, message)
+        return _finish(args, "eval", inputs, [], summary, [f"{kind}: {err}"])
 
     code = EXIT_OK if result.status != SummationStatus.MAX_TERMS_REACHED else EXIT_NOT_APPLICABLE
     return _finish(
-        args, "eval", inputs, [_summation_json(result)],
+        args, "eval", inputs, [vars(result)],
         {"status": result.status.value, "exit": code},
-        [
-            "value,terms_used,error_estimate,status",
-            f"{_machine(result.value)},{result.terms_used},"
-            f"{_machine(result.error_estimate)},{result.status.value}",
-        ],
         [
             f"value          {_human(result.value)}",
             f"terms_used     {result.terms_used}",
             f"error_estimate {_human(result.error_estimate)}",
             f"status         {result.status.value}",
+        ],
+        [
+            ("value", "terms_used", "error_estimate", "status"),
+            (_machine(result.value), result.terms_used, _machine(result.error_estimate),
+             result.status.value),
         ],
     )
 
@@ -278,15 +275,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = verify_identity(case, max_terms=args.max_terms)
     except NotApplicableError as err:
-        message = [f"not applicable: {err}"]
         summary = {"not_applicable": str(err), "exit": EXIT_NOT_APPLICABLE}
-        return _finish(args, "verify", inputs, [], summary, message, message)
+        return _finish(args, "verify", inputs, [], summary, [f"not applicable: {err}"])
 
     assert report.summation is not None
     return _finish(
         args, "verify", inputs, [_report_json(report)],
         {"passed": report.passed, "exit": EXIT_OK if report.passed else EXIT_FAILURE},
-        [_REPORT_CSV_HEADER, _report_csv_row(report)],
         [
             f"identity       {identity.value}",
             f"parameters     {_params_text(identity, params) or '(none)'}",
@@ -298,53 +293,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"precondition   {report.precondition_note}",
             f"passed         {'yes' if report.passed else 'NO'}",
         ],
+        [_REPORT_CSV_HEADER, _report_csv_row(report)],
     )
 
 
 # ---------------------------------------------------------------- sweep ----
 
-_REPORT_CSV_HEADER = (
-    "identity,parameters,lhs,rhs,abs_err,rel_err,passed,terms_used,status,note"
-)
+_REPORT_CSV_HEADER = ("identity", "parameters", "lhs", "rhs", "abs_err", "rel_err", "passed",
+                      "terms_used", "status", "note")
 
 
-def _csv_line(fields: Sequence[Any]) -> str:
-    # proper quoting: parameter and note fields may contain commas
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="").writerow(fields)
-    return buffer.getvalue()
-
-
-def _report_csv_row(report: VerificationReport) -> str:
+def _report_csv_row(report: VerificationReport) -> list[Any]:
     case = report.case
     params = _params_text(case.identity, case.parameters)
     if report.passed is None:
-        fields = [case.identity.value, params, "", "", "", "", "na", "", "",
-                  report.precondition_note]
-    else:
-        summ = report.summation
-        fields = [
-            case.identity.value,
-            params,
-            _machine(report.lhs),
-            _machine(report.rhs),
-            _machine(report.abs_err),
-            _machine(report.rel_err),
-            "true" if report.passed else "false",
-            summ.terms_used,
-            summ.status.value,
-            report.precondition_note,
-        ]
-    return _csv_line(fields)
+        return [case.identity.value, params, "", "", "", "", "na", "", "",
+                report.precondition_note]
+    values = map(_machine, (report.lhs, report.rhs, report.abs_err, report.rel_err))
+    return [case.identity.value, params, *values, "true" if report.passed else "false",
+            report.summation.terms_used, report.summation.status.value, report.precondition_note]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     identity = IdentityId(args.identity)
     grid = _parameter_values(identity, args, listy=True)
     reports = sweep(identity, grid, rel_tol=args.rel_tol, max_terms=args.max_terms)
-    n_pass = sum(1 for r in reports if r.passed is True)
-    n_fail = sum(1 for r in reports if r.passed is False)
-    n_na = sum(1 for r in reports if r.passed is None)
+    tally = Counter(r.passed for r in reports)
     human = []
     for r in reports:
         ptxt = _params_text(identity, r.case.parameters)
@@ -356,22 +330,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"{ptxt:<40s} lhs={_human(r.lhs)} rhs={_human(r.rhs)} "
                 f"rel_err={r.rel_err:.3e} {verdict}"
             )
-    human.append(f"passed={n_pass} failed={n_fail} not_applicable={n_na}")
+    human.append(f"passed={tally[True]} failed={tally[False]} not_applicable={tally[None]}")
     return _finish(
-        args, "sweep",
+        args, "sweep", {"identity": identity.value, "grid": grid}, [_report_json(r) for r in reports],
         {
-            "identity": identity.value,
-            "grid": grid,
+            "passed": tally[True],
+            "failed": tally[False],
+            "not_applicable": tally[None],
+            "exit": EXIT_OK if tally[False] == 0 else EXIT_FAILURE,
         },
-        [_report_json(r) for r in reports],
-        {
-            "passed": n_pass,
-            "failed": n_fail,
-            "not_applicable": n_na,
-            "exit": EXIT_OK if n_fail == 0 else EXIT_FAILURE,
-        },
-        [_REPORT_CSV_HEADER, *(_report_csv_row(r) for r in reports)],
         human,
+        [_REPORT_CSV_HEADER, *(_report_csv_row(r) for r in reports)],
     )
 
 
@@ -409,16 +378,14 @@ def _table_entries(rel_tol: float, max_terms: int) -> list[dict[str, Any]]:
 def _cmd_table(args: argparse.Namespace) -> int:
     entries = _table_entries(args.rel_tol, args.max_terms)
     n_fail = sum(1 for e in entries if not e["passed"])
-    csv_lines = ["identity,symbolic,closed,direct,rel_err"]
+    csv_rows: list[Sequence[Any]] = [("identity", "symbolic", "closed", "direct", "rel_err")]
     human = [
         f"{'identity':<8s} {'closed form':<36s} {'closed':<18s} "
         f"{'direct':<18s} {'rel_err':<10s}"
     ]
     for e in entries:
-        csv_lines.append(
-            f"{e['identity']},{e['symbolic']},{_machine(e['closed'])},"
-            f"{_machine(e['direct'])},{_machine(e['rel_err'])}"
-        )
+        csv_rows.append((e["identity"], e["symbolic"],
+                         *(_machine(e[k]) for k in ("closed", "direct", "rel_err"))))
         mark = "" if e["passed"] else "  FAIL"
         human.append(
             f"{e['identity']:<8s} {e['symbolic']:<36s} "
@@ -430,7 +397,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         "failed": n_fail,
         "exit": EXIT_OK if n_fail == 0 else EXIT_FAILURE,
     }
-    return _finish(args, "table", {}, entries, summary, csv_lines, human)
+    return _finish(args, "table", {}, entries, summary, human, csv_rows)
 
 
 # ----------------------------------------------------------------- main ----

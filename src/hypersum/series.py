@@ -113,6 +113,15 @@ class SummationResult:
     error_estimate: float
 
 
+def _require_rel_tol(rel_tol: object) -> float:
+    # nan skips the finiteness check, so that it fails the positivity test
+    # with the same message as 0.
+    value = rel_tol if rel_tol != rel_tol else _require_finite("rel_tol", rel_tol, ConfigError)
+    if not (value > 0.0):
+        raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
+    return value
+
+
 def convergence_margin(spec: SeriesSpec) -> float:
     """Sum of lower parameters minus sum of upper parameters, correctly rounded.
 
@@ -241,17 +250,17 @@ def sum_series(
     a tail, |t_N| (N+1) / s for a p = q + 1 series and |t_N| otherwise, plus
     32 u sum |t_n|; 0 once terminated.
 
-    Raises ConfigError for a rel_tol that is not positive or a max_terms that
-    is not an integer >= 1, DivergenceError for a non-terminating p = q + 1
-    series whose margin is not positive, and RangeError when a term, or for
-    such a series a parameter sum, exceeds the binary64 range.
+    Raises ConfigError for a rel_tol that is not a positive finite number
+    (RangeError past binary64) or a max_terms that is not an integer >= 1,
+    DivergenceError for a non-terminating p = q + 1 series whose margin is
+    not positive, and RangeError when a term, or for such a series a
+    parameter sum, exceeds the binary64 range.
     """
     # Imported here so that callers which never sum, such as CLI calls that
     # end in a usage error or an n/a, do not pay numpy's import time.
     import numpy as np
 
-    if not (rel_tol > 0.0):
-        raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
+    rel_tol = _require_rel_tol(rel_tol)
     max_terms = _require_integer("max_terms", max_terms, 1, ConfigError)
 
     k_term = spec.termination_index

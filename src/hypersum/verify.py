@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     RangeError,
 )
-from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, sum_series
+from .series import DEFAULT_MAX_TERMS, SeriesSpec, SummationResult, _require_rel_tol, sum_series
 from . import theorems
 from .specialfn import _is_nonpositive_integer, _require_finite, _require_integer
 from .theorems import ShiftedPair
@@ -98,8 +98,7 @@ class IdentityCase:
             raise ConfigError(
                 f"{identity.value} expects parameters {sorted(expected)}, got {sorted(got)}"
             )
-        if not (self.rel_tol > 0.0):
-            raise ConfigError(f"rel_tol must be positive, got {self.rel_tol!r}")
+        object.__setattr__(self, "rel_tol", _require_rel_tol(self.rel_tol))
 
     @property
     def spec(self) -> SeriesSpec:
@@ -172,26 +171,20 @@ def _shifted(name: str, x: float, m: int) -> float:
     return shifted
 
 
+def _dixon(a: float, b: float, c: float, note: str) -> _Assembled:
+    # Dixon's well-poised 3F2(a, b, c; 1 + a - b, 1 + a - c; 1).
+    return _Assembled(SeriesSpec((a, b, c), (1 + a - b, 1 + a - c)), 1.0,
+                      theorems.dixon_3f2(a, b, c), note)
+
+
 @_identity(IdentityId.EQ_1_1)
 def _eq1_1(params: Mapping[str, Any]) -> _Assembled:
-    # Dixon at a = b = 1/2, c = 1/4.
-    return _Assembled(
-        SeriesSpec((0.5, 0.5, 0.25), (1.0, 1.25)),
-        1.0,
-        theorems.dixon_3f2(0.5, 0.5, 0.25),
-        "a/2-b-c>-1: -0.5 > -1 (a=b=1/2, c=1/4)",
-    )
+    return _dixon(0.5, 0.5, 0.25, "a/2-b-c>-1: -0.5 > -1 (a=b=1/2, c=1/4)")
 
 
 @_identity(IdentityId.EQ_1_2)
 def _eq1_2(params: Mapping[str, Any]) -> _Assembled:
-    # Dixon at a = 1/2, b = c = 1/4.
-    return _Assembled(
-        SeriesSpec((0.5, 0.25, 0.25), (1.25, 1.25)),
-        1.0,
-        theorems.dixon_3f2(0.5, 0.25, 0.25),
-        "a/2-b-c>-1: -0.25 > -1 (a=1/2, b=c=1/4)",
-    )
+    return _dixon(0.5, 0.25, 0.25, "a/2-b-c>-1: -0.25 > -1 (a=1/2, b=c=1/4)")
 
 
 @_identity(IdentityId.EQ_1_3)
@@ -349,10 +342,11 @@ def sweep(
     Rows appear in row-major order over the grid (the last signature
     parameter varies fastest).  A grid point that raises NotApplicableError
     yields a not-applicable report; a ConfigError propagates, and a malformed
-    max_terms raises one before any point is checked.  An empty grid yields
-    an empty list.
+    rel_tol or max_terms raises one before any point is checked.  An empty
+    grid yields an empty list.
     """
     identity = IdentityId(identity)
+    rel_tol = _require_rel_tol(rel_tol)
     _require_integer("max_terms", max_terms, 1, ConfigError)
     if not grid:
         return []

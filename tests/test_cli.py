@@ -474,6 +474,15 @@ class TestUsage:
         code, _, err = run(capsys, "table", "--rel-tol", "-1")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("eval", "0.5,0.25;1.25"), ("verify", "--identity", "eq1.3"),
+        ("sweep", "--identity", "eq1.1"), ("table",),
+    ], ids=["eval", "verify", "sweep", "table"])
+    def test_infinite_rel_tol(self, capsys, argv):
+        # A tolerance of inf would stop every sum at once and pass every point.
+        code, out, err = run(capsys, *argv, "--rel-tol", "inf")
+        assert (code, out, err) == (1, "", "error: rel_tol must be finite, got inf\n")
+
     def test_non_finite_eval_parameter(self, capsys):
         code, out, err = run(capsys, "eval", "nan;1")
         assert (code, out) == (1, "")

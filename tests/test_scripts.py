@@ -55,6 +55,30 @@ def test_cli_digest():
     assert lines == golden.splitlines()
 
 
+def test_benchmark_trace_hooks_resolve(monkeypatch):
+    # perfbench/run.py --trace 1 wraps each target of spans._targets() with
+    # a plain getattr and times the special functions by name, so a rename
+    # in the package would break the benchmark's traced runs.
+    import hypersum.cli  # spans wraps the CLI's names only once it is imported
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py puts perfbench/ first
+    before = set(sys.modules)
+    try:
+        run = load_module(ROOT / "perfbench" / "run.py")
+        targets = run.spans._targets()
+        timings = run.specialfn_ns(1)
+    finally:
+        for name in {"ops", "spans"} - before:
+            sys.modules.pop(name, None)
+    assert all(hasattr(module, attr) for module, attr, _, _ in targets)
+    cli_attrs = {attr for module, attr, _, _ in targets if module is hypersum.cli}
+    assert cli_attrs == {"sum_series", "verify_identity", "sweep", "main"}
+    assert {name for _, _, name, _ in targets} >= {
+        f"theorems.{fn}" for fn in run.spans.CLOSED_FORMS}
+    assert sorted(timings) == sorted(f"specialfn.{fn}_ns" for fn in run.spans.SPECIAL_FUNCTIONS)
+    assert all(ns > 0 for ns in timings.values())
+
+
 def test_cli_digest_covers_the_benchmark_calls():
     # The digest's BENCHMARK calls are the benchmark's cli workload, verbatim.
     digest = load_module(SCRIPTS / "cli_digest.py")

@@ -763,6 +763,19 @@ class TestDivergenceGate:
         with pytest.raises(ConfigError):
             sum_series(SeriesSpec((0.5,), (1.5,)), rel_tol=0.0)
 
+    @pytest.mark.parametrize("rel_tol,error,message", [
+        (None, ConfigError, "rel_tol must be a real number, got None"),
+        (math.inf, ConfigError, "rel_tol must be finite, got inf"),
+        (-math.inf, ConfigError, "rel_tol must be finite, got -inf"),
+        (10**400, RangeError, "rel_tol must be a real number in the binary64 range, got 1000"),
+        (0, ConfigError, "rel_tol must be positive, got 0"),
+        (math.nan, ConfigError, "rel_tol must be positive, got nan"),
+    ], ids=["None", "inf", "-inf", "huge", "zero", "nan"])
+    def test_rel_tol_is_typed(self, rel_tol, error, message):
+        # An infinite rel_tol would let the first block end stop on anything.
+        with pytest.raises(error, match=f"^{message}"):
+            sum_series(SeriesSpec((0.5, 0.25), (1.25,)), rel_tol=rel_tol)
+
     @pytest.mark.parametrize("max_terms", [math.nan, 2.5, math.inf, -math.inf])
     def test_non_integer_max_terms(self, max_terms):
         with pytest.raises(ConfigError, match="max_terms must be a positive integer, got"):

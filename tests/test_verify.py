@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
@@ -15,12 +16,13 @@ from hypersum.errors import (
     PreconditionError,
     RangeError,
 )
-from hypersum.series import SeriesSpec, SummationStatus
+from hypersum.series import SeriesSpec, SummationResult, SummationStatus
 from hypersum.specialfn import gamma, gamma_ratio
 from hypersum.theorems import ShiftedPair
 from hypersum.verify import (
     IdentityCase,
     IdentityId,
+    VerificationReport,
     builtin_catalog,
     identity_signature,
     sweep,
@@ -45,6 +47,23 @@ class TestIdentityCase:
     def test_rel_tol_positive(self):
         with pytest.raises(ConfigError):
             IdentityCase(IdentityId.EQ_1_1, {}, rel_tol=0.0)
+
+    @pytest.mark.parametrize("rel_tol,error", [
+        (None, ConfigError), (math.inf, ConfigError), (-math.inf, ConfigError),
+        ("x", ConfigError), (10**400, RangeError),
+    ], ids=["None", "inf", "-inf", "str", "huge"])
+    def test_rel_tol_is_typed(self, rel_tol, error):
+        # Checked like every other real argument; sweep checks it before the
+        # grid, so an empty grid raises too.
+        with pytest.raises(error, match="^rel_tol must be"):
+            IdentityCase("eq1.3", {}, rel_tol)
+        with pytest.raises(error, match="^rel_tol must be"):
+            sweep("eq1.1", {}, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("rel_tol", [0, 0.0, -1e-10, math.nan])
+    def test_rel_tol_not_positive_message(self, rel_tol):
+        with pytest.raises(ConfigError, match=re.escape(f"rel_tol must be positive, got {rel_tol!r}")):
+            IdentityCase("eq1.3", {}, rel_tol)
 
     def test_string_identity_accepted(self):
         case = IdentityCase("eq2.6", {"p": 3, "f": 0.7})
@@ -558,22 +577,31 @@ class TestSweep:
         assert report.abs_err <= abs(scale) * summation.error_estimate
 
 
-REPORT_KEYS = {
+REPORT_KEYS = [
     "identity", "parameters", "rel_tol", "lhs", "rhs", "abs_err", "rel_err",
     "passed", "precondition_note", "summation",
-}
-SUMMATION_KEYS = {"value", "terms_used", "status", "error_estimate"}
+]
+SUMMATION_KEYS = ["value", "terms_used", "status", "error_estimate"]
+
+
+def test_json_keys_are_the_dataclass_fields():
+    # The CLI writes a report row as the case's fields, then the report's
+    # without the case, each in declaration order.
+    names = lambda cls: [field.name for field in fields(cls)]
+    assert REPORT_KEYS == names(IdentityCase) + names(VerificationReport)[1:]
+    assert names(VerificationReport)[0] == "case"
+    assert SUMMATION_KEYS == names(SummationResult)
 
 
 def encoded(report):
     """The report as the CLI writes it, after a trip through JSON text."""
     data = json.loads(json.dumps(_report_json(report)))
-    assert set(data) == REPORT_KEYS
+    assert list(data) == REPORT_KEYS
     assert data["passed"] is report.passed
     if report.summation is None:
         assert data["summation"] is None
     else:
-        assert set(data["summation"]) == SUMMATION_KEYS
+        assert list(data["summation"]) == SUMMATION_KEYS
         assert data["summation"]["error_estimate"] == report.summation.error_estimate
     return data
 
