@@ -407,10 +407,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.max_terms < 1:
-            raise ConfigError(f"--max-terms must be >= 1, got {args.max_terms}")
-        if not (args.rel_tol > 0.0):
-            raise ConfigError(f"--rel-tol must be positive, got {args.rel_tol}")
         handler = {
             "eval": _cmd_eval,
             "verify": _cmd_verify,

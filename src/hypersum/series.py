@@ -256,10 +256,6 @@ def sum_series(
     not positive, and RangeError when a term, or for such a series a
     parameter sum, exceeds the binary64 range.
     """
-    # Imported here so that callers which never sum, such as CLI calls that
-    # end in a usage error or an n/a, do not pay numpy's import time.
-    import numpy as np
-
     rel_tol = _require_rel_tol(rel_tol)
     max_terms = _require_integer("max_terms", max_terms, 1, ConfigError)
 
@@ -282,6 +278,9 @@ def sum_series(
     tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
     low, ratios = min((*spec.numerators, *spec.denominators, 1.0)), ()  # ratios not yet used
 
+    # Imported here so that callers which never sum, such as CLI calls that
+    # end in a usage error or an n/a, do not pay numpy's import time.
+    import numpy as np
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
             # A block as wide as the index summed so far doubles the last end.

@@ -8,9 +8,11 @@ Every function returns the closed-form value only; pairing these against
 direct summation is the job of :mod:`hypersum.verify`.  Validity conditions
 are checked strictly and raise PreconditionError (condition violated),
 DegenerateError (parameter collision), or PoleError (gamma pole) rather than
-returning NaN, and a value outside the binary64 range raises RangeError.  A
-real argument that is no number raises ConfigError, and an integer past the
-binary64 range RangeError.
+returning NaN, and a value outside the binary64 range raises RangeError.
+Each real argument is read once, at entry, by ``specialfn._require_finite``
+as "<function> argument <x>": one that is no number raises ConfigError, a
+number past the binary64 range RangeError, and nan or +-inf DomainError.  A
+numeric string is read as its float.
 """
 
 from __future__ import annotations
@@ -19,9 +21,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from .errors import (
-    ConfigError, DegenerateError, DomainError, HypersumError, PreconditionError, RangeError,
-)
+from .errors import ConfigError, DegenerateError, DomainError, PreconditionError, RangeError
 from .specialfn import (
     _is_nonpositive_integer, _require_finite, _require_integer, _shown, gamma, gamma_ratio,
     pochhammer,
@@ -74,20 +74,6 @@ def _g_and_slope(b: float, c: float) -> tuple[float, float]:
     return xg / math.sqrt(b) * math.exp(series), phi
 
 
-_RAW_ERRORS = (TypeError, ValueError, OverflowError)
-
-
-def _argument_error(name: str, error: Exception, **reals: object) -> Exception:
-    # Called where a closed form's arithmetic failed: the typed error of its
-    # first real argument that is no finite real number (ConfigError, or
-    # RangeError past binary64), else the error itself.  The arguments are
-    # checked only then, so a call that succeeds does no extra work.
-    if not isinstance(error, HypersumError):
-        for arg, x in reals.items():
-            _require_finite(f"{name} argument {arg}", x)
-    return error
-
-
 def _finite(name: str, value: float) -> float:
     # A product of finite factors can still overflow to inf, or meet inf - inf
     # or 0 * inf on the way and end as nan.
@@ -132,14 +118,14 @@ def gauss_2f1(a: float, b: float, c: float) -> float:
     Requires c - a - b > 0.  Symmetric in a and b by construction: both
     orderings produce the identical gamma-ratio call.
     """
-    try:
-        # c - (a + b) keeps the call bitwise symmetric in a and b
-        margin = c - (a + b)
-        if not (margin > 0.0):
-            raise PreconditionError(f"c-a-b>0 violated: {margin:.6g} <= 0")
-        return gamma_ratio([c, margin], [c - a, c - b])
-    except _RAW_ERRORS as error:
-        raise _argument_error("gauss_2f1", error, a=a, b=b, c=c)
+    a = _require_finite("gauss_2f1 argument a", a)
+    b = _require_finite("gauss_2f1 argument b", b)
+    c = _require_finite("gauss_2f1 argument c", c)
+    # c - (a + b) keeps the call bitwise symmetric in a and b
+    margin = c - (a + b)
+    if not (margin > 0.0):
+        raise PreconditionError(f"c-a-b>0 violated: {margin:.6g} <= 0")
+    return gamma_ratio([c, margin], [c - a, c - b])
 
 
 def dixon_3f2(a: float, b: float, c: float) -> float:
@@ -149,16 +135,16 @@ def dixon_3f2(a: float, b: float, c: float) -> float:
     [Gamma(1+a) Gamma(1+a/2-b) Gamma(1+a/2-c) Gamma(1+a-b-c)], valid for
     a/2 - b - c > -1.
     """
-    try:
-        half_a = 0.5 * a
-        if not (half_a - b - c > -1.0):
-            raise PreconditionError(f"a/2-b-c>-1 violated: {half_a - b - c:.6g} <= -1")
-        return gamma_ratio(
-            [1.0 + half_a, 1.0 + a - b, 1.0 + a - c, 1.0 + half_a - b - c],
-            [1.0 + a, 1.0 + half_a - b, 1.0 + half_a - c, 1.0 + a - b - c],
-        )
-    except _RAW_ERRORS as error:
-        raise _argument_error("dixon_3f2", error, a=a, b=b, c=c)
+    a = _require_finite("dixon_3f2 argument a", a)
+    b = _require_finite("dixon_3f2 argument b", b)
+    c = _require_finite("dixon_3f2 argument c", c)
+    half_a = 0.5 * a
+    if not (half_a - b - c > -1.0):
+        raise PreconditionError(f"a/2-b-c>-1 violated: {half_a - b - c:.6g} <= -1")
+    return gamma_ratio(
+        [1.0 + half_a, 1.0 + a - b, 1.0 + a - c, 1.0 + half_a - b - c],
+        [1.0 + a, 1.0 + half_a - b, 1.0 + half_a - c, 1.0 + a - b - c],
+    )
 
 
 def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
@@ -171,29 +157,29 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     DegenerateError where (b-c)_m = 0 (b - c in {0, -1, ..., -(m-1)}), as the
     closed form is 0/0 there, and where (1+b-a)_k = 0 for some k < m.
     """
-    try:
-        m = _require_integer("m", m, 1)
-        if not (m + 1.0 - a > 0.0):
-            raise PreconditionError(f"m+1-a>0 violated: {m + 1.0 - a:.6g} <= 0")
-        shift_poch = pochhammer(b - c, m)
-        if shift_poch == 0.0:
-            raise DegenerateError(
-                f"(b-c)_m vanishes for b-c={b - c!r}, m={m}; the b=c limit is "
-                "only available through ratio_sum_extension"
-            )
-        low = 1.0 + b - a
-        if _is_nonpositive_integer(low) and low > -m:
-            raise DegenerateError(f"(1+b-a)_k vanishes for 1+b-a={low!r}, m={m}")
-        inner = 0.0
-        u = 1.0
-        for k in range(m):
-            inner += u
-            u *= ((k + 1.0) - a) * (b - c + k) / ((1.0 + b - a + k) * (k + 1.0))
-        braces = gamma_ratio([c], [1.0 + c - a]) - gamma_ratio([b], [1.0 + b - a]) * inner
-        value = c * gamma(1.0 - a) * pochhammer(b, m) / shift_poch * braces
-        return _finite("contiguous_3f2", value)
-    except _RAW_ERRORS as error:
-        raise _argument_error("contiguous_3f2", error, a=a, b=b, c=c)
+    m = _require_integer("m", m, 1)
+    a = _require_finite("contiguous_3f2 argument a", a)
+    b = _require_finite("contiguous_3f2 argument b", b)
+    c = _require_finite("contiguous_3f2 argument c", c)
+    if not (m + 1.0 - a > 0.0):
+        raise PreconditionError(f"m+1-a>0 violated: {m + 1.0 - a:.6g} <= 0")
+    shift_poch = pochhammer(b - c, m)
+    if shift_poch == 0.0:
+        raise DegenerateError(
+            f"(b-c)_m vanishes for b-c={b - c!r}, m={m}; the b=c limit is "
+            "only available through ratio_sum_extension"
+        )
+    low = 1.0 + b - a
+    if _is_nonpositive_integer(low) and low > -m:
+        raise DegenerateError(f"(1+b-a)_k vanishes for 1+b-a={low!r}, m={m}")
+    inner = 0.0
+    u = 1.0
+    for k in range(m):
+        inner += u
+        u *= ((k + 1.0) - a) * (b - c + k) / ((1.0 + b - a + k) * (k + 1.0))
+    braces = gamma_ratio([c], [1.0 + c - a]) - gamma_ratio([b], [1.0 + b - a]) * inner
+    value = c * gamma(1.0 - a) * pochhammer(b, m) / shift_poch * braces
+    return _finite("contiguous_3f2", value)
 
 
 def ratio_sum_extension(b: float, c: float) -> float:
@@ -204,18 +190,17 @@ def ratio_sum_extension(b: float, c: float) -> float:
     (c phi) expm1(t)/t with t = (b - c) phi, phi from _g_and_slope: one formula
     for every gap, b = c included, free of cancellation and of overflow.
     """
-    try:
-        if not (b > 0.0):
-            raise DomainError(f"b must be positive, got {b!r}")
-        if not (c > 0.0):
-            raise DomainError(f"c must be positive, got {c!r}")
-        low, high = min(b, c), max(b, c)
-        bg, phi = _g_and_slope(low, high)
-        t = (low - high) * phi
-        growth = math.expm1(t) / t if t else 1.0
-        return _finite("ratio_sum_extension", math.sqrt(math.pi) * bg * (high * phi) * growth)
-    except _RAW_ERRORS as error:
-        raise _argument_error("ratio_sum_extension", error, b=b, c=c)
+    b = _require_finite("ratio_sum_extension argument b", b)
+    c = _require_finite("ratio_sum_extension argument c", c)
+    if not (b > 0.0):
+        raise DomainError(f"b must be positive, got {b!r}")
+    if not (c > 0.0):
+        raise DomainError(f"c must be positive, got {c!r}")
+    low, high = min(b, c), max(b, c)
+    bg, phi = _g_and_slope(low, high)
+    t = (low - high) * phi
+    growth = math.expm1(t) / t if t else 1.0
+    return _finite("ratio_sum_extension", math.sqrt(math.pi) * bg * (high * phi) * growth)
 
 
 def _ck_table(pairs: Sequence[ShiftedPair], top: int) -> list[float]:
@@ -272,30 +257,30 @@ def karlsson_minton(
     ``pairs`` holds ShiftedPairs or plain (f, m) pairs; a malformed one
     raises ConfigError, or DegenerateError as ShiftedPair does.
     """
-    try:
-        pairs = _shifted_pairs(pairs)
-        m_total = sum(p.m for p in pairs)
-        margin = c - a - b
-        if not (margin > m_total):
-            raise PreconditionError(f"c-a-b>m violated: {margin:.6g} <= {m_total}")
-        terms = []
-        sign = 1.0
-        poch_a = poch_b = poch_low = 1.0
-        for k, ck in enumerate(_ck_table(pairs, m_total)):
-            if poch_low == 0.0:
-                raise DegenerateError(
-                    f"(1+a+b-c)_k vanishes at k={k}; a+b-c must not be a "
-                    "negative integer of magnitude <= m"
-                )
-            terms.append(sign * poch_a * poch_b * ck / poch_low)
-            sign = -sign
-            poch_a *= a + k
-            poch_b *= b + k
-            poch_low *= 1.0 + a + b - c + k
-        prefactor = gamma_ratio([c, margin], [c - a, c - b])
-        return _finite("karlsson_minton", prefactor * math.fsum(terms))
-    except _RAW_ERRORS as error:
-        raise _argument_error("karlsson_minton", error, a=a, b=b, c=c)
+    pairs = _shifted_pairs(pairs)
+    a = _require_finite("karlsson_minton argument a", a)
+    b = _require_finite("karlsson_minton argument b", b)
+    c = _require_finite("karlsson_minton argument c", c)
+    m_total = sum(p.m for p in pairs)
+    margin = c - a - b
+    if not (margin > m_total):
+        raise PreconditionError(f"c-a-b>m violated: {margin:.6g} <= {m_total}")
+    terms = []
+    sign = 1.0
+    poch_a = poch_b = poch_low = 1.0
+    for k, ck in enumerate(_ck_table(pairs, m_total)):
+        if poch_low == 0.0:
+            raise DegenerateError(
+                f"(1+a+b-c)_k vanishes at k={k}; a+b-c must not be a "
+                "negative integer of magnitude <= m"
+            )
+        terms.append(sign * poch_a * poch_b * ck / poch_low)
+        sign = -sign
+        poch_a *= a + k
+        poch_b *= b + k
+        poch_low *= 1.0 + a + b - c + k
+    prefactor = gamma_ratio([c, margin], [c - a, c - b])
+    return _finite("karlsson_minton", prefactor * math.fsum(terms))
 
 
 def mu_spaced_sum(b: float, mu: float) -> float:
@@ -304,18 +289,17 @@ def mu_spaced_sum(b: float, mu: float) -> float:
     Value: sqrt(pi) Gamma(b/mu) / (mu Gamma(b/mu + 1/2)), from the Gauss
     theorem applied to the equivalent 2F1(1/2, b/mu; b/mu + 1; 1) / b.
     """
-    try:
-        if not (b > 0.0):
-            raise DomainError(f"b must be positive, got {b!r}")
-        if not (mu > 0.0):
-            raise DomainError(f"mu must be positive, got {mu!r}")
-        ratio = _finite("b/mu", b / mu)
-        if ratio == 0.0:
-            raise RangeError(f"b/mu underflows to 0 in binary64 (b={b!r}, mu={mu!r})")
-        # Gamma(r)/(mu Gamma(r + 1/2)) = r g(r) / b for r = b/mu
-        return _finite("mu_spaced_sum", math.sqrt(math.pi) * _g_and_slope(ratio, ratio)[0] / b)
-    except _RAW_ERRORS as error:
-        raise _argument_error("mu_spaced_sum", error, b=b, mu=mu)
+    b = _require_finite("mu_spaced_sum argument b", b)
+    mu = _require_finite("mu_spaced_sum argument mu", mu)
+    if not (b > 0.0):
+        raise DomainError(f"b must be positive, got {b!r}")
+    if not (mu > 0.0):
+        raise DomainError(f"mu must be positive, got {mu!r}")
+    ratio = _finite("b/mu", b / mu)
+    if ratio == 0.0:
+        raise RangeError(f"b/mu underflows to 0 in binary64 (b={b!r}, mu={mu!r})")
+    # Gamma(r)/(mu Gamma(r + 1/2)) = r g(r) / b for r = b/mu
+    return _finite("mu_spaced_sum", math.sqrt(math.pi) * _g_and_slope(ratio, ratio)[0] / b)
 
 
 def s_p(p: int) -> float:
@@ -332,11 +316,9 @@ def weighted_s1(p: int, f: float) -> float:
 
     Value: Gamma(p)/Gamma(p+1/2)^2 * (f + 1/(4(p-1))).
     """
-    try:
-        p = _require_integer("p", p, 2, PreconditionError)
-        return s_p(p) * (f + 0.25 / (p - 1.0))
-    except _RAW_ERRORS as error:
-        raise _argument_error("weighted_s1", error, f=f)
+    p = _require_integer("p", p, 2, PreconditionError)
+    f = _require_finite("weighted_s1 argument f", f)
+    return s_p(p) * (f + 0.25 / (p - 1.0))
 
 
 def weighted_s2(p: int, f: float) -> float:
@@ -345,12 +327,10 @@ def weighted_s2(p: int, f: float) -> float:
     Value: Gamma(p)/Gamma(p+1/2)^2 *
     (f(f+1) + (f+1)/(2(p-1)) + 9/(16(p-1)(p-2))).
     """
-    try:
-        p = _require_integer("p", p, 3, PreconditionError)
-        poly = f * (f + 1.0) + (f + 1.0) / (2.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))
-        return s_p(p) * poly
-    except _RAW_ERRORS as error:
-        raise _argument_error("weighted_s2", error, f=f)
+    p = _require_integer("p", p, 3, PreconditionError)
+    f = _require_finite("weighted_s2 argument f", f)
+    poly = f * (f + 1.0) + (f + 1.0) / (2.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))
+    return _finite("weighted_s2", s_p(p) * poly)
 
 
 def weighted_pair(p: int, f1: float, f2: float) -> float:
@@ -360,9 +340,8 @@ def weighted_pair(p: int, f1: float, f2: float) -> float:
     (f1 f2 + (f1+f2+1)/(4(p-1)) + 9/(16(p-1)(p-2))); symmetric in f1, f2 and
     reduces to weighted_s2 at f2 = f1 + 1.
     """
-    try:
-        p = _require_integer("p", p, 3, PreconditionError)
-        poly = f1 * f2 + (f1 + f2 + 1.0) / (4.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))
-        return s_p(p) * poly
-    except _RAW_ERRORS as error:
-        raise _argument_error("weighted_pair", error, f1=f1, f2=f2)
+    p = _require_integer("p", p, 3, PreconditionError)
+    f1 = _require_finite("weighted_pair argument f1", f1)
+    f2 = _require_finite("weighted_pair argument f2", f2)
+    poly = f1 * f2 + (f1 + f2 + 1.0) / (4.0 * (p - 1.0)) + 9.0 / (16.0 * (p - 1.0) * (p - 2.0))
+    return _finite("weighted_pair", s_p(p) * poly)

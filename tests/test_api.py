@@ -28,3 +28,12 @@ def test_integer_rule_lives_in_specialfn():
     source = Path(hypersum.__file__).resolve().parent
     named = sorted(path.name for path in source.glob("*.py") if "_is_integer" in path.read_text())
     assert named == ["specialfn.py"]
+
+
+def test_raw_argument_errors_are_caught_in_specialfn():
+    # Arguments are read only through specialfn's checkers, the one module
+    # that catches the raw errors float() and int() raise on a bad value.
+    source = Path(hypersum.__file__).resolve().parent
+    triple = "TypeError, ValueError, OverflowError"
+    named = sorted(path.name for path in source.glob("*.py") if triple in path.read_text())
+    assert named == ["specialfn.py"]

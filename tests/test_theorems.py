@@ -532,6 +532,42 @@ def test_integer_past_binary64_is_typed(entry, value, digits):
     assert len(message) < 120
 
 
+# Each closed form's real arguments at its catalog point, then its other arguments.
+REAL_ENTRY_POINTS = {
+    "gauss_2f1": ({"a": 0.5, "b": 0.25, "c": 1.25}, {}),
+    "dixon_3f2": ({"a": 0.5, "b": 0.5, "c": 0.25}, {}),
+    "contiguous_3f2": ({"a": 0.3, "b": 1.7, "c": 0.9}, {"m": 2}),
+    "ratio_sum_extension": ({"b": 0.5, "c": 0.25}, {}),
+    "karlsson_minton": ({"a": 0.4, "b": 0.3, "c": 6.0}, {"pairs": [(1.3, 1), (2.1, 2)]}),
+    "mu_spaced_sum": ({"b": 1.0, "mu": 2.0}, {}),
+    "weighted_s1": ({"f": 0.5}, {"p": 2}),
+    "weighted_s2": ({"f": 0.7}, {"p": 3}),
+    "weighted_pair": ({"f1": 0.3, "f2": 2.2}, {"p": 4}),
+}
+REAL_ARGUMENTS = [(entry, arg) for entry, (reals, _) in REAL_ENTRY_POINTS.items() for arg in reals]
+
+
+@pytest.mark.parametrize("entry, arg", REAL_ARGUMENTS, ids=[f"{e}-{a}" for e, a in REAL_ARGUMENTS])
+def test_real_argument_is_read_at_entry(entry, arg):
+    # Each real argument is read at entry under its own name, whatever the
+    # arithmetic would have made of it.
+    assert len(REAL_ARGUMENTS) == 20
+    reals, others = REAL_ENTRY_POINTS[entry]
+
+    def call(value):
+        return getattr(theorems, entry)(**{**reals, **others, arg: value})
+
+    for value in (None, "x"):
+        with pytest.raises(ConfigError, match=rf"^{entry} argument {arg} must be a real number, got "):
+            call(value)
+    with pytest.raises(RangeError, match=rf"^{entry} argument {arg} must be a real number in the "):
+        call(10**400)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=rf"^{entry} argument {arg} must be finite, got "):
+            call(value)
+    assert call(str(reals[arg])) == call(reals[arg])
+
+
 class TestSpFamily:
     def test_classic_values(self):
         assert theorems.s_p(1) == pytest.approx(4.0 / math.pi, rel=1e-13, abs=0)
@@ -584,6 +620,17 @@ class TestSpFamily:
         assert theorems.weighted_pair(4, 0.3, 2.2) == pytest.approx(
             REF["weighted_pair_4_0.3_2.2"], rel=1e-13, abs=0
         )
+
+    @pytest.mark.parametrize("call", [
+        lambda: theorems.weighted_s2(3, 1e200),
+        lambda: theorems.weighted_pair(3, 1e300, -1e300),
+        lambda: theorems.weighted_pair(3, -1e308, -1e308),
+    ], ids=["s2-inf", "pair-minus-inf", "pair-nan"])
+    def test_weighted_overflow_is_typed(self, call):
+        # Finite f past ~1e154 overflows the polynomial to ±inf, or to nan
+        # where f1 f2 = inf meets f1 + f2 = -inf.
+        with pytest.raises(RangeError, match=r"value is not finite in binary64"):
+            call()
 
     @given(
         st.integers(min_value=3, max_value=9),
