@@ -13,10 +13,11 @@ pairwise summation inside them.  Every block is summed whole, and the stop
 rules are checked at block ends only.  Each block end doubles the last, from
 N = _BLOCK_START to _BLOCK_MAX, and past that the ends are _BLOCK_MAX apart:
 N = 512, 1024, ..., 65536, 131072, ... at 512 and 65536.  The ratios
-t_{n+1}/t_n are built in spans: the first covers the first two blocks, each
-later one a single block.  Each block takes its own running product of its
-ratios, so a span changes no term.  Where every ratio of a block is positive,
-its terms share one sign and sum |t_n| is taken from the block sum.
+t_{n+1}/t_n are built in spans: the first covers the first two blocks, from
+cached indices, each later one a single block.  Each block takes its own
+running product of its ratios, times the term before it past t_0 = 1, so a
+span changes no term.  Where every ratio of a block is positive, its terms
+share one sign and sum |t_n| is taken from the block sum.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
 convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
@@ -61,6 +62,8 @@ _TAIL_SHARE = 2.0**-6
 _SUM_ROUNDING = 32.0 * _UNIT_ROUNDOFF
 _BINOMIAL = [[float(math.comb(m, k)) for k in range(m + 1)] for m in range(_TAIL_TERMS)]
 
+_FIRST_SPAN = None  # (numpy, n, n + 1) for n < 2 _BLOCK_START, read-only; set whole
+
 
 @dataclass(frozen=True)
 class SeriesSpec:
@@ -81,7 +84,8 @@ class SeriesSpec:
         dens = tuple(_require_finite("series parameter", b) for b in denominators)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominators", dens)
-        end = self.termination_index
+        end = min((int(-a) for a in nums if _is_nonpositive_integer(a)), default=None)
+        object.__setattr__(self, "_termination_index", end)  # not a field: ==, hash, repr skip it
         for b in dens:
             if _is_nonpositive_integer(b) and (end is None or end > -b):
                 raise DegenerateError(f"lower parameter {b!r} is a nonpositive integer")
@@ -94,7 +98,7 @@ class SeriesSpec:
     @property
     def termination_index(self) -> int | None:
         """Index k of the last nonzero term, or None if non-terminating."""
-        return min((int(-a) for a in self.numerators if _is_nonpositive_integer(a)), default=None)
+        return self._termination_index
 
 
 class SummationStatus(str, enum.Enum):
@@ -210,16 +214,6 @@ class _AsymptoticTail:
         alt.append(-e[m] if m % 2 else e[m])
 
 
-def _accumulate(total: float, comp: float, x: float) -> tuple[float, float]:
-    # Neumaier two-sum update.
-    y = total + x
-    if abs(total) >= abs(x):
-        comp += (total - y) + x
-    else:
-        comp += (x - y) + total
-    return y, comp
-
-
 def sum_series(
     spec: SeriesSpec,
     rel_tol: float = 1e-12,
@@ -227,11 +221,12 @@ def sum_series(
 ) -> SummationResult:
     """Sum the series directly, term by term.
 
-    Stops when the series terminates (``Terminated``), at ``max_terms``
-    (``MaxTermsReached``), or ``Converged`` on one of two rules, checked for
-    a non-terminating series at each block end N >= 20 (N = _BLOCK_START 2^k
-    up to _BLOCK_MAX, then every _BLOCK_MAX, or the budget; 512 2^k up to
-    65536 with the sizes as set); ``terms_used`` counts t_0..t_N:
+    Caches the first span's indices and skips scaling the first block (module
+    docstring).  Stops when the series terminates (``Terminated``), at
+    ``max_terms`` (``MaxTermsReached``), or ``Converged`` on one of two rules,
+    checked for a non-terminating series at each block end N >= 20 (N =
+    _BLOCK_START 2^k up to _BLOCK_MAX, then every _BLOCK_MAX, or the budget;
+    512 2^k up to 65536 with the sizes as set); ``terms_used`` counts t_0..t_N:
 
     * term test: the block's last three |t_n| are at most rel_tol |S_N|, S_N
       the partial sum; a block of fewer than three terms, only ever the
@@ -261,7 +256,6 @@ def sum_series(
 
     k_term = spec.termination_index
     limit = max_terms if k_term is None else min(k_term + 1, max_terms)
-    first_lower, *lowers = spec.denominators + (1.0,)
 
     # Only a non-terminating p = q + 1 series can diverge or needs a tail.
     tail_series = k_term is None and len(spec.numerators) == len(spec.denominators) + 1
@@ -278,38 +272,53 @@ def sum_series(
     tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
     low, ratios = min((*spec.numerators, *spec.denominators, 1.0)), ()  # ratios not yet used
 
-    # Imported here so that callers which never sum, such as CLI calls that
-    # end in a usage error or an n/a, do not pay numpy's import time.
-    import numpy as np
+    global _FIRST_SPAN
+    if _FIRST_SPAN is None or len(_FIRST_SPAN[1]) < 2 * _BLOCK_START:
+        import numpy as np  # here, so that calls which never sum skip numpy's import
+        idx = np.arange(2 * _BLOCK_START, dtype=np.float64)
+        plus_one = idx + 1.0
+        idx.flags.writeable = plus_one.flags.writeable = False
+        _FIRST_SPAN = np, idx, plus_one
+    np, first_idx, first_plus_one = _FIRST_SPAN
     with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
         while count < limit:
             # A block as wide as the index summed so far doubles the last end.
             width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
             if not len(ratios):
-                # Ratios t_{n+1}/t_n from n = count-1 on, for the first two
-                # blocks at once, later for one block.  The buffer starts
-                # from idx + a_1, which is 1.0 * (idx + a_1) exactly.
-                span = width if count > 1 else min(2 * _BLOCK_START, limit - 1)
-                idx = np.arange(count - 1, count - 1 + span, dtype=np.float64)
-                ratios = idx + spec.numerators[0] if spec.numerators else np.ones(span)
+                # Ratios t_{n+1}/t_n from n = count-1 on, for the first two blocks at
+                # once from the cached indices, later for one block.  The buffer starts
+                # from idx + a_1 (1.0 * (idx + a_1) exactly), the lower 1 comes last.
+                if count > 1:
+                    idx = np.arange(count - 1, count - 1 + width, dtype=np.float64)
+                    plus_one = idx + 1.0
+                else:
+                    span = min(2 * _BLOCK_START, limit - 1)
+                    idx, plus_one = first_idx[:span], first_plus_one[:span]
+                ratios = idx + spec.numerators[0] if spec.numerators else np.ones(len(idx))
                 for a in spec.numerators[1:]:
                     ratios *= idx + a
-                den = idx + first_lower
-                for b in lowers:
-                    den *= idx + b
+                den = plus_one
+                if spec.denominators:
+                    den = idx + spec.denominators[0]
+                    for b in spec.denominators[1:]:
+                        den *= idx + b
+                    den *= plus_one
                 ratios /= den
             # The block's terms overwrite its own ratios.
             terms, ratios = ratios[:width], ratios[width:]
             np.multiply.accumulate(terms, out=terms)
-            terms *= t_last
-            if not math.isfinite(terms[-1]):
+            if t_last != 1.0:  # the first block follows t_0 = 1
+                terms *= t_last
+            t_last = float(terms[-1])
+            if not math.isfinite(t_last):
                 raise RangeError("series terms exceed binary64 range")
             block_sum = float(terms.sum())
             # Past idx = -low every factor idx + a, so every ratio, is positive:
             # the terms share one sign, and |sum t_n| is sum |t_n| exactly.
             abs_sum += abs(block_sum) if count - 1 + low > 0 else float(np.abs(terms).sum())
-            total, comp = _accumulate(total, comp, block_sum)
-            t_last = float(terms[-1])
+            y = total + block_sum  # Neumaier's update of total + comp
+            big, small = (total, block_sum) if abs(total) >= abs(block_sum) else (block_sum, total)
+            total, comp = y, comp + ((big - y) + small)
             count += width
             n_last = count - 1
             if k_term is not None or n_last < _MIN_STOP_INDEX:

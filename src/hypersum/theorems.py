@@ -122,10 +122,12 @@ def gauss_2f1(a: float, b: float, c: float) -> float:
     b = _require_finite("gauss_2f1 argument b", b)
     c = _require_finite("gauss_2f1 argument c", c)
     # c - (a + b) keeps the call bitwise symmetric in a and b
-    margin = c - (a + b)
+    margin, c_a, c_b = c - (a + b), c - a, c - b
     if not (margin > 0.0):
         raise PreconditionError(f"c-a-b>0 violated: {margin:.6g} <= 0")
-    return gamma_ratio([c, margin], [c - a, c - b])
+    if not (math.isfinite(margin) and math.isfinite(c_a) and math.isfinite(c_b)):
+        raise RangeError("gauss_2f1 argument sums exceed binary64 range")
+    return gamma_ratio([c, margin], [c_a, c_b])
 
 
 def dixon_3f2(a: float, b: float, c: float) -> float:
@@ -141,10 +143,13 @@ def dixon_3f2(a: float, b: float, c: float) -> float:
     half_a = 0.5 * a
     if not (half_a - b - c > -1.0):
         raise PreconditionError(f"a/2-b-c>-1 violated: {half_a - b - c:.6g} <= -1")
-    return gamma_ratio(
-        [1.0 + half_a, 1.0 + a - b, 1.0 + a - c, 1.0 + half_a - b - c],
-        [1.0 + a, 1.0 + half_a - b, 1.0 + half_a - c, 1.0 + a - b - c],
-    )
+    nums = [1.0 + half_a, 1.0 + a - b, 1.0 + a - c, 1.0 + half_a - b - c]
+    dens = [1.0 + a, 1.0 + half_a - b, 1.0 + half_a - c, 1.0 + a - b - c]
+    # nums[0], dens[0] cannot overflow; nums[1], dens[1] carry theirs into dens[3], nums[3].
+    if not (math.isfinite(nums[2]) and math.isfinite(nums[3])
+            and math.isfinite(dens[2]) and math.isfinite(dens[3])):
+        raise RangeError("dixon_3f2 argument sums exceed binary64 range")
+    return gamma_ratio(nums, dens)
 
 
 def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
@@ -163,13 +168,15 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     c = _require_finite("contiguous_3f2 argument c", c)
     if not (m + 1.0 - a > 0.0):
         raise PreconditionError(f"m+1-a>0 violated: {m + 1.0 - a:.6g} <= 0")
-    shift_poch = pochhammer(b - c, m)
+    gap, low, c_low = b - c, 1.0 + b - a, 1.0 + c - a
+    if not (math.isfinite(gap) and math.isfinite(low) and math.isfinite(c_low)):
+        raise RangeError("contiguous_3f2 argument sums exceed binary64 range")
+    shift_poch = pochhammer(gap, m)
     if shift_poch == 0.0:
         raise DegenerateError(
-            f"(b-c)_m vanishes for b-c={b - c!r}, m={m}; the b=c limit is "
+            f"(b-c)_m vanishes for b-c={gap!r}, m={m}; the b=c limit is "
             "only available through ratio_sum_extension"
         )
-    low = 1.0 + b - a
     if _is_nonpositive_integer(low) and low > -m:
         raise DegenerateError(f"(1+b-a)_k vanishes for 1+b-a={low!r}, m={m}")
     inner = 0.0
@@ -177,7 +184,7 @@ def contiguous_3f2(a: float, b: float, c: float, m: int) -> float:
     for k in range(m):
         inner += u
         u *= ((k + 1.0) - a) * (b - c + k) / ((1.0 + b - a + k) * (k + 1.0))
-    braces = gamma_ratio([c], [1.0 + c - a]) - gamma_ratio([b], [1.0 + b - a]) * inner
+    braces = gamma_ratio([c], [c_low]) - gamma_ratio([b], [low]) * inner
     value = c * gamma(1.0 - a) * pochhammer(b, m) / shift_poch * braces
     return _finite("contiguous_3f2", value)
 
@@ -262,9 +269,11 @@ def karlsson_minton(
     b = _require_finite("karlsson_minton argument b", b)
     c = _require_finite("karlsson_minton argument c", c)
     m_total = sum(p.m for p in pairs)
-    margin = c - a - b
+    margin, c_a, c_b = c - a - b, c - a, c - b
     if not (margin > m_total):
         raise PreconditionError(f"c-a-b>m violated: {margin:.6g} <= {m_total}")
+    if not (math.isfinite(margin) and math.isfinite(c_a) and math.isfinite(c_b)):
+        raise RangeError("karlsson_minton argument sums exceed binary64 range")
     terms = []
     sign = 1.0
     poch_a = poch_b = poch_low = 1.0
@@ -279,7 +288,7 @@ def karlsson_minton(
         poch_a *= a + k
         poch_b *= b + k
         poch_low *= 1.0 + a + b - c + k
-    prefactor = gamma_ratio([c, margin], [c - a, c - b])
+    prefactor = gamma_ratio([c, margin], [c_a, c_b])
     return _finite("karlsson_minton", prefactor * math.fsum(terms))
 
 

@@ -125,7 +125,7 @@ class VerificationReport:
     summation: SummationResult | None
 
 
-@dataclass(frozen=True)
+@dataclass  # built once per verification and never shared, so not frozen
 class _Assembled:
     spec: SeriesSpec
     scale: float

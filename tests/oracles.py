@@ -30,10 +30,19 @@ from hypersum.series import (
     SummationResult,
     SummationStatus,
     _AsymptoticTail,
-    _accumulate,
     convergence_margin,
 )
 from hypersum.specialfn import _is_integer
+
+
+def _accumulate(total: float, comp: float, x: float) -> tuple[float, float]:
+    # Neumaier two-sum update.
+    y = total + x
+    if abs(total) >= abs(x):
+        comp += (total - y) + x
+    else:
+        comp += (x - y) + total
+    return y, comp
 
 
 def rational_terminating_sum(

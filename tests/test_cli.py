@@ -202,6 +202,19 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == f"not applicable: {message}\n"
 
+    @pytest.mark.parametrize(
+        ("argv", "entry"),
+        [
+            (("eq2.1", "--a", "0.3", "--b", "1e308", "--c=-1e308", "--m", "2"), "contiguous_3f2"),
+            (("eq2.2", "--a=-1e308", "--b", "0.3", "--c", "1e308", "--pairs", "1.3:1"),
+             "karlsson_minton"),
+        ],
+    )
+    def test_overflowing_argument_sums_not_applicable(self, capsys, argv, entry):
+        code, out, _ = run(capsys, "verify", "--identity", *argv)
+        assert code == 2
+        assert out == f"not applicable: {entry} argument sums exceed binary64 range\n"
+
     def test_huge_lower_parameter_sweep_without_traceback(self):
         # At c = 1e17 the tail stays unresolved until the terms have fallen
         # to nothing.

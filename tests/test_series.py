@@ -1,7 +1,9 @@
 """Summation kernel tests, anchored to the exact-rational oracle."""
 
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -74,6 +76,30 @@ class TestSeriesSpec:
         assert SeriesSpec((-3.0, -7.0), (5.0,)).termination_index == 3
         assert SeriesSpec((0.5,), (5.0,)).termination_index is None
         assert SeriesSpec((0.0, 2.0), (5.0,)).termination_index == 0
+
+    def test_termination_index_matches_a_rescan(self):
+        # The index stored at construction against the numerators rescanned.
+        rng = random.Random(20261020)
+        pool = (0.0, -0.0, -1e16, -1.0, -7.0, -4096.0, -2.5, 0.5, 3.0, 1e16)
+        for _ in range(500):
+            nums = [rng.choice(pool) if rng.random() < 0.5 else rng.uniform(-9.0, 9.0)
+                    for _ in range(rng.randint(0, 4))]
+            spec = SeriesSpec(nums, [rng.uniform(0.1, 9.0) for _ in range(len(nums))])
+            rescan = min((int(-a) for a in spec.numerators if a <= 0.0 and a == math.floor(a)),
+                         default=None)
+            assert spec.termination_index == rescan, spec
+
+    def test_stored_termination_index_is_not_a_field(self):
+        spec = SeriesSpec((-3.0, 2.0), (5.0,))
+        assert [field.name for field in dataclasses.fields(SeriesSpec)] == [
+            "numerators", "denominators"
+        ]
+        assert repr(spec) == "SeriesSpec(numerators=(-3.0, 2.0), denominators=(5.0,))"
+        assert spec == SeriesSpec((-3.0, 2.0), (5.0,)) != SeriesSpec((-4.0, 2.0), (5.0,))
+        assert hash(spec) == hash(((-3.0, 2.0), (5.0,)))
+        copied = pickle.loads(pickle.dumps(spec))
+        assert copied == spec and repr(copied) == repr(spec)
+        assert copied.termination_index == 3
 
     def test_nonpositive_integer_denominator_rejected(self):
         with pytest.raises(DegenerateError):
@@ -457,6 +483,21 @@ class TestKernelMatchesReference:
             assert outcomes == {
                 "Converged", "Terminated", "MaxTermsReached", "RangeError", "DivergenceError"
             }, start
+
+    def test_first_span_indices_follow_the_block_start(self, monkeypatch):
+        # The cached first-span indices n and n + 1 cover the first two
+        # blocks at each size, grow with _BLOCK_START, and stay read-only.
+        np = pytest.importorskip("numpy")
+        monkeypatch.setattr(series, "_FIRST_SPAN", None)
+        spec = SeriesSpec((0.5, 0.25), (1.25,))
+        for start in (*self.BLOCK_STARTS, 512):
+            monkeypatch.setattr(series, "_BLOCK_START", start)
+            assert sum_series(spec) == reference_sum_series(spec)
+            handle, idx, plus_one = series._FIRST_SPAN
+            assert handle is np and len(idx) >= 2 * start
+            assert np.array_equal(idx, np.arange(len(idx), dtype=np.float64))
+            assert np.array_equal(plus_one, np.arange(len(idx), dtype=np.float64) + 1)
+            assert not idx.flags.writeable and not plus_one.flags.writeable
 
     @pytest.mark.parametrize("max_terms", [600, _N2 - 24, _N2, _N2 + 1, 70_000])
     @pytest.mark.parametrize("spec", [

@@ -568,6 +568,22 @@ def test_real_argument_is_read_at_entry(entry, arg):
     assert call(str(reals[arg])) == call(reals[arg])
 
 
+# Finite arguments whose sums or differences overflow binary64.
+OVERFLOWING_SUMS = [
+    ("gauss_2f1", (-1e308, 0.25, 1e308)),
+    ("dixon_3f2", (1e308, -1e308, 0.5)),
+    ("karlsson_minton", (-1e308, 0.3, 1e308, [(1.3, 1)])),
+    ("contiguous_3f2", (0.3, 1e308, -1e308, 2)),
+]
+
+
+@pytest.mark.parametrize("entry, args", OVERFLOWING_SUMS, ids=[e for e, _ in OVERFLOWING_SUMS])
+def test_overflowing_argument_sums_are_a_range_error(entry, args):
+    # The closed form names itself, not the special function it would call.
+    with pytest.raises(RangeError, match=rf"^{entry} argument sums exceed binary64 range$"):
+        getattr(theorems, entry)(*args)
+
+
 class TestSpFamily:
     def test_classic_values(self):
         assert theorems.s_p(1) == pytest.approx(4.0 / math.pi, rel=1e-13, abs=0)
