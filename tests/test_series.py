@@ -144,11 +144,14 @@ class TestSeriesSpec:
 
 class TestTermination:
     def test_vandermonde_value(self):
-        # 2F1(-3, 2; 5; 1) = (3)_3/(5)_3 = 2/7, checkable by hand
+        # 2F1(-3, 2; 5; 1) = (3)_3/(5)_3 = 2/7, checkable by hand, as
+        # 1 - 6/5 + 3/5 - 4/35; the estimate is the rounding part alone,
+        # 32 u sum |t_n| with sum |t_n| = 102/35.
         result = sum_series(SeriesSpec((-3.0, 2.0), (5.0,)), rel_tol=1e-6)
         assert result.status is SummationStatus.TERMINATED
         assert result.terms_used == 4
-        assert result.error_estimate == 0.0
+        assert result.error_estimate == pytest.approx(series._SUM_ROUNDING * 102 / 35)
+        assert abs(Fraction(result.value) - Fraction(2, 7)) <= result.error_estimate
         assert result.value == pytest.approx(2.0 / 7.0, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("k", [0, 1, 5, 8])
@@ -156,7 +159,39 @@ class TestTermination:
         result = sum_series(SeriesSpec((-float(k), 1.3), (2.2, 0.7)), rel_tol=1e-10)
         assert result.status is SummationStatus.TERMINATED
         assert result.terms_used == k + 1
-        assert result.error_estimate == 0.0
+        exact = rational_terminating_sum([Fraction(-k), Fraction(1.3)],
+                                         [Fraction(2.2), Fraction(0.7)])
+        assert 0.0 < result.error_estimate
+        assert abs(Fraction(result.value) - exact) <= result.error_estimate
+
+    def test_error_estimate_bounds_the_exact_error(self):
+        # Each terminating sum against its exact rational value, with
+        # termination indices on both sides of _PLAIN_TERMS and up to 600,
+        # parameters in [-50, 50], and every other draw near-cancelling: a
+        # lower parameter within 1e-3 of an upper one; 37 of the 151 values
+        # are off by more than 1e-3 relative.  The first spec sums to
+        # (-37.25)_60 / (3.25)_60 ~ 1.1e-22, its value to 5.9e19.
+        rng = random.Random(20261021)
+        specs = [SeriesSpec((-60.0, 40.5), (3.25,))]
+        bands = ((0, series._PLAIN_TERMS - 1), (series._PLAIN_TERMS, 200), (201, 600))
+        for i in range(150):
+            p = rng.randint(1, 3)
+            nums = [-float(rng.randint(*bands[i % 3]))]
+            nums += [rng.uniform(-50.0, 50.0) for _ in range(p - 1)]
+            dens = [rng.uniform(-50.0, 50.0) for _ in range(rng.randint(max(p - 1, 1), p))]
+            if i % 2 and p > 1:
+                dens[0] = nums[1] + rng.uniform(-1e-3, 1e-3)
+            rng.shuffle(nums)
+            specs.append(SeriesSpec(nums, dens))
+        short = 0
+        for spec in specs:
+            result = sum_series(spec)
+            short += result.terms_used <= series._PLAIN_TERMS
+            assert result.status is SummationStatus.TERMINATED
+            exact = rational_terminating_sum([Fraction(a) for a in spec.numerators],
+                                             [Fraction(b) for b in spec.denominators])
+            assert abs(Fraction(result.value) - exact) <= result.error_estimate, spec
+        assert 40 <= short <= 60
 
     def test_oracle_agreement_50_random_specs(self):
         rng = random.Random(20260810)
@@ -713,6 +748,19 @@ def _gauss_half_half(c: int) -> float:
 def test_term_overflow_is_typed():
     with pytest.raises(RangeError):
         sum_series(SeriesSpec((1e200,), (1e-200,)))
+
+
+@pytest.mark.parametrize("nums,dens,message", [
+    # (1e-200)^2 underflows to a zero divisor at n = 0.
+    ((-2.0, 1.0), (1e-200, 1e-200), "series terms exceed"),
+    # t_1 = t_2 = 1.5e308: finite terms whose sum overflows.
+    ((-2.0, -3.0, 1e10), (4e-308, 1e10), "series sum exceeds"),
+], ids=["zero-divisor", "sum-overflow"])
+def test_short_terminating_overflow_is_typed(nums, dens, message):
+    spec = SeriesSpec(nums, dens)
+    for kernel in (sum_series, reference_sum_series):
+        with pytest.raises(RangeError, match=message):
+            kernel(spec)
 
 
 def _direct_sum(uppers, lowers):
