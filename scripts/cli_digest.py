@@ -102,7 +102,8 @@ VERIFY = (
 
 # Terminating series, one with a nonpositive-integer lower parameter that
 # an upper one ends the series before, one whose 61 terms cancel to ~1e-22
-# against a rounding error of ~1e21, and one cut by its budget; margin-1/2,
+# against a rounding error of ~1e21, one whose 41 finite terms sum past
+# binary64, and one cut by its budget; margin-1/2,
 # small-margin and p = q series; two that run out of budget; divergent and overflowing ones; one whose tail model starts
 # past the int64 range; two whose parameter sums overflow and one whose
 # model index 4|c1| does; a budget past the binary64 range.
@@ -111,6 +112,7 @@ EVAL = (
     ("-2.5,1;3",),
     ("-2,0.5;-5",),
     ("-60,40.5;3.25",),
+    ("-40,-41,1e10;1.4e-308,7.8e12",),
     ("-40,0.5;1.5", "--max-terms", "10"),
     (_EQ13,),
     ("0.5,0.45;1.05",),

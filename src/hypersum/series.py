@@ -8,18 +8,20 @@ The summation kernel runs the term recurrence
 
     t_0 = 1,   t_{n+1} = t_n * prod(a_i + n) / (prod(b_j + n) * (n + 1))
 
-in numpy blocks with compensated (Neumaier) accumulation across blocks and
+in blocks with compensated (Neumaier) accumulation across blocks and
 pairwise summation inside them.  Every block is summed whole, and the stop
 rules are checked at block ends only.  Each block end doubles the last, from
 N = _BLOCK_START to _BLOCK_MAX, and past that the ends are _BLOCK_MAX apart:
-N = 512, 1024, ..., 65536, 131072, ... at 512 and 65536.  The ratios
-t_{n+1}/t_n are built in spans: the first covers the first two blocks, from
-cached indices, each later one a single block.  Each block takes its own
-running product of its ratios, times the term before it past t_0 = 1, so a
-span changes no term.  Where every ratio of a block is positive, its terms
-share one sign and sum |t_n| is taken from the block sum.  numpy is imported
-at the first block; a terminating sum of at most _PLAIN_TERMS terms builds
-none, and takes the fsum of the same terms computed in plain floats.
+N = 512, 1024, ..., 65536, 131072, ... at 512 and 65536.  Each block takes
+its own running product of its ratios t_{n+1}/t_n, times the term before it
+past t_0 = 1.  Where every ratio of a block is positive, its terms share one
+sign and sum |t_n| is taken from the block sum.  Two builders give a block
+the same bits: numpy calls, whose ratios come in spans (the first two blocks
+from cached indices, then one block each), and a plain-float loop with
+numpy's operations in numpy's order and numpy's pairwise add.reduce.  Blocks
+are built in plain floats until numpy is loaded or _PLAIN_BUDGET terms are
+built so, then with numpy, imported at that block end.  A terminating sum of
+at most _PLAIN_TERMS terms takes the fsum of plain terms.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
 convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
@@ -31,7 +33,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import sys
 from dataclasses import dataclass
+from functools import reduce
 from collections.abc import Sequence
 
 from .errors import ConfigError, DegenerateError, DivergenceError, DomainError, RangeError
@@ -66,10 +70,12 @@ _BINOMIAL = [[float(math.comb(m, k)) for k in range(m + 1)] for m in range(_TAIL
 
 _FIRST_SPAN = None  # (numpy, n, n + 1) for n < 2 _BLOCK_START, read-only; set whole
 
-# Terminating sums of at most _PLAIN_TERMS terms skip numpy: plain floats took
-# 11-15 us against a loaded numpy's 12-15 at 28 terms of a 2F1 or 3F2, 12-17
-# against 12-21 at 32 and 47-60 against 12-15 at 128 (Python 3.11, 2 vCPUs).
-_PLAIN_TERMS = 32
+_PLAIN_TERMS = 32  # terminating sums of at most this many terms take an fsum
+
+# Blocks are built in plain floats until numpy is loaded or _PLAIN_BUDGET terms
+# are built so: numpy's ~55 ms in a CLI call over 0.31-0.52 us per plain term.
+_PLAIN_BUDGET = 2**17
+_plain_built = 0
 
 
 @dataclass(frozen=True)
@@ -221,19 +227,43 @@ class _AsymptoticTail:
         alt.append(-e[m] if m % 2 else e[m])
 
 
-def _sum_plain(spec: SeriesSpec, limit: int, terminated: bool) -> SummationResult:
-    """A short terminating sum: the numpy block's terms bit for bit, then fsum."""
-    terms, t_n = [1.0], 1.0
-    for n in range(limit - 1):
-        num = den = 1.0
-        for a in spec.numerators:
+def _plain_terms(spec: SeriesSpec, start: int, width: int, t_last: float) -> list[float]:
+    """t_(start+1)..t_(start+width) after t_start = t_last, bit for bit as a numpy block:
+    ratios (numerators, lower parameters, n + 1, divide), running product, x t_last."""
+    (a0, *upper), (b0, *lower) = spec.numerators or (None,), (*spec.denominators, 1.0)
+    terms, t = [], 1.0
+    for n in range(start, start + width):
+        num, den = 1.0 if a0 is None else n + a0, n + b0
+        for a in upper:
             num *= n + a
-        for b in spec.denominators:
+        for b in lower:
             den *= n + b
-        den *= n + 1.0
-        t_n *= num / den if den else math.inf  # numpy's x / 0 is not finite either
-        terms.append(t_n)
-    if not math.isfinite(t_n):
+        t *= num / den if den else math.inf  # numpy's x / 0 is not finite either
+        terms.append(t * t_last)
+    return terms
+
+
+def _pairwise(x: list[float], lo: int, n: int) -> float:
+    """numpy's pairwise float64 sum of x[lo:lo+n]; np.add.reduce is 0.0 plus it."""
+    if n < 8:
+        return reduce(operator.add, x[lo:lo + n], 0.0)
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [reduce(operator.add, x[j:end:8]) for j in range(lo, lo + 8)]
+        r = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(operator.add, x[end:lo + n], r)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
+
+
+def _plain_next() -> bool:  # build the next block in plain floats
+    return _plain_built < _PLAIN_BUDGET and "numpy" not in sys.modules
+
+
+def _sum_plain(spec: SeriesSpec, limit: int, terminated: bool) -> SummationResult:
+    """A short terminating sum: the plain builder's terms, then fsum."""
+    terms = [1.0, *_plain_terms(spec, 0, limit - 1, 1.0)]
+    if not math.isfinite(t_n := terms[-1]):
         raise RangeError("series terms exceed binary64 range")
     try:
         value = math.fsum(terms)
@@ -252,8 +282,8 @@ def sum_series(
 ) -> SummationResult:
     """Sum the series directly, term by term.
 
-    Caches the first span's indices, skips scaling the first block and sums a
-    short terminating series without numpy (module docstring).  Stops when the
+    Builds blocks without numpy until numpy's import pays for itself, and sums
+    a short terminating series by fsum (module docstring).  Stops when the
     series terminates (``Terminated``), at ``max_terms``
     (``MaxTermsReached``), or ``Converged`` on one of two rules,
     checked for a non-terminating series at each block end N >= 20 (N =
@@ -280,8 +310,8 @@ def sum_series(
     Raises ConfigError for a rel_tol that is not a positive finite number
     (RangeError past binary64) or a max_terms that is not an integer >= 1,
     DivergenceError for a non-terminating p = q + 1 series whose margin is
-    not positive, and RangeError when a term, a short terminating sum, or for
-    such a series a parameter sum, exceeds the binary64 range.
+    not positive, and RangeError when a term, a partial sum, or for such a
+    series a parameter sum, exceeds the binary64 range.
     """
     rel_tol = _require_rel_tol(rel_tol)
     max_terms = _require_integer("max_terms", max_terms, 1, ConfigError)
@@ -306,53 +336,64 @@ def sum_series(
     tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
     low, ratios = min((*spec.numerators, *spec.denominators, 1.0)), ()  # ratios not yet used
 
-    global _FIRST_SPAN
-    if _FIRST_SPAN is None or len(_FIRST_SPAN[1]) < 2 * _BLOCK_START:
-        import numpy as np  # here, so that calls which never sum skip numpy's import
-        idx = np.arange(2 * _BLOCK_START, dtype=np.float64)
-        plus_one = idx + 1.0
-        idx.flags.writeable = plus_one.flags.writeable = False
-        _FIRST_SPAN = np, idx, plus_one
-    np, first_idx, first_plus_one = _FIRST_SPAN
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+    global _FIRST_SPAN, _plain_built
+    np = None  # numpy, from this sum's first numpy block on
+    try:
         while count < limit:
             # A block as wide as the index summed so far doubles the last end.
             width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
-            if not len(ratios):
-                # Ratios t_{n+1}/t_n from n = count-1 on, for the first two blocks at
-                # once from the cached indices, later for one block.  The buffer starts
-                # from idx + a_1 (1.0 * (idx + a_1) exactly), the lower 1 comes last.
-                if count > 1:
-                    idx = np.arange(count - 1, count - 1 + width, dtype=np.float64)
-                    plus_one = idx + 1.0
-                else:
-                    span = min(2 * _BLOCK_START, limit - 1)
-                    idx, plus_one = first_idx[:span], first_plus_one[:span]
-                ratios = idx + spec.numerators[0] if spec.numerators else np.ones(len(idx))
-                for a in spec.numerators[1:]:
-                    ratios *= idx + a
-                den = plus_one
-                if spec.denominators:
-                    den = idx + spec.denominators[0]
-                    for b in spec.denominators[1:]:
-                        den *= idx + b
-                    den *= plus_one
-                ratios /= den
-            # The block's terms overwrite its own ratios.
-            terms, ratios = ratios[:width], ratios[width:]
-            np.multiply.accumulate(terms, out=terms)
-            if t_last != 1.0:  # the first block follows t_0 = 1
-                terms *= t_last
-            t_last = float(terms[-1])
-            if not math.isfinite(t_last):
+            if np is None and _FIRST_SPAN is None and _plain_next():
+                terms = _plain_terms(spec, count - 1, width, t_last)
+                _plain_built += width
+                block_sum, last = 0.0 + _pairwise(terms, 0, width), terms[-3:]
+            else:
+                if np is None:  # numpy's import waits for a process's first numpy block
+                    if _FIRST_SPAN is None or len(_FIRST_SPAN[1]) < 2 * _BLOCK_START:
+                        import numpy as np
+                        idx = np.arange(2 * _BLOCK_START, dtype=np.float64)
+                        plus_one = idx + 1.0
+                        idx.flags.writeable = plus_one.flags.writeable = False
+                        _FIRST_SPAN = np, idx, plus_one
+                    np, first_idx, first_plus_one = _FIRST_SPAN
+                    errstate = np.errstate(all="ignore")
+                    errstate.__enter__()
+                if not len(ratios):
+                    # Ratios t_{n+1}/t_n from n = count-1 on, for the first two blocks
+                    # at once from the cached indices, later for one block.  The buffer
+                    # starts from idx + a_1 (1.0 * (idx + a_1) exactly), the lower 1 last.
+                    if count > 1:
+                        idx = np.arange(count - 1, count - 1 + width, dtype=np.float64)
+                        plus_one = idx + 1.0
+                    else:
+                        span = min(2 * _BLOCK_START, limit - 1)
+                        idx, plus_one = first_idx[:span], first_plus_one[:span]
+                    ratios = idx + spec.numerators[0] if spec.numerators else np.ones(len(idx))
+                    for a in spec.numerators[1:]:
+                        ratios *= idx + a
+                    den = plus_one
+                    if spec.denominators:
+                        den = idx + spec.denominators[0]
+                        for b in spec.denominators[1:]:
+                            den *= idx + b
+                        den *= plus_one
+                    ratios /= den
+                # The block's terms overwrite its own ratios.
+                terms, ratios = ratios[:width], ratios[width:]
+                np.multiply.accumulate(terms, out=terms)
+                if t_last != 1.0:  # the first block follows t_0 = 1
+                    terms *= t_last
+                block_sum, last = float(terms.sum()), terms[-3:].tolist()
+            if not math.isfinite(t_last := last[-1]):
                 raise RangeError("series terms exceed binary64 range")
-            block_sum = float(terms.sum())
             # Past idx = -low every factor idx + a, so every ratio, is positive:
             # the terms share one sign, and |sum t_n| is sum |t_n| exactly.
-            abs_sum += abs(block_sum) if count - 1 + low > 0 else float(np.abs(terms).sum())
+            abs_sum += (abs(block_sum) if count - 1 + low > 0 else float(np.abs(terms).sum())
+                        if np else 0.0 + _pairwise([*map(abs, terms)], 0, width))
             y = total + block_sum  # Neumaier's update of total + comp
             big, small = (total, block_sum) if abs(total) >= abs(block_sum) else (block_sum, total)
             total, comp = y, comp + ((big - y) + small)
+            if not math.isfinite(total):
+                raise RangeError("series sum exceeds binary64 range")
             count += width
             n_last = count - 1
             if k_term is not None or n_last < _MIN_STOP_INDEX:
@@ -361,7 +402,7 @@ def sum_series(
             scale = rel_tol * abs(partial)
             if tail_series:
                 tail = tail_at(t_last, n_last, scale)
-            if (width >= 3 and max(map(abs, terms[-3:].tolist())) <= scale
+            if (width >= 3 and max(map(abs, last)) <= scale
                     and (tail is not None or not tail_series)):
                 converged = True
                 break
@@ -375,6 +416,9 @@ def sum_series(
                 if drift + tail[1] + _SUM_ROUNDING * abs_sum <= rel_tol * abs(value):
                     converged = True
                     break
+    finally:
+        if np is not None:
+            errstate.__exit__(None, None, None)
 
     value, error = total + comp, _SUM_ROUNDING * abs_sum
     if k_term is not None and count == k_term + 1:

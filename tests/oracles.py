@@ -220,6 +220,8 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
                 raise RangeError("series terms exceed binary64 range")
             abs_sum += float(np.sum(np.abs(terms)))
             total, comp = _accumulate(total, comp, float(np.sum(terms)))
+            if not math.isfinite(total):
+                raise RangeError("series sum exceeds binary64 range")
             t_last = float(terms[-1])
             n_last = end
             drift = 0.0

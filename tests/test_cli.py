@@ -467,25 +467,34 @@ class TestJsonDocument:
 class TestUsage:
     def test_import_skips_numpy_and_fractions(self):
         # Calls that never sum, such as usage errors, skip numpy's import, and
-        # so do short terminating sums, here of 4 terms; the first sum that
-        # builds a numpy block loads it.  One process runs the calls in turn.
+        # so do the sums of the benchmark's calls: their blocks are built in
+        # plain floats.  Once _PLAIN_BUDGET is spent the next sum loads numpy,
+        # so the test cannot pass vacuously.  One process runs the calls in turn.
         calls = [
             [],
             ["eval", "-3,2;5"],
             ["verify", "--identity", "eq2.1", "--a", "-3", "--b", "1.7", "--c", "0.9",
              "--m", "2"],
             ["eval", "0.5,0.25;1.25"],
+            ["verify", "--identity", "eq1.3"],
+            ["table"],
+            ["sweep", "--identity", "eq2.7", "--p", "2,4,6", "--f", "0.7"],
+            None,
+            ["eval", "0.5,0.25;1.25"],
         ]
         proc = run_python(
             "-c",
             "import contextlib, io, sys, hypersum.cli\n"
             f"for argv in {calls!r}:\n"
+            "    if argv is None:\n"
+            "        hypersum.series._PLAIN_BUDGET = 0\n"
+            "        continue\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        code = argv and hypersum.cli.main(argv)\n"
             "    print(code, sorted({'numpy', 'fractions'} & set(sys.modules)))\n",
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[] []", "0 []", "0 []", "0 ['numpy']"]
+        assert proc.stdout.splitlines() == ["[] []", *["0 []"] * 6, "0 ['numpy']"]
 
     def test_no_command(self, capsys):
         code, _, err = run(capsys)

@@ -609,6 +609,98 @@ class TestKernelMatchesReference:
         assert sum_series(spec, rel_tol=1e-12) == want
 
 
+def _force_builder(monkeypatch, budget):
+    # The next sums build their blocks in plain floats until ``budget`` terms
+    # are built so, then with numpy, whether or not numpy is loaded.
+    monkeypatch.setattr(series, "_FIRST_SPAN", None)
+    monkeypatch.setattr(series, "_plain_built", 0)
+    monkeypatch.setattr(series, "_plain_next", lambda: series._plain_built < budget)
+
+
+def _differential_spec(rng: random.Random) -> SeriesSpec:
+    # p <= 4; parameters below -20 and lower ones within 1e-9 to 1e-4 of a
+    # pole; mostly p = q + 1 series of margin 0.05-2; a quarter terminating
+    # after more than _PLAIN_TERMS terms.
+    def param():
+        r = rng.random()
+        if r < 0.25:
+            return rng.uniform(-60.0, -20.0)
+        if r < 0.4:
+            return -rng.randint(0, 40) + rng.choice((1e-9, -1e-9, 1e-4, -1e-4))
+        return rng.uniform(-5.0, 8.0)
+
+    p = rng.randint(0, 4)
+    q = p - 1 if p > 1 and rng.random() < 0.6 else rng.randint(max(p - 1, 0), p + 1)
+    nums, dens = [param() for _ in range(p)], [param() for _ in range(q)]
+    if dens and p == q + 1 and rng.random() < 0.9:
+        dens[-1] = math.fsum(nums) - math.fsum(dens[:-1]) + rng.uniform(0.05, 2.0)
+    if nums and rng.random() < 0.25:
+        nums[0] = -float(rng.randint(series._PLAIN_TERMS + 1, 3000))
+    return SeriesSpec(nums, dens)
+
+
+def _exact_outcome(spec, rel_tol, max_terms):
+    # The status and every field of the result exactly, or the error's type
+    # and message.
+    try:
+        result = sum_series(spec, rel_tol=rel_tol, max_terms=max_terms)
+    except HypersumError as err:
+        return type(err).__name__, str(err)
+    return result.status.value, repr(result)
+
+
+class TestPlainBuilder:
+    """The plain-float block builder against the numpy one, bit for bit."""
+
+    def test_pairwise_is_numpys_reduction_order(self):
+        # Mixed signs over 16 decades, so that the order of the additions
+        # shows in the bits: most of these sums are not correctly rounded.
+        np = pytest.importorskip("numpy")
+        rng = random.Random(20261021)
+        inexact = 0
+        for n in (*range(1, 301), 512, 513, 1024, 1025, 65536):
+            x = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(n)]
+            want = float(np.add.reduce(np.array(x, dtype=np.float64)))
+            assert (0.0 + series._pairwise(x, 0, n)).hex() == want.hex(), n
+            inexact += math.fsum(x) != want
+        assert inexact > 100
+
+    def test_builders_agree(self, monkeypatch):
+        # Each spec summed by numpy alone, in plain floats alone, and with a
+        # plain budget that may run out at any block end.
+        pytest.importorskip("numpy")
+        rng = random.Random(20261022)
+        budgets = (1, 20, 33, 512, 513, 1025, 1500, 5000, 20_000, 20_000)
+        switched, outcomes = 0, set()
+        for _ in range(480):
+            try:
+                spec = _differential_spec(rng)
+            except DegenerateError:
+                continue
+            rel_tol, max_terms = 10.0 ** -rng.uniform(6.0, 13.0), rng.choice(budgets)
+            _force_builder(monkeypatch, 0)
+            want = _exact_outcome(spec, rel_tol, max_terms)
+            _force_builder(monkeypatch, math.inf)
+            assert _exact_outcome(spec, rel_tol, max_terms) == want, (spec, rel_tol, max_terms)
+            _force_builder(monkeypatch, rng.choice((1, 512, 600, 1024, 3000)))
+            assert _exact_outcome(spec, rel_tol, max_terms) == want, (spec, rel_tol, max_terms)
+            switched += series._FIRST_SPAN is not None and series._plain_built > 0
+            outcomes.add(want[0])
+        assert switched >= 40
+        assert outcomes >= {"Converged", "Terminated", "MaxTermsReached", "RangeError",
+                            "DivergenceError"}
+
+    @pytest.mark.parametrize("budget", [0, math.inf], ids=["numpy", "plain"])
+    def test_block_sum_overflow_is_typed(self, monkeypatch, budget):
+        # 41 finite terms, of which t_1 and t_2 are ~1.5e308: their sum overflows.
+        spec = SeriesSpec((-40.0, -41.0, 1e10), (1.4e-308, 7.8e12))
+        _force_builder(monkeypatch, budget)
+        with pytest.raises(RangeError, match="series sum exceeds binary64 range"):
+            sum_series(spec)
+        with pytest.raises(RangeError, match="series sum exceeds binary64 range"):
+            reference_sum_series(spec)
+
+
 def _terms_and_sums(spec, n_max):
     # (t_n, S_n) for n = 0..n_max, one term at a time in binary64: close
     # enough to the kernel's values to place them against a rel_tol.
