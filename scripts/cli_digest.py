@@ -53,8 +53,9 @@ BENCHMARK = (
 # b-c = -200, m = 300, although its first 200 factors overflow.  Two eq2.3
 # points have b and c within a relative 1.5e-8 and 2e-8.  The last eq1.6
 # and eq2.3 points have large b/mu and b = c; at b = c = 1e12 the series
-# still runs out of budget.  The last three points give an integer
-# parameter past the binary64 range.
+# still runs out of budget.  One eq1.6 point has b/mu underflow to 0, and one
+# eq2.3 point has b = c below the normal range.  The last three points give
+# an integer parameter past the binary64 range.
 VERIFY = (
     ("eq1.1",),
     ("eq1.2",),
@@ -63,6 +64,7 @@ VERIFY = (
     ("eq1.6", "--b", "-1", "--mu", "2"),
     ("eq1.6", "--b", "1", "--mu", "0"),
     ("eq1.6", "--b", "1e300", "--mu", "1e-10"),
+    ("eq1.6", "--b", "1e-300", "--mu", "1e300"),
     ("eq1.6", "--b", "1", "--mu", "1e-6"),
     ("eq2.1", "--a", "0.3", "--b", "1.7", "--c", "0.9", "--m", "2"),
     ("eq2.1", "--a", "3.5", "--b", "1.7", "--c", "0.9", "--m", "2"),
@@ -78,6 +80,7 @@ VERIFY = (
     ("eq2.3", "--b", "0.5", "--c", "0.25"),
     ("eq2.3", "--b", "-0.5", "--c", "0.25"),
     ("eq2.3", "--b", "1e160", "--c", "0.25"),
+    ("eq2.3", "--b", "1e-310", "--c", "1e-310"),
     ("eq2.3", "--b", "0.25", "--c", "0.25000000375"),
     ("eq2.3", "--b", "3", "--c", "3.00000006"),
     ("eq2.3", "--b", "1e6", "--c", "1e6"),

@@ -20,8 +20,7 @@ the same bits: numpy calls, whose ratios come in spans (the first two blocks
 from cached indices, then one block each), and a plain-float loop with
 numpy's operations in numpy's order and numpy's pairwise add.reduce.  Blocks
 are built in plain floats until numpy is loaded or _PLAIN_BUDGET terms are
-built so, then with numpy, imported at that block end.  A terminating sum of
-at most _PLAIN_TERMS terms takes the fsum of plain terms.
+built so, then with numpy, imported at that block end.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
 convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
@@ -69,8 +68,6 @@ _SUM_ROUNDING = 32.0 * _UNIT_ROUNDOFF
 _BINOMIAL = [[float(math.comb(m, k)) for k in range(m + 1)] for m in range(_TAIL_TERMS)]
 
 _FIRST_SPAN = None  # (numpy, n, n + 1) for n < 2 _BLOCK_START, read-only; set whole
-
-_PLAIN_TERMS = 32  # terminating sums of at most this many terms take an fsum
 
 # Blocks are built in plain floats until numpy is loaded or _PLAIN_BUDGET terms
 # are built so: numpy's ~55 ms in a CLI call over 0.31-0.52 us per plain term.
@@ -260,21 +257,6 @@ def _plain_next() -> bool:  # build the next block in plain floats
     return _plain_built < _PLAIN_BUDGET and "numpy" not in sys.modules
 
 
-def _sum_plain(spec: SeriesSpec, limit: int, terminated: bool) -> SummationResult:
-    """A short terminating sum: the plain builder's terms, then fsum."""
-    terms = [1.0, *_plain_terms(spec, 0, limit - 1, 1.0)]
-    if not math.isfinite(t_n := terms[-1]):
-        raise RangeError("series terms exceed binary64 range")
-    try:
-        value = math.fsum(terms)
-    except OverflowError:  # fsum's intermediate overflow
-        raise RangeError("series sum exceeds binary64 range") from None
-    error = _SUM_ROUNDING * sum(map(abs, terms))
-    if terminated:
-        return SummationResult(value, limit, SummationStatus.TERMINATED, error)
-    return SummationResult(value, limit, SummationStatus.MAX_TERMS_REACHED, abs(t_n) + error)
-
-
 def sum_series(
     spec: SeriesSpec,
     rel_tol: float = 1e-12,
@@ -282,10 +264,9 @@ def sum_series(
 ) -> SummationResult:
     """Sum the series directly, term by term.
 
-    Builds blocks without numpy until numpy's import pays for itself, and sums
-    a short terminating series by fsum (module docstring).  Stops when the
-    series terminates (``Terminated``), at ``max_terms``
-    (``MaxTermsReached``), or ``Converged`` on one of two rules,
+    Builds blocks without numpy until numpy's import pays for itself (module
+    docstring).  Stops when the series terminates (``Terminated``), at
+    ``max_terms`` (``MaxTermsReached``), or ``Converged`` on one of two rules,
     checked for a non-terminating series at each block end N >= 20 (N =
     _BLOCK_START 2^k up to _BLOCK_MAX, then every _BLOCK_MAX, or the budget;
     512 2^k up to 65536 with the sizes as set); ``terms_used`` counts t_0..t_N:
@@ -318,8 +299,6 @@ def sum_series(
 
     k_term = spec.termination_index
     limit = max_terms if k_term is None else min(k_term + 1, max_terms)
-    if k_term is not None and limit <= _PLAIN_TERMS:
-        return _sum_plain(spec, limit, limit == k_term + 1)
 
     # Only a non-terminating p = q + 1 series can diverge or needs a tail.
     tail_series = k_term is None and len(spec.numerators) == len(spec.denominators) + 1
@@ -342,7 +321,7 @@ def sum_series(
         while count < limit:
             # A block as wide as the index summed so far doubles the last end.
             width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
-            if np is None and _FIRST_SPAN is None and _plain_next():
+            if _plain_next():  # false once numpy is loaded, as it is where np or _FIRST_SPAN is set
                 terms = _plain_terms(spec, count - 1, width, t_last)
                 _plain_built += width
                 block_sum, last = 0.0 + _pairwise(terms, 0, width), terms[-3:]

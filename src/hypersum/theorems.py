@@ -204,6 +204,10 @@ def ratio_sum_extension(b: float, c: float) -> float:
     if not (c > 0.0):
         raise DomainError(f"c must be positive, got {c!r}")
     low, high = min(b, c), max(b, c)
+    # S rounds to 1 here, where phi's step 1/b can overflow: each term past
+    # n = 0 is at most (1/2)_n/n! low/n, so 0 <= S - 1 <= 2 ln 2 low < 2^-53.
+    if low <= 2.0**-54:
+        return 1.0
     bg, phi = _g_and_slope(low, high)
     t = (low - high) * phi
     growth = math.expm1(t) / t if t else 1.0
@@ -305,8 +309,8 @@ def mu_spaced_sum(b: float, mu: float) -> float:
     if not (mu > 0.0):
         raise DomainError(f"mu must be positive, got {mu!r}")
     ratio = _finite("b/mu", b / mu)
-    if ratio == 0.0:
-        raise RangeError(f"b/mu underflows to 0 in binary64 (b={b!r}, mu={mu!r})")
+    if ratio == 0.0:  # r g(r) = (1 + O(r)) / sqrt(pi), and r is below 2^-1074
+        return _finite("mu_spaced_sum", 1.0 / b)
     # Gamma(r)/(mu Gamma(r + 1/2)) = r g(r) / b for r = b/mu
     return _finite("mu_spaced_sum", math.sqrt(math.pi) * _g_and_slope(ratio, ratio)[0] / b)
 

@@ -11,9 +11,9 @@ accuracy is pinned against mpmath separately, and its Neumaier update, so it
 checks the block body and the stop rules only.  ``block_ends`` states the
 kernel's block geometry for the loop and for the tests that place a stop or
 a budget against it.  Both read the block sizes, the first index the stop
-rules may fire at, the rounding bound and the longest terminating sum that
-skips the blocks from ``hypersum.series`` at call time, so the comparison,
-and each test stated through ``block_ends``, holds if those change.
+rules may fire at and the rounding bound from ``hypersum.series`` at call
+time, so the comparison, and each test stated through ``block_ends``, holds
+if those change.
 """
 
 from __future__ import annotations
@@ -142,30 +142,6 @@ def block_ends(max_terms=series.DEFAULT_MAX_TERMS):
         yield n
 
 
-def _short_terminating_sum(spec, limit, k_term, rounding):
-    # The same terms as one numpy block, summed correctly rounded (fsum); the
-    # estimate is the rounding part of E(N), sum |t_n| taken left to right,
-    # plus |t_N| where the budget cuts the series.
-    idx = np.arange(limit - 1, dtype=np.float64)
-    num, den = np.ones(limit - 1), np.ones(limit - 1)
-    for a in spec.numerators:
-        num *= a + idx
-    for b in spec.denominators + (1.0,):
-        den *= b + idx
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        terms = [1.0, *np.cumprod(num / den).tolist()]
-    if not math.isfinite(terms[-1]):
-        raise RangeError("series terms exceed binary64 range")
-    try:
-        value = math.fsum(terms)
-    except OverflowError:
-        raise RangeError("series sum exceeds binary64 range") from None
-    error = rounding * sum(map(abs, terms))
-    if limit == k_term + 1:
-        return SummationResult(value, limit, SummationStatus.TERMINATED, error)
-    return SummationResult(value, limit, SummationStatus.MAX_TERMS_REACHED, abs(terms[-1]) + error)
-
-
 def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     """``sum_series`` as a straightforward numpy block loop.
 
@@ -173,8 +149,7 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     the package kernel, written without in-place buffers.  The ratios come
     from separate numerator and denominator products, and both stop rules
     are checked at block ends only, the term test on a block's last three
-    terms.  A terminating sum of at most ``series._PLAIN_TERMS`` terms is
-    the fsum of the first block's terms instead.
+    terms.
     """
     if not (rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive, got {rel_tol!r}")
@@ -184,8 +159,6 @@ def reference_sum_series(spec, rel_tol=1e-12, max_terms=10_000_000):
     k_term = spec.termination_index
     limit = int(max_terms) if k_term is None else min(k_term + 1, int(max_terms))
     min_stop, rounding = series._MIN_STOP_INDEX, series._SUM_ROUNDING
-    if k_term is not None and limit <= series._PLAIN_TERMS:
-        return _short_terminating_sum(spec, limit, k_term, rounding)
     uppers = np.asarray(spec.numerators, dtype=np.float64)
     lowers = np.asarray(spec.denominators + (1.0,), dtype=np.float64)
 

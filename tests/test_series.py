@@ -166,14 +166,14 @@ class TestTermination:
 
     def test_error_estimate_bounds_the_exact_error(self):
         # Each terminating sum against its exact rational value, with
-        # termination indices on both sides of _PLAIN_TERMS and up to 600,
+        # termination indices from 0 to 31, 32 to 200 and 201 to 600,
         # parameters in [-50, 50], and every other draw near-cancelling: a
         # lower parameter within 1e-3 of an upper one; 37 of the 151 values
         # are off by more than 1e-3 relative.  The first spec sums to
         # (-37.25)_60 / (3.25)_60 ~ 1.1e-22, its value to 5.9e19.
         rng = random.Random(20261021)
         specs = [SeriesSpec((-60.0, 40.5), (3.25,))]
-        bands = ((0, series._PLAIN_TERMS - 1), (series._PLAIN_TERMS, 200), (201, 600))
+        bands = ((0, 31), (32, 200), (201, 600))
         for i in range(150):
             p = rng.randint(1, 3)
             nums = [-float(rng.randint(*bands[i % 3]))]
@@ -186,7 +186,7 @@ class TestTermination:
         short = 0
         for spec in specs:
             result = sum_series(spec)
-            short += result.terms_used <= series._PLAIN_TERMS
+            short += result.terms_used <= 32
             assert result.status is SummationStatus.TERMINATED
             exact = rational_terminating_sum([Fraction(a) for a in spec.numerators],
                                              [Fraction(b) for b in spec.denominators])
@@ -620,7 +620,7 @@ def _force_builder(monkeypatch, budget):
 def _differential_spec(rng: random.Random) -> SeriesSpec:
     # p <= 4; parameters below -20 and lower ones within 1e-9 to 1e-4 of a
     # pole; mostly p = q + 1 series of margin 0.05-2; a quarter terminating
-    # after more than _PLAIN_TERMS terms.
+    # after 1 to 3001 terms.
     def param():
         r = rng.random()
         if r < 0.25:
@@ -635,7 +635,7 @@ def _differential_spec(rng: random.Random) -> SeriesSpec:
     if dens and p == q + 1 and rng.random() < 0.9:
         dens[-1] = math.fsum(nums) - math.fsum(dens[:-1]) + rng.uniform(0.05, 2.0)
     if nums and rng.random() < 0.25:
-        nums[0] = -float(rng.randint(series._PLAIN_TERMS + 1, 3000))
+        nums[0] = -float(rng.randint(0, 3000))
     return SeriesSpec(nums, dens)
 
 

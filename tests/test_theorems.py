@@ -186,15 +186,15 @@ class TestContiguous:
             assert lhs == pytest.approx(rhs, rel=1e-11), (b, c)
 
 
-def _mp_ratio_sum(b, c):
-    """sqrt(pi) b c / (b - c) (g(c) - g(b)), g(x) = Gamma(x)/Gamma(x+1/2), to 40 digits.
+def _mp_ratio_sum(b, c, digits=40):
+    """sqrt(pi) b c / (b - c) (g(c) - g(b)), g(x) = Gamma(x)/Gamma(x+1/2), to ``digits`` digits.
 
     The working precision grows with log10 max(b, c), so that x + 1/2 is exact
-    and the cancelling difference keeps 40 digits; b = c takes the limit
-    sqrt(pi) b^2 g(b) (psi(b + 1/2) - psi(b)).
+    and the cancelling difference keeps ``digits`` digits; b = c takes the
+    limit sqrt(pi) b^2 g(b) (psi(b + 1/2) - psi(b)).
     """
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40 + max(0, round(math.log10(max(b, c))))):
+    with mpmath.workdps(digits + max(0, round(math.log10(max(b, c))))):
         b, c = mpmath.mpf(b), mpmath.mpf(c)
         g = lambda x: mpmath.gamma(x) / mpmath.gamma(x + 0.5)
         if b == c:
@@ -282,6 +282,16 @@ class TestRatioSumExtension:
             got = theorems.ratio_sum_extension(b, c)
             assert math.isfinite(got), (b, c)
             assert _rel_err(got, _mp_ratio_sum(b, c)) <= G_FORM_BOUND, (b, c)
+
+    @pytest.mark.parametrize("b,c", [
+        (1e-310, 1e-310), (5e-324, 1.0), (1e-310, 1e300), (2.0**-55, 3.0),
+        (2.0**-54, 3.0), (math.nextafter(2.0**-54, 1.0), 3.0),
+    ])
+    def test_below_the_normal_range(self, b, c):
+        # At and below min(b, c) = 2^-54 the value rounds to 1, where phi's
+        # step 1/b can overflow; just above, the general formula takes over.
+        got = theorems.ratio_sum_extension(b, c)
+        assert _rel_err(got, _mp_ratio_sum(b, c, digits=50)) <= G_FORM_BOUND, (b, c)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -739,5 +749,13 @@ class TestMuSpacedSum:
         assert _rel_err(theorems.mu_spaced_sum(1e-300, 1e10), 1e300) <= G_FORM_BOUND
 
     def test_ratio_underflow_is_range_error(self):
-        with pytest.raises(RangeError, match="b/mu underflows to 0"):
-            theorems.mu_spaced_sum(1e-300, 1e300)
+        # b/mu underflows to 0, where the value is 1/b to within u; a RangeError
+        # only where 1/b overflows.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            r = mpmath.mpf(1e-300) / mpmath.mpf(1e300)
+            want = float(mpmath.sqrt(mpmath.pi) * mpmath.gamma(r)
+                         / (mpmath.mpf(1e300) * mpmath.gamma(r + mpmath.mpf(0.5))))
+        assert _rel_err(theorems.mu_spaced_sum(1e-300, 1e300), want) <= G_FORM_BOUND
+        with pytest.raises(RangeError, match="mu_spaced_sum value is not finite"):
+            theorems.mu_spaced_sum(5e-324, 1e300)
