@@ -10,17 +10,18 @@ The summation kernel runs the term recurrence
 
 in blocks with compensated (Neumaier) accumulation across blocks and
 pairwise summation inside them.  Every block is summed whole, and the stop
-rules are checked at block ends only.  Each block end doubles the last, from
-N = _BLOCK_START to _BLOCK_MAX, and past that the ends are _BLOCK_MAX apart:
-N = 512, 1024, ..., 65536, 131072, ... at 512 and 65536.  Each block takes
-its own running product of its ratios t_{n+1}/t_n, times the term before it
-past t_0 = 1.  Where every ratio of a block is positive, its terms share one
-sign and sum |t_n| is taken from the block sum.  Two builders give a block
-the same bits: numpy calls, whose ratios come in spans (the first two blocks
-from cached indices, then one block each), and a plain-float loop with
-numpy's operations in numpy's order and numpy's pairwise add.reduce.  Blocks
-are built in plain floats until numpy is loaded or _PLAIN_BUDGET terms are
-built so, then with numpy, imported at that block end.
+rules are checked at block ends only.  N, the one index the loop keeps, is
+the last index summed; each block end doubles it from N = _BLOCK_START to
+_BLOCK_MAX, then the ends are _BLOCK_MAX apart (512, 1024, ..., 65536,
+131072, ... as set).  Each block takes its own running product of its
+ratios t_{n+1}/t_n, times the term before it past t_0 = 1.  Where every
+ratio of a block is positive, its terms share one sign and sum |t_n| is
+taken from the block sum.  Two builders give a block the same bits.  numpy
+calls form the ratios in spans, the first two blocks and then one each,
+from idx and n + 1 as two slices of one index array n (the first span's
+cached, read-only).  A plain-float loop, in numpy's order and with its
+pairwise add.reduce, builds until numpy is loaded or _PLAIN_BUDGET terms
+are built so; numpy is imported at that block end.
 
 A non-terminating p = q + 1 series has terms decaying like n^(-1-s), s the
 convergence margin; the kernel adds their asymptotic sum past N (DLMF 2.10),
@@ -67,7 +68,7 @@ _TAIL_SHARE = 2.0**-6
 _SUM_ROUNDING = 32.0 * _UNIT_ROUNDOFF
 _BINOMIAL = [[float(math.comb(m, k)) for k in range(m + 1)] for m in range(_TAIL_TERMS)]
 
-_FIRST_SPAN = None  # (numpy, n, n + 1) for n < 2 _BLOCK_START, read-only; set whole
+_FIRST_SPAN = None  # (numpy, n) for n <= 2 _BLOCK_START, read-only; set whole
 
 # Blocks are built in plain floats until numpy is loaded or _PLAIN_BUDGET terms
 # are built so: numpy's ~55 ms in a CLI call over 0.31-0.52 us per plain term.
@@ -80,22 +81,25 @@ class SeriesSpec:
     """Parameters of a unit-argument pFq series.
 
     ``numerators`` are the upper parameters a_1..a_p, ``denominators`` the
-    lower parameters b_1..b_q.  The implicit n! is not listed.  A lower
-    parameter -m, m a nonnegative integer, needs an upper -k with k <= m,
-    which ends the series before (-m)_n vanishes.  p <= q + 1 is required
-    for the series to converge or terminate at unit argument.
+    lower parameters b_1..b_q; the implicit n! is not listed.  t_k is the last
+    nonzero term for ``termination_index`` k, the least k with an upper -k
+    (None if no upper is a nonpositive integer); a lower -m needs k <= m.
+    p <= q + 1 is required to converge or terminate at unit argument.
     """
 
     numerators: tuple[float, ...]
     denominators: tuple[float, ...]
 
     def __init__(self, numerators: Sequence[float], denominators: Sequence[float]):
-        nums = tuple(_require_finite("series parameter", a) for a in numerators)
-        dens = tuple(_require_finite("series parameter", b) for b in denominators)
+        try:
+            nums = tuple(_require_finite("series parameter", a) for a in numerators)
+            dens = tuple(_require_finite("series parameter", b) for b in denominators)
+        except TypeError as err:  # a parameter list that is not iterable
+            raise ConfigError(f"series parameter lists must be iterable ({err})") from None
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominators", dens)
         end = min((int(-a) for a in nums if _is_nonpositive_integer(a)), default=None)
-        object.__setattr__(self, "_termination_index", end)  # not a field: ==, hash, repr skip it
+        object.__setattr__(self, "termination_index", end)  # not a field: ==, hash, repr skip it
         for b in dens:
             if _is_nonpositive_integer(b) and (end is None or end > -b):
                 raise DegenerateError(f"lower parameter {b!r} is a nonpositive integer")
@@ -104,11 +108,6 @@ class SeriesSpec:
                 f"p = {len(nums)} upper parameters need q >= p - 1 lower "
                 f"parameters at unit argument, got q = {len(dens)}"
             )
-
-    @property
-    def termination_index(self) -> int | None:
-        """Index k of the last nonzero term, or None if non-terminating."""
-        return self._termination_index
 
 
 class SummationStatus(str, enum.Enum):
@@ -267,9 +266,8 @@ def sum_series(
     Builds blocks without numpy until numpy's import pays for itself (module
     docstring).  Stops when the series terminates (``Terminated``), at
     ``max_terms`` (``MaxTermsReached``), or ``Converged`` on one of two rules,
-    checked for a non-terminating series at each block end N >= 20 (N =
-    _BLOCK_START 2^k up to _BLOCK_MAX, then every _BLOCK_MAX, or the budget;
-    512 2^k up to 65536 with the sizes as set); ``terms_used`` counts t_0..t_N:
+    checked for a non-terminating series at each block end N >= 20 (module
+    docstring, or the budget), N the last index summed; ``terms_used`` = N + 1:
 
     * term test: the block's last three |t_n| are at most rel_tol |S_N|, S_N
       the partial sum; a block of fewer than three terms, only ever the
@@ -298,7 +296,7 @@ def sum_series(
     max_terms = _require_integer("max_terms", max_terms, 1, ConfigError)
 
     k_term = spec.termination_index
-    limit = max_terms if k_term is None else min(k_term + 1, max_terms)
+    limit = max_terms - 1 if k_term is None else min(k_term, max_terms - 1)  # the last N
 
     # Only a non-terminating p = q + 1 series can diverge or needs a tail.
     tail_series = k_term is None and len(spec.numerators) == len(spec.denominators) + 1
@@ -310,7 +308,7 @@ def sum_series(
         tail_at = _AsymptoticTail(spec, margin)
 
     total, comp, abs_sum, t_last = 1.0, 0.0, 1.0, 1.0  # t_0; abs_sum is sum |t_n|
-    count, n_last, converged = 1, 0, False
+    n_last, converged = 0, False  # N, the last index summed
     ends: list[tuple[int, float]] = []  # (N, V(N)) at block ends with a resolved tail
     tail, drift = None, 0.0  # tail_at's result and |V(N) - V(N_ref)| at the last N
     low, ratios = min((*spec.numerators, *spec.denominators, 1.0)), ()  # ratios not yet used
@@ -318,34 +316,32 @@ def sum_series(
     global _FIRST_SPAN, _plain_built
     np = None  # numpy, from this sum's first numpy block on
     try:
-        while count < limit:
+        while n_last < limit:
             # A block as wide as the index summed so far doubles the last end.
-            width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - count)
+            width = min(max(n_last, _BLOCK_START), _BLOCK_MAX, limit - n_last)
             if _plain_next():  # false once numpy is loaded, as it is where np or _FIRST_SPAN is set
-                terms = _plain_terms(spec, count - 1, width, t_last)
+                terms = _plain_terms(spec, n_last, width, t_last)
                 _plain_built += width
                 block_sum, last = 0.0 + _pairwise(terms, 0, width), terms[-3:]
             else:
                 if np is None:  # numpy's import waits for a process's first numpy block
-                    if _FIRST_SPAN is None or len(_FIRST_SPAN[1]) < 2 * _BLOCK_START:
+                    if _FIRST_SPAN is None or len(_FIRST_SPAN[1]) <= 2 * _BLOCK_START:
                         import numpy as np
-                        idx = np.arange(2 * _BLOCK_START, dtype=np.float64)
-                        plus_one = idx + 1.0
-                        idx.flags.writeable = plus_one.flags.writeable = False
-                        _FIRST_SPAN = np, idx, plus_one
-                    np, first_idx, first_plus_one = _FIRST_SPAN
+                        first = np.arange(2 * _BLOCK_START + 1, dtype=np.float64)
+                        first.flags.writeable = False
+                        _FIRST_SPAN = np, first
+                    np, first = _FIRST_SPAN
                     errstate = np.errstate(all="ignore")
                     errstate.__enter__()
                 if not len(ratios):
-                    # Ratios t_{n+1}/t_n from n = count-1 on, for the first two blocks
-                    # at once from the cached indices, later for one block.  The buffer
-                    # starts from idx + a_1 (1.0 * (idx + a_1) exactly), the lower 1 last.
-                    if count > 1:
-                        idx = np.arange(count - 1, count - 1 + width, dtype=np.float64)
-                        plus_one = idx + 1.0
+                    # Ratios t_{n+1}/t_n from n = N on, for the first two blocks at once from
+                    # the cached n, later for one block; idx and n + 1 are slices of one n.
+                    # The buffer starts from idx + a_1 (1.0 * (idx + a_1) exactly), lower 1 last.
+                    if n_last:
+                        span, n = width, np.arange(n_last, n_last + width + 1, dtype=np.float64)
                     else:
-                        span = min(2 * _BLOCK_START, limit - 1)
-                        idx, plus_one = first_idx[:span], first_plus_one[:span]
+                        span, n = min(2 * _BLOCK_START, limit), first
+                    idx, plus_one = n[:span], n[1:span + 1]
                     ratios = idx + spec.numerators[0] if spec.numerators else np.ones(len(idx))
                     for a in spec.numerators[1:]:
                         ratios *= idx + a
@@ -366,15 +362,14 @@ def sum_series(
                 raise RangeError("series terms exceed binary64 range")
             # Past idx = -low every factor idx + a, so every ratio, is positive:
             # the terms share one sign, and |sum t_n| is sum |t_n| exactly.
-            abs_sum += (abs(block_sum) if count - 1 + low > 0 else float(np.abs(terms).sum())
+            abs_sum += (abs(block_sum) if n_last + low > 0 else float(np.abs(terms).sum())
                         if np else 0.0 + _pairwise([*map(abs, terms)], 0, width))
             y = total + block_sum  # Neumaier's update of total + comp
             big, small = (total, block_sum) if abs(total) >= abs(block_sum) else (block_sum, total)
             total, comp = y, comp + ((big - y) + small)
             if not math.isfinite(total):
                 raise RangeError("series sum exceeds binary64 range")
-            count += width
-            n_last = count - 1
+            n_last += width
             if k_term is not None or n_last < _MIN_STOP_INDEX:
                 continue
             partial, drift = total + comp, 0.0
@@ -400,11 +395,11 @@ def sum_series(
             errstate.__exit__(None, None, None)
 
     value, error = total + comp, _SUM_ROUNDING * abs_sum
-    if k_term is not None and count == k_term + 1:
-        return SummationResult(value, count, SummationStatus.TERMINATED, error)
+    if n_last == k_term:
+        return SummationResult(value, n_last + 1, SummationStatus.TERMINATED, error)
     status = SummationStatus.CONVERGED if converged else SummationStatus.MAX_TERMS_REACHED
     if tail is not None:
         value, error = value + tail[0], error + (drift + tail[1])
     else:
         error += abs(t_last) * (n_last + 1) / margin if tail_series else abs(t_last)
-    return SummationResult(value, count, status, error)
+    return SummationResult(value, n_last + 1, status, error)

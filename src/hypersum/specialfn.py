@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
-from itertools import zip_longest
+from collections.abc import Iterable, Sequence
+from itertools import chain, zip_longest
 
 from .errors import ConfigError, DomainError, PoleError, RangeError
 
@@ -202,10 +202,12 @@ def gamma_ratio(numerators: Sequence[float], denominators: Sequence[float]) -> f
     try:
         nums = sorted(map(float, numerators), reverse=True)
         dens = sorted(map(float, denominators), reverse=True)
-    except (TypeError, ValueError, OverflowError):
-        for x in (*numerators, *denominators):  # the typed error for the first bad one
-            _require_finite("gamma_ratio argument", x)
-        raise
+    except (TypeError, ValueError, OverflowError) as err:
+        for x in chain(*(p for p in (numerators, denominators) if isinstance(p, Iterable))):
+            _require_finite("gamma_ratio argument", x)  # the typed error for the first bad one
+        # Else an iterator that map() has consumed, or a non-iterable: err's own kind.
+        kind = RangeError if isinstance(err, OverflowError) else ConfigError
+        raise kind(f"gamma_ratio arguments must be iterables of real numbers ({err})") from None
     value = 1.0
     for a, b in zip_longest(nums, dens, fillvalue=1.0):
         if not (1e-300 < a < 171.0 and 1e-300 < b < 171.0):

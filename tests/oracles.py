@@ -7,8 +7,9 @@ are deliberately naive: correctness over speed.
 ``reference_sum_series`` is the exception: it is a plain block loop of the
 stop rules of ``hypersum.series.sum_series``, kept to pin the optimised
 kernel to it bit for bit.  It reuses the kernel's asymptotic tail, whose
-accuracy is pinned against mpmath separately, and its Neumaier update, so it
-checks the block body and the stop rules only.  ``block_ends`` states the
+accuracy is pinned against mpmath separately, so it checks the block body,
+the stop rules and the compensated sum, for which it keeps its own Neumaier
+update (``_accumulate``) apart from the kernel's inline one.  ``block_ends`` states the
 kernel's block geometry for the loop and for the tests that place a stop or
 a budget against it.  Both read the block sizes, the first index the stop
 rules may fire at and the rounding bound from ``hypersum.series`` at call

@@ -101,6 +101,12 @@ class TestSeriesSpec:
         assert copied == spec and repr(copied) == repr(spec)
         assert copied.termination_index == 3
 
+    def test_termination_index_is_read_only(self):
+        spec = SeriesSpec((-3.0, 2.0), (5.0,))
+        with pytest.raises(AttributeError):
+            spec.termination_index = 5
+        assert spec.termination_index == 3
+
     def test_nonpositive_integer_denominator_rejected(self):
         with pytest.raises(DegenerateError):
             SeriesSpec((0.5,), (-2.0,))
@@ -520,19 +526,19 @@ class TestKernelMatchesReference:
             }, start
 
     def test_first_span_indices_follow_the_block_start(self, monkeypatch):
-        # The cached first-span indices n and n + 1 cover the first two
-        # blocks at each size, grow with _BLOCK_START, and stay read-only.
+        # The cached first-span indices n, which give idx and n + 1 as two
+        # slices, cover the first two blocks at each size, grow with
+        # _BLOCK_START, and stay read-only.
         np = pytest.importorskip("numpy")
         monkeypatch.setattr(series, "_FIRST_SPAN", None)
         spec = SeriesSpec((0.5, 0.25), (1.25,))
         for start in (*self.BLOCK_STARTS, 512):
             monkeypatch.setattr(series, "_BLOCK_START", start)
             assert sum_series(spec) == reference_sum_series(spec)
-            handle, idx, plus_one = series._FIRST_SPAN
-            assert handle is np and len(idx) >= 2 * start
-            assert np.array_equal(idx, np.arange(len(idx), dtype=np.float64))
-            assert np.array_equal(plus_one, np.arange(len(idx), dtype=np.float64) + 1)
-            assert not idx.flags.writeable and not plus_one.flags.writeable
+            handle, n = series._FIRST_SPAN
+            assert handle is np and len(n) >= 2 * start + 1
+            assert np.array_equal(n, np.arange(len(n), dtype=np.float64))
+            assert not n.flags.writeable
 
     @pytest.mark.parametrize("max_terms", [600, _N2 - 24, _N2, _N2 + 1, 70_000])
     @pytest.mark.parametrize("spec", [

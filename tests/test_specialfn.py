@@ -286,6 +286,14 @@ class TestGammaRatio:
         with pytest.raises(PoleError):
             specialfn.gamma_ratio([1.0, -2.0], [0.5])
 
+    def test_iterators_match_lists(self):
+        # Iterators are read once, on both the math.gamma and the log-space path.
+        for nums, dens in (([2.5, 0.3], [1.7]), ([200.5, 0.5], [199.0, 3.0]), ([-2.5], [])):
+            want = specialfn.gamma_ratio(nums, dens)
+            assert specialfn.gamma_ratio(iter(nums), iter(dens)) == want, (nums, dens)
+            got = specialfn.gamma_ratio((x for x in nums), (x for x in dens))
+            assert got == want, (nums, dens)
+
     def test_overflow(self):
         with pytest.raises(RangeError):
             specialfn.gamma_ratio([200.0, 200.0], [1.0])

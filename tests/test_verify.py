@@ -430,6 +430,12 @@ class TestRealParameter:
         (lambda: gamma_ratio([None], [1.0]), ConfigError),
         (lambda: gamma_ratio([1.0], [2.0, "x"]), ConfigError),
         (lambda: gamma_ratio([10**400], [1.0]), RangeError),
+        (lambda: gamma_ratio(iter(["a"]), [1.0]), ConfigError),
+        (lambda: gamma_ratio(iter([None]), [1.0]), ConfigError),
+        (lambda: gamma_ratio(iter([10**400]), [1.0]), RangeError),
+        (lambda: gamma_ratio(5, []), ConfigError),
+        (lambda: SeriesSpec(5, []), ConfigError),
+        (lambda: SeriesSpec([0.5], None), ConfigError),
         (lambda: gamma([10**5000]), ConfigError),
         (lambda: theorems.gauss_2f1(None, 0.25, 1.25), ConfigError),
         (lambda: theorems.dixon_3f2(None, 0.5, 0.5), ConfigError),
@@ -446,7 +452,9 @@ class TestRealParameter:
         (lambda: theorems.ratio_sum_extension(10**400, 1.0), RangeError),
     ], ids=["gamma-None", "gamma-str", "SeriesSpec-huge", "SeriesSpec-str", "ShiftedPair-str",
             "ShiftedPair-huge", "gamma-past-str-limit", "gamma_ratio-None", "gamma_ratio-str",
-            "gamma_ratio-huge", "gamma-list-past-str-limit", "gauss_2f1-None", "dixon_3f2-None",
+            "gamma_ratio-huge", "gamma_ratio-iter-str", "gamma_ratio-iter-None",
+            "gamma_ratio-iter-huge", "gamma_ratio-not-iterable", "SeriesSpec-not-iterable",
+            "SeriesSpec-None-list", "gamma-list-past-str-limit", "gauss_2f1-None", "dixon_3f2-None",
             "contiguous_3f2-None", "ratio_sum_extension-None", "mu_spaced_sum-None",
             "karlsson_minton-None", "weighted_s1-None", "weighted_s2-None", "weighted_pair-None",
             "gauss_2f1-huge", "dixon_3f2-huge", "weighted_s1-huge", "ratio_sum_extension-huge"])
