@@ -9,9 +9,9 @@ stop rules of ``hypersum.series.sum_series``, kept to pin the optimised
 kernel to it bit for bit.  It reuses the kernel's asymptotic tail, whose
 accuracy is pinned against mpmath separately, so it checks the block body,
 the stop rules and the compensated sum, for which it keeps its own Neumaier
-update (``_accumulate``) apart from the kernel's inline one.  ``block_ends`` states the
-kernel's block geometry for the loop and for the tests that place a stop or
-a budget against it.  Both read the block sizes, the first index the stop
+update (``_accumulate``) apart from the kernel's inline one.
+``block_ends`` states the kernel's block geometry for the loop and for the
+tests that place a stop or a budget against it.  Both read the block sizes, the first index the stop
 rules may fire at and the rounding bound from ``hypersum.series`` at call
 time, so the comparison, and each test stated through ``block_ends``, holds
 if those change.
